@@ -2,7 +2,7 @@
 
 The paper's premise is millions of instances feeding one hive; the
 ``repro.exec`` backends let the pod fleet actually run in parallel
-(threads or worker processes, pods partitioned into shards) while the
+(worker processes, pods partitioned into shards) while the
 coordinator plans every random draw up front and the hive folds shard
 tree deltas and ingests batch entries in global execution order. The
 claims under test, post session-protocol redesign:
@@ -49,7 +49,6 @@ REPEATS = 2
 #: wire — any per-round shipping overhead shows up directly.
 LEGS = (
     ("serial", "serial", 1),
-    ("thread-4", "thread", 4),
     ("process-1", "process", 1),
     ("process-4", "process", 4),
 )
@@ -122,7 +121,6 @@ def test_e18_parallel(benchmark, emit):
         }, handle, indent=2, sort_keys=True)
     write_bench_json("e18", {
         "serial_wall_s": serial_s,
-        "thread_speedup_4w": speedup["thread-4"],
         "process_speedup_1w": speedup["process-1"],
         "process_speedup_4w": speedup["process-4"],
         "reports_identical": all(identical.values()),

@@ -2,11 +2,11 @@
 
 The PR-10 optimization bundle — expression interning + incremental
 slice keys, the pooled wire codec, the interpreter dispatch table,
-lazy span shipping, and batched multi-round dispatch — is only
-admissible because it is *identity-preserving*: every report stays
-bit-identical across backends and window sizes. This experiment pins
-the payoff side of that bargain against the recorded pre-overhaul
-baselines (measured on the same workload at the PR-9 tree):
+and lazy span shipping — is only admissible because it is
+*identity-preserving*: every report stays bit-identical across
+backends. This experiment pins the payoff side of that bargain against
+the recorded pre-overhaul baselines (measured on the same workload at
+the PR-9 tree):
 
 * serial rounds/sec on the E18 workload (the whole closed loop:
   interpreter, capture, dedup, codec, replay, ingest) — pre-overhaul
@@ -14,10 +14,7 @@ baselines (measured on the same workload at the PR-9 tree):
 * ``condition_slices`` probe rate on a 24-conjunct PathCondition (the
   solver probes every slice at every fork, so this is the cache's
   innermost loop) — pre-overhaul **1099 probes/sec**; the floor
-  demands >= 2x;
-* batched dispatch: process-backend rounds/sec at ``dispatch_rounds=4``
-  vs 1 on a round-trip-bound workload, with the two reports required
-  identical.
+  demands >= 2x.
 
 Tables land in ``benchmarks/out/e23_hotpath.{txt,json}``; the flat CI
 document in ``benchmarks/out/BENCH_e23.json`` (floors in
@@ -47,8 +44,6 @@ BASELINE_PROBE_RPS = 1099.0
 SERIAL_ROUNDS = 3
 SERIAL_EXECUTIONS = 2000
 PROBE_ITERATIONS = 2000
-WINDOW_ROUNDS = 12
-WINDOW_EXECUTIONS = 100
 REPEATS = 3
 
 
@@ -79,38 +74,12 @@ def _probe_leg():
     return PROBE_ITERATIONS / elapsed
 
 
-def _window_leg(dispatch_rounds):
-    """A round-trip-bound process run; (elapsed, report fingerprint)."""
-    platform = SoftBorgPlatform(
-        crash_scenario(seed=2),
-        PlatformConfig(n_pods=12, rounds=WINDOW_ROUNDS,
-                       executions_per_round=WINDOW_EXECUTIONS,
-                       fixing=False, enable_proofs=False, seed=2,
-                       backend="process", workers=2,
-                       dispatch_rounds=dispatch_rounds))
-    start = time.perf_counter()
-    report = platform.run()
-    elapsed = time.perf_counter() - start
-    fingerprint = json.dumps(report.as_dict(), default=str,
-                             sort_keys=True)
-    return elapsed, fingerprint
-
-
 def run_experiment():
     serial_best = min(_serial_leg() for _ in range(REPEATS))
     probe_rate = max(_probe_leg() for _ in range(REPEATS))
-    single_s, single_fp = min(
-        (_window_leg(1) for _ in range(REPEATS)),
-        key=lambda leg: leg[0])
-    windowed_s, windowed_fp = min(
-        (_window_leg(4) for _ in range(REPEATS)),
-        key=lambda leg: leg[0])
     return {
         "serial_rps": SERIAL_ROUNDS / serial_best,
         "probe_rps": probe_rate,
-        "window_single_rps": WINDOW_ROUNDS / single_s,
-        "window_batched_rps": WINDOW_ROUNDS / windowed_s,
-        "windowed_identical": single_fp == windowed_fp,
     }
 
 
@@ -119,17 +88,11 @@ def test_e23_hotpath(benchmark, emit):
 
     serial_speedup = results["serial_rps"] / BASELINE_SERIAL_RPS
     probe_speedup = results["probe_rps"] / BASELINE_PROBE_RPS
-    window_speedup = (results["window_batched_rps"]
-                      / results["window_single_rps"])
     rows = [
         ["serial loop (E18 workload)", f"{BASELINE_SERIAL_RPS:.2f}",
          f"{results['serial_rps']:.2f}", f"{serial_speedup:.2f}x"],
         ["slice probes (24 conjuncts)", f"{BASELINE_PROBE_RPS:.0f}",
          f"{results['probe_rps']:.0f}", f"{probe_speedup:.1f}x"],
-        ["process rounds/sec, K=4 vs K=1",
-         f"{results['window_single_rps']:.2f}",
-         f"{results['window_batched_rps']:.2f}",
-         f"{window_speedup:.2f}x"],
     ]
     table = render_table(
         ["hot path", "before", "after", "speedup"],
@@ -146,22 +109,14 @@ def test_e23_hotpath(benchmark, emit):
             "baseline_probe_rps": BASELINE_PROBE_RPS,
             "serial_rounds_per_sec": results["serial_rps"],
             "probe_per_sec": results["probe_rps"],
-            "window_single_rps": results["window_single_rps"],
-            "window_batched_rps": results["window_batched_rps"],
-            "windowed_identical": results["windowed_identical"],
         }, handle, indent=2, sort_keys=True)
     write_bench_json("e23", {
         "serial_rounds_per_sec": results["serial_rps"],
         "serial_speedup_vs_pre": serial_speedup,
         "probe_per_sec": results["probe_rps"],
         "probe_speedup_vs_pre": probe_speedup,
-        "window_speedup_4": window_speedup,
-        "windowed_identical": results["windowed_identical"],
     })
 
-    # Identity first: batched dispatch must be invisible in the report.
-    assert results["windowed_identical"], \
-        "dispatch_rounds=4 changed the process-backend report"
     # The acceptance bars (recorded margins are ~1.9x and ~150x, so
     # these hold comfortably even on jittery shared runners).
     assert serial_speedup >= 1.25, \

@@ -16,7 +16,7 @@ tick at a time:
   to the whole live fleet at once.
 
 Deterministic throughout: the same seed replays the identical scaling
-story on the serial, thread, or process backend.
+story on the serial or process backend.
 
 Run:  python examples/serve_hive.py
 """

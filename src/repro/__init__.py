@@ -34,7 +34,7 @@ experiment index.
 
 from typing import TYPE_CHECKING
 
-__version__ = "0.1.0"
+__version__ = "0.3.0"
 
 #: Exported name -> defining module. The single source of truth for
 #: the top-level surface; ``__getattr__`` resolves through it on first
@@ -53,7 +53,6 @@ _EXPORTS = {
     "BaseReport": "repro.config",
     "ExecutorBackend": "repro.exec",
     "SerialBackend": "repro.exec",
-    "ThreadBackend": "repro.exec",
     "ProcessBackend": "repro.exec",
     "TraceBatch": "repro.exec",
     "make_backend": "repro.exec",
@@ -126,8 +125,8 @@ def __dir__():
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.config import BaseConfig, BaseReport
     from repro.exec import (
-        ExecutorBackend, ProcessBackend, SerialBackend, ThreadBackend,
-        TraceBatch, make_backend,
+        ExecutorBackend, ProcessBackend, SerialBackend, TraceBatch,
+        make_backend,
     )
     from repro.fleet import Fleet, FleetReport
     from repro.hive import Hive, explore_cooperatively

@@ -10,7 +10,7 @@ fault kind and its coordinates (round index, virtual shard, frame
 index, attempt number, pod index, ...), so:
 
 * the same seed always injects the same faults, in the same places;
-* serial, thread, and process backends see the *identical* fault
+* serial and process backends see the *identical* fault
   schedule, because the coordinates are backend-invariant (virtual
   shards are ``pod_index % virtual_workers``, frames are numbered in
   global-execution order);

@@ -54,26 +54,18 @@ def common_exec_flags() -> argparse.ArgumentParser:
     from repro.chaos import profile_names
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--backend", default="auto",
-                        choices=["auto", "serial", "thread", "process"],
+                        choices=["auto", "serial", "process"],
                         help="execution backend (auto = $REPRO_BACKEND"
                              " or serial); reports are bit-identical"
                              " across backends for a fixed seed")
     parent.add_argument("--workers", type=int, default=0,
-                        help="worker shards for thread/process backends"
+                        help="worker shards for the process backend"
                              " (0 = auto: one worker per core,"
                              " os.cpu_count(), capped at the pod"
                              " count; same rule on run/chaos/serve)")
     parent.add_argument("--batch-traces", type=int, default=0,
                         help="max traces per shard batch flush (0 = one"
                              " flush per round)")
-    parent.add_argument("--dispatch-rounds", type=int, default=1,
-                        help="ship up to K planned rounds per backend"
-                             " transaction (process backend: one pipe"
-                             " round-trip per window); applies only"
-                             " when fixing/guidance/collective-cache/"
-                             "chaos/invariants are all off — otherwise"
-                             " rounds dispatch one at a time. Reports"
-                             " stay bit-identical either way")
     parent.add_argument("--solver-cache", default="none",
                         choices=["none", "local", "collective"],
                         help="constraint recycling: local = per-engine"
@@ -253,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
              " hot functions; --out saves the raw .pstats artifact"
              " (see docs/PERFORMANCE.md). The profiler observes this"
              " process, so the serial backend gives the full picture"
-             " while thread/process runs profile the coordinator side")
+             " while process runs profile the coordinator side")
     profile.set_defaults(rounds=6, executions=200, backend="serial")
     profile.add_argument("--guidance", action="store_true")
     profile.add_argument("--no-fixing", action="store_true")
@@ -343,7 +335,6 @@ def _run_platform(args, fixing: bool = True, tracing: bool = False):
         backend=getattr(args, "backend", "auto"),
         workers=getattr(args, "workers", 0),
         batch_max_traces=getattr(args, "batch_traces", 0),
-        dispatch_rounds=getattr(args, "dispatch_rounds", 1),
         chaos_profile=getattr(args, "chaos", "none"),
         check_invariants=getattr(args, "check_invariants", False),
         solver_cache=getattr(args, "solver_cache", "none"),

@@ -1,8 +1,8 @@
 """repro.exec — pluggable execution backends for the platform.
 
 The coordinator plans each round (all randomness serialized, see
-``repro.exec.plan``), a backend executes it (serial, thread, or
-process; see ``repro.exec.backends``), and sharded collectors ship
+``repro.exec.plan``), a backend executes it (serial or process;
+see ``repro.exec.backends``), and sharded collectors ship
 batched traces plus execution-tree edge deltas back for hive ingest
 (``repro.exec.batch``, ``repro.exec.shard``). Coordinator state reaches
 the shards as epoch-stamped ``publish(SyncDelta)`` calls — the
@@ -16,7 +16,6 @@ from repro.exec.backends import (
     ExecutorBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     make_backend,
     resolve_backend_name,
     resolve_workers,
@@ -44,7 +43,7 @@ from repro.exec.shard import Shard
 
 __all__ = [
     "BACKEND_NAMES", "ExecutorBackend",
-    "SerialBackend", "ThreadBackend", "ProcessBackend",
+    "SerialBackend", "ProcessBackend",
     "make_backend", "resolve_backend_name", "resolve_workers",
     "BatchAccumulator", "BatchEntry", "ReplayProduct", "RunRecord",
     "ShardResult", "TraceBatch", "encode_batch", "decode_batch",

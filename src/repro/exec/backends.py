@@ -2,14 +2,10 @@
 
 The platform plans a round (all coordinator randomness, serialized),
 hands the plan to an :class:`ExecutorBackend`, and gets back per-shard
-:class:`ShardResult` lists. Three implementations:
+:class:`ShardResult` lists. Two implementations:
 
 * :class:`SerialBackend` — one in-process shard over every pod; the
   historical behaviour and the default.
-* :class:`ThreadBackend` — pods partitioned into per-thread shards.
-  Python threads only overlap during I/O or C-level work, so this
-  backend is mostly a stepping stone / GIL-contention testbed; results
-  are still bit-identical.
 * :class:`ProcessBackend` — pods partitioned across long-lived worker
   processes (one :class:`~repro.exec.shard.Shard` each), speaking the
   **session protocol** (``repro.exec.session``): full state crosses
@@ -27,9 +23,7 @@ Coordinator-side state changes go through one door:
 :meth:`publish` takes a :class:`~repro.exec.session.SyncDelta` (hive
 program deploy, staged rollout, constraint-cache facts — any
 combination), stamps it with the session's next epoch, and applies it
-to every shard. The legacy mutator trio (``set_hive_program`` /
-``apply_update`` / ``seed_cache``) remains as deprecated aliases only
-(removal per docs/API.md policy).
+to every shard.
 
 Backend choice is config- or environment-driven (``REPRO_BACKEND``);
 ``resolve_backend_name`` centralizes the rule.
@@ -47,13 +41,12 @@ except ImportError:  # pragma: no cover
 
 from repro.errors import ConfigError
 from repro.exec.batch import ShardResult
-from repro.exec.plan import PlannedRun, RoundPlan, partition_runs
+from repro.exec.plan import RoundPlan, partition_runs
 from repro.exec.session import (
     SessionLog, SyncDelta, pack_runs, pack_result, unpack_result,
     unpack_runs,
 )
 from repro.exec.shard import Shard
-from repro.interfaces import deprecated_alias
 from repro.obs import Instrumented
 from repro.obs.trace import get_tracer
 from repro.pod.pod import Pod
@@ -62,16 +55,13 @@ from repro.progmodel.ir import Program
 
 __all__ = [
     "BACKEND_NAMES", "ExecutorBackend", "SyncDelta",
-    "SerialBackend", "ThreadBackend", "ProcessBackend",
+    "SerialBackend", "ProcessBackend",
     "make_backend", "resolve_backend_name", "resolve_workers",
 ]
 
-BACKEND_NAMES = ("serial", "thread", "process")
+BACKEND_NAMES = ("serial", "process")
 
 _ENV_BACKEND = "REPRO_BACKEND"
-
-#: Release that deletes the legacy mutator trio (docs/API.md policy).
-_LEGACY_MUTATOR_REMOVAL = "v0.3"
 
 
 def resolve_backend_name(name: str) -> str:
@@ -116,12 +106,6 @@ class ExecutorBackend(Protocol):
 
     def run_round(self, plan: RoundPlan) -> List[ShardResult]:
         """Execute the plan; shard results ordered by shard id."""
-
-    def run_rounds(self, plans: Sequence[RoundPlan],
-                   ctxs: Optional[Sequence] = None,
-                   ) -> List[List[ShardResult]]:
-        """Execute K plans in one backend transaction; one shard-result
-        list per round, in plan order."""
 
     def publish(self, delta: SyncDelta) -> int:
         """Apply a state delta to every shard; returns the stamped
@@ -192,21 +176,6 @@ class _BackendBase(Instrumented):
     def _publish(self, delta: SyncDelta) -> None:
         raise NotImplementedError
 
-    # -- deprecated push-style mutators (aliases of publish) ------------------
-
-    @deprecated_alias("publish", removal_version=_LEGACY_MUTATOR_REMOVAL)
-    def set_hive_program(self, program: Program) -> None:
-        self.publish(SyncDelta(hive_program=program))
-
-    @deprecated_alias("publish", removal_version=_LEGACY_MUTATOR_REMOVAL)
-    def apply_update(self, program: Program,
-                     pod_indices: Sequence[int]) -> None:
-        self.publish(SyncDelta(rollout=(program, tuple(pod_indices))))
-
-    @deprecated_alias("publish", removal_version=_LEGACY_MUTATOR_REMOVAL)
-    def seed_cache(self, delta) -> None:
-        self.publish(SyncDelta(cache_entries=list(delta or ())))
-
     # -- rounds ---------------------------------------------------------------
 
     def run_round(self, plan: RoundPlan) -> List[ShardResult]:
@@ -220,37 +189,6 @@ class _BackendBase(Instrumented):
         with self._obs_round_time.time():
             results = self._run_round(plan, ctx)
         wall = max(time.perf_counter() - started, 1e-9)
-        self._account_round(results, wall)
-        return results
-
-    def run_rounds(self, plans: Sequence[RoundPlan],
-                   ctxs: Optional[Sequence] = None,
-                   ) -> List[List[ShardResult]]:
-        """Execute K planned rounds in one backend transaction.
-
-        ``ctxs`` carries one parent span context per round (the
-        coordinator pre-derives them — span ids are content-derived, so
-        the grafted tree is identical to K separate ``run_round``
-        calls). Rounds execute strictly in order on each shard, so pod
-        RNG streams and dedup state advance exactly as they would one
-        round at a time; only the pipe round-trips collapse. Counter
-        accounting matches K single rounds; the round-execute timer
-        observes the window once (timers are exempt from the
-        determinism contract).
-        """
-        import time
-        if ctxs is None:
-            ctxs = [None] * len(plans)
-        started = time.perf_counter()
-        with self._obs_round_time.time():
-            per_round = self._run_rounds(list(plans), list(ctxs))
-        wall = max(time.perf_counter() - started, 1e-9)
-        for results in per_round:
-            self._account_round(results, wall)
-        return per_round
-
-    def _account_round(self, results: List[ShardResult],
-                       wall: float) -> None:
         self._obs_rounds.inc()
         for result in results:
             if result.spans:
@@ -264,16 +202,10 @@ class _BackendBase(Instrumented):
                 self._obs_batch_traces.observe(len(batch))
                 self._obs_batch_bytes.observe(
                     sum(len(entry.payload) for entry in batch.entries))
+        return results
 
     def _run_round(self, plan: RoundPlan, ctx=None) -> List[ShardResult]:
         raise NotImplementedError
-
-    def _run_rounds(self, plans: List[RoundPlan],
-                    ctxs: List) -> List[List[ShardResult]]:
-        """Default window execution: in-process backends just loop —
-        their per-round cost has no pipe round-trip to amortize."""
-        return [self._run_round(plan, ctx)
-                for plan, ctx in zip(plans, ctxs)]
 
     def close(self) -> None:
         pass
@@ -296,7 +228,7 @@ class SerialBackend(_BackendBase):
     def __init__(self, pods: Sequence[Pod], hive_program: Program,
                  limits: Optional[ExecutionLimits] = None,
                  dedup: bool = False, batch_max_traces: int = 0,
-                 workers: int = 1, solver_cache: bool = False,
+                 solver_cache: bool = False,
                  replay_products: bool = True):
         super().__init__(workers=1)
         self._shard = Shard(0, dict(enumerate(pods)), hive_program,
@@ -310,55 +242,6 @@ class SerialBackend(_BackendBase):
 
     def _publish(self, delta: SyncDelta) -> None:
         self._shard.apply_sync(delta)
-
-
-class ThreadBackend(_BackendBase):
-    """Per-thread shards over the coordinator's own pod objects."""
-
-    name = "thread"
-
-    def __init__(self, pods: Sequence[Pod], hive_program: Program,
-                 limits: Optional[ExecutionLimits] = None,
-                 dedup: bool = False, batch_max_traces: int = 0,
-                 workers: int = 2, solver_cache: bool = False,
-                 replay_products: bool = True):
-        super().__init__(workers=workers)
-        self._shards: List[Shard] = []
-        for shard_id in range(workers):
-            members = {index: pod for index, pod in enumerate(pods)
-                       if index % workers == shard_id}
-            # Caches are per-shard (thread-private); sharing happens
-            # only through the hive's canonical merge between rounds.
-            self._shards.append(Shard(
-                shard_id, members, hive_program, limits=limits,
-                dedup=dedup, batch_max_traces=batch_max_traces,
-                solver_cache=self._shard_cache(solver_cache),
-                replay_products=replay_products))
-        self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-exec")
-        return self._pool
-
-    def _run_round(self, plan: RoundPlan, ctx=None) -> List[ShardResult]:
-        pool = self._ensure_pool()
-        slices = partition_runs(plan.runs, self.workers)
-        futures = [pool.submit(shard.run_shard, runs, ctx)
-                   for shard, runs in zip(self._shards, slices)]
-        return [future.result() for future in futures]
-
-    def _publish(self, delta: SyncDelta) -> None:
-        for shard in self._shards:
-            shard.apply_sync(delta)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 class ProcessBackend(_BackendBase):
@@ -482,7 +365,14 @@ class ProcessBackend(_BackendBase):
         payload = self._session.record(delta, hive_blob=hive_blob,
                                        rollout_blob=rollout_blob)
         for pipe in self._pipes:
-            pipe.send(("publish",) + payload)
+            try:
+                pipe.send(("publish",) + payload)
+            except (BrokenPipeError, OSError):
+                # A dead worker misses the broadcast, not the delta: the
+                # session log already holds it, the next round's send to
+                # this pipe fails the same way, and the respawned worker
+                # replays the log before it serves that round.
+                pass
 
     def probe(self, shard_id: int = 0) -> Dict[str, object]:
         """Ask a live worker for its session state (tests and ops):
@@ -527,104 +417,6 @@ class ProcessBackend(_BackendBase):
             results[shard_id] = self._retry_shard(shard_id,
                                                   slices[shard_id], ctx)
         return results  # type: ignore[return-value]
-
-    def _run_rounds(self, plans: List[RoundPlan],
-                    ctxs: List) -> List[List[ShardResult]]:
-        """One pipe transaction per shard for the whole K-round window.
-
-        Each worker receives every round's slice of its own pods up
-        front, executes the rounds strictly in plan order — so pod RNG
-        streams and dedup state advance exactly as under K single
-        rounds — and replies once with all K packed results. This is
-        the batched-dispatch payoff: K-1 pipe round-trips disappear
-        from the critical path.
-
-        A worker that dies mid-window is respawned at the current
-        epoch and re-runs its *entire* window. That is safe for the
-        same reason single-round retry is: a real crash already loses
-        pod RNG position (streams restart from the pod seed), so real
-        crashes sit outside the bit-determinism contract either way;
-        see docs/CHAOS.md.
-        """
-        self._start()
-        window = len(plans)
-        slices_by_round = [partition_runs(plan.runs, self.workers)
-                           for plan in plans]
-        ctx_list = list(ctxs)
-        crashed: List[int] = []
-        for shard_id, pipe in enumerate(self._pipes):
-            packed = [pack_runs(slices_by_round[k][shard_id])
-                      for k in range(window)]
-            try:
-                pipe.send(("rounds", self._epoch, packed, ctx_list))
-            except (BrokenPipeError, OSError):
-                crashed.append(shard_id)
-        by_shard: List[Optional[List[ShardResult]]] = [None] * self.workers
-        for shard_id, pipe in enumerate(self._pipes):
-            if shard_id in crashed:
-                continue
-            try:
-                reply = pipe.recv()
-            except (EOFError, OSError):
-                crashed.append(shard_id)
-                continue
-            if reply[0] != "ok":
-                self.close()
-                raise RuntimeError(
-                    f"exec worker shard {shard_id} failed:\n{reply[1]}")
-            by_shard[shard_id] = [unpack_result(p) for p in reply[1]]
-            self._merge_counters(reply[2])
-        for shard_id in crashed:
-            by_shard[shard_id] = self._retry_window(
-                shard_id,
-                [slices_by_round[k][shard_id] for k in range(window)],
-                ctx_list)
-        # Transpose shard-major replies into the round-major shape the
-        # coordinator folds.
-        return [[by_shard[shard_id][k] for shard_id in range(self.workers)]
-                for k in range(window)]  # type: ignore[index]
-
-    def _retry_window(self, shard_id: int, run_slices,
-                      ctxs) -> List[ShardResult]:
-        """Window-shaped twin of :meth:`_retry_shard`: respawn with
-        capped backoff, re-send the whole window, collect all K."""
-        import time
-
-        from repro.obs import get_registry
-        registry = get_registry()
-        respawns = registry.counter("exec.worker_respawns")
-        attempts = registry.counter("retry.attempts")
-        backoffs = registry.histogram("retry.backoff_seconds",
-                                      unit="seconds")
-        for attempt in range(1, self._MAX_RESPAWNS + 1):
-            respawns.inc()
-            attempts.inc()
-            backoff = min(self._RESPAWN_BACKOFF_CAP,
-                          self._RESPAWN_BACKOFF_BASE
-                          * (2 ** (attempt - 1)))
-            backoffs.observe(backoff)
-            time.sleep(backoff)
-            self._respawn(shard_id)
-            pipe = self._pipes[shard_id]
-            try:
-                pipe.send(("rounds", self._epoch,
-                           [pack_runs(runs) for runs in run_slices],
-                           ctxs))
-                reply = pipe.recv()
-            except (EOFError, BrokenPipeError, OSError):
-                continue
-            if reply[0] != "ok":
-                self.close()
-                raise RuntimeError(
-                    f"exec worker shard {shard_id} failed after"
-                    f" respawn:\n{reply[1]}")
-            self._merge_counters(reply[2])
-            return [unpack_result(p) for p in reply[1]]
-        registry.counter("retry.giveups").inc()
-        self.close()
-        raise RuntimeError(
-            f"exec worker shard {shard_id} kept dying through"
-            f" {self._MAX_RESPAWNS} respawns")
 
     def _retry_shard(self, shard_id: int, runs, ctx=None) -> ShardResult:
         import time
@@ -768,18 +560,6 @@ def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
                 ctx = message[3] if len(message) > 3 else None
                 result = shard.run_shard(unpack_runs(message[2]), ctx)
                 conn.send(("ok", pack_result(result), counter_deltas()))
-            elif kind == "rounds":
-                # Batched dispatch: K planned rounds in one message,
-                # executed strictly in order, one reply for the window.
-                if message[1] != epoch:
-                    raise RuntimeError(
-                        f"shard {shard_id} at epoch {epoch} received a"
-                        f" window stamped epoch {message[1]}")
-                packed_results = []
-                for packed, ctx in zip(message[2], message[3]):
-                    result = shard.run_shard(unpack_runs(packed), ctx)
-                    packed_results.append(pack_result(result))
-                conn.send(("ok", packed_results, counter_deltas()))
             elif kind == "publish":
                 epoch, hive_blob, rollout, cache = message[1:5]
                 if hive_blob is not None:
@@ -829,12 +609,6 @@ def make_backend(name: str, pods: Sequence[Pod], hive_program: Program,
                              dedup=dedup,
                              batch_max_traces=batch_max_traces,
                              solver_cache=recycle,
-                             replay_products=replay_products)
-    if name == "thread":
-        return ThreadBackend(pods, hive_program, limits=limits,
-                             dedup=dedup,
-                             batch_max_traces=batch_max_traces,
-                             workers=workers, solver_cache=recycle,
                              replay_products=replay_products)
     if name == "process":
         specs = [(index, pod.pod_id, pod.seed)

@@ -4,25 +4,19 @@ Pods historically shipped one trace per execution. At fleet scale the
 per-message overhead dominates, so the executor accumulates traces into
 :class:`TraceBatch` objects — each entry a ``tracing.encode`` payload
 tagged with its global execution index — and flushes per round (or
-every ``batch_max_traces``). A batch optionally carries two shard-side
-aggregates so the hive can skip work it would otherwise redo serially:
-
-* ``tree_blob`` — a partial :class:`ExecutionTree` (encoded via
-  ``tree.encode``), merged into the hive tree in one deterministic
-  step. Shards no longer ship these: since the session-protocol
-  redesign the round's tree increment rides ``ShardResult.tree_delta``
-  as ``(path, outcome, count)`` edge rows; the blob field remains for
-  external senders and is still honoured at ingest;
-* per-entry :class:`ReplayProduct` — the decision path and analysis
-  by-products the shard already reconstructed by replaying the trace,
-  exposing the same attributes the analyzers read off an
-  ``ExecutionResult`` (duck-typed: ``lock_events``, ``global_events``,
-  ``final_globals``, ``return_values``, ``outcome``).
+every ``batch_max_traces``). Each entry may carry a shard-side
+:class:`ReplayProduct` — the decision path and analysis by-products the
+shard already reconstructed by replaying the trace, exposing the same
+attributes the analyzers read off an ``ExecutionResult`` (duck-typed:
+``lock_events``, ``global_events``, ``final_globals``,
+``return_values``, ``outcome``) — so the hive can skip the replay. The
+round's tree increment rides beside the batches as
+``ShardResult.tree_delta`` ``(path, outcome, count)`` edge rows.
 
 The wire format (``encode_batch``/``decode_batch``) covers only what
 crosses the simulated Internet — indices and trace payloads; products
-and trees ride the coordinator/worker channel, which models a hive-side
-shard, not a pod uplink.
+and tree deltas ride the coordinator/worker channel, which models a
+hive-side shard, not a pod uplink.
 """
 
 from __future__ import annotations
@@ -43,14 +37,13 @@ __all__ = [
     "encode_batch", "decode_batch",
 ]
 
-# v1 had no integrity footer; v2 appends a CRC32 of the body so a
+# v1 had no integrity footer; v2 appended a CRC32 of the body so a
 # truncated or corrupted frame is detected at decode time and can be
 # discarded instead of ingested (the chaos layer injects exactly that);
 # v3 adds an optional trace context (trace id + sender span id) so
-# hive-side ingest spans parent under the sender's span. Decode accepts
-# v2 and v3 — v2 frames simply carry no context.
+# hive-side ingest spans parent under the sender's span. Every sender
+# writes v3, and decode accepts v3 only.
 _BATCH_FORMAT_VERSION = 3
-_MIN_FORMAT_VERSION = 2
 _CHECKSUM_BYTES = 4
 
 
@@ -104,7 +97,6 @@ class TraceBatch:
     program_version: int              # hive version shards replayed on
     sequence: int = 0                 # flush number within the round
     entries: List[BatchEntry] = field(default_factory=list)
-    tree_blob: Optional[bytes] = None
     #: Sender-side trace context (rides the wire in format v3) so the
     #: receiver's ingest span can parent under the sender's span.
     trace_context: Optional[SpanContext] = None
@@ -150,9 +142,8 @@ class ShardResult:
 
 # Encode buffers are pooled: a flush-heavy round encodes thousands of
 # frames, and reusing a grown bytearray skips both the allocation and
-# the progressive reallocation as the frame fills. list.pop/append are
-# atomic under the GIL, so the thread backend's shards share the pool
-# safely; a miss just allocates.
+# the progressive reallocation as the frame fills; a miss just
+# allocates.
 _BUFFER_POOL: List[bytearray] = []
 _BUFFER_POOL_MAX = 8
 
@@ -289,7 +280,7 @@ def encode_batch(batch: TraceBatch) -> bytes:
 
 
 def decode_batch(data) -> TraceBatch:
-    """Inverse of :func:`encode_batch` (products/trees do not survive
+    """Inverse of :func:`encode_batch` (replay products do not survive
     the wire — the receiver replays, as the paper prescribes).
 
     Accepts ``bytes`` or a ``memoryview``: receivers decode frames
@@ -308,14 +299,14 @@ def decode_batch(data) -> TraceBatch:
         raise TraceError("batch checksum mismatch")
     reader = _Reader(body)
     version = reader.varint()
-    if not _MIN_FORMAT_VERSION <= version <= _BATCH_FORMAT_VERSION:
+    if version != _BATCH_FORMAT_VERSION:
         raise TraceError(f"unsupported batch format version {version}")
     program_name = reader.string()
     program_version = reader.varint()
     shard_id = reader.varint()
     sequence = reader.varint()
     trace_context = None
-    if version >= 3 and reader.varint() == 1:
+    if reader.varint() == 1:
         trace_context = SpanContext(reader.string(), reader.string())
     entries: List[BatchEntry] = []
     for _ in range(reader.varint()):

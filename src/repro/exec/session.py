@@ -1,9 +1,7 @@
 """The session-oriented executor protocol: epochs, deltas, and the
 compact wire the process backend speaks.
 
-The redesign replaces the push-style mutator trio
-(``set_hive_program`` / ``apply_update`` / ``seed_cache``) with one
-idea: an executor backend hosts a *session*. Full state crosses the
+An executor backend hosts a *session*. Full state crosses the
 process boundary exactly once — when a worker (re)spawns — and only
 **deltas** cross afterwards:
 

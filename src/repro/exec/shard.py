@@ -6,9 +6,9 @@ runs, deduplicates per pod, replays replayable version-current traces
 into execution-tree *edge deltas* (``(path, outcome, count)`` rows in
 ``ShardResult.tree_delta``), and packages everything into
 :class:`TraceBatch` flushes with per-entry :class:`ReplayProduct`
-aggregates. The same class backs all three executor backends — inline
-(serial), one-per-thread, and one-per-worker-process — which is what
-makes backend choice invisible to results.
+aggregates. The same class backs both executor backends — inline
+(serial) and one-per-worker-process — which is what makes backend
+choice invisible to results.
 
 Determinism contract: a shard processes its runs in global-index order,
 so each pod's RNG stream and dedup state advance exactly as under the

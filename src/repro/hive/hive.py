@@ -239,9 +239,7 @@ class Hive(Instrumented):
            ``(path_decisions, outcome, count)`` edges; they fold in
            with counted inserts, which reproduces exactly the tree the
            old partial-tree blobs built (the tree is order-canonical —
-           see ``docs/PARALLEL.md``). A batch from an external sender
-           may still carry a ``tree_blob``; those are honoured too,
-           same version guard.
+           see ``docs/PARALLEL.md``).
         2. **Entry replay** — all entries across all batches are
            processed in global execution order, exactly the sequence
            the historical serial loop would have ingested them in.
@@ -254,7 +252,6 @@ class Hive(Instrumented):
         Returns the number of entries consumed.
         """
         from repro.tracing.encode import decode_trace
-        from repro.tree.encode import decode_tree
         ordered = sorted(batches, key=lambda b: (b.shard_id, b.sequence))
         entries = sorted(
             (entry for batch in ordered for entry in batch.entries),
@@ -266,18 +263,12 @@ class Hive(Instrumented):
                     self._tracer.span("hive.merge"):
                 for tree_version, rows in (tree_deltas or ()):
                     if tree_version != self.program.version:
-                        # Stale delta (the shard replayed against a
-                        # version a fix has since replaced): dropped,
-                        # like stale blobs always were.
+                        # Stale delta: the shard replayed against a
+                        # version a fix has since replaced.
                         continue
                     for decisions, outcome, count in rows:
                         self.tree.insert_path(decisions, outcome,
                                               count=count)
-                for batch in ordered:
-                    if (batch.tree_blob is not None
-                            and batch.program_version
-                            == self.program.version):
-                        self.tree.merge(decode_tree(batch.tree_blob))
             for entry in entries:
                 if entry.is_heartbeat:
                     self.ingest_heartbeat(entry.heartbeat)

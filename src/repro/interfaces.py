@@ -16,19 +16,14 @@ protocols:
   hands them over in batches (pods batching for the wire, shard
   collectors batching for the hive).
 
-Legacy spellings live through :func:`deprecated_alias`: the alias
-emits a :class:`DeprecationWarning` that names its replacement and the
-version that deletes it, and is removed at that version (the full
-policy is in docs/API.md; ``Hive.ingest`` already went through the
-cycle — speak ``ingest_trace`` / ``ingest_heartbeat`` /
-``ingest_batch``).
+Legacy spellings go through the deprecation policy in docs/API.md;
+``Hive.ingest`` already went through the cycle — speak
+``ingest_trace`` / ``ingest_heartbeat`` / ``ingest_batch``.
 """
 
 from __future__ import annotations
 
-import functools
-import warnings
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 try:  # pragma: no cover - always present on >= 3.8
     from typing import Protocol, runtime_checkable
@@ -43,8 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.tracing.dedup import Heartbeat
     from repro.tracing.trace import Trace
 
-__all__ = ["TraceSink", "TraceSource", "deprecated_alias",
-           "ALIAS_LEDGER", "AliasRecord"]
+__all__ = ["TraceSink", "TraceSource"]
 
 
 @runtime_checkable
@@ -72,56 +66,3 @@ class TraceSource(Protocol):
     def drain_batches(self) -> Sequence["TraceBatch"]:
         """Hand over everything accumulated so far and forget it."""
 
-
-class AliasRecord:
-    """One registered deprecated alias (ledger row, hashable)."""
-
-    __slots__ = ("qualname", "module", "replacement", "removal_version")
-
-    def __init__(self, qualname: str, module: str, replacement: str,
-                 removal_version: str):
-        self.qualname = qualname
-        self.module = module
-        self.replacement = replacement
-        self.removal_version = removal_version
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"AliasRecord({self.module}.{self.qualname} ->"
-                f" {self.replacement}, removed {self.removal_version})")
-
-
-#: Every alias registered via :func:`deprecated_alias`, appended at
-#: decoration (import) time. The deprecation-hygiene test walks the
-#: package, then fails the build for any alias whose
-#: ``removal_version`` has been reached by ``repro.__version__`` —
-#: keeping an expired alias around is a bug, not a kindness.
-ALIAS_LEDGER: list = []
-
-
-def deprecated_alias(replacement: str,
-                     removal_version: str) -> Callable:
-    """Decorator for a thin alias kept for backward compatibility.
-
-    The wrapped body should simply delegate; the decorator adds the
-    :class:`DeprecationWarning` naming both the replacement and the
-    release that deletes the alias, so call sites know the migration
-    *and* the deadline. Policy (docs/API.md): an alias lives for at
-    least one minor release with the warning, then is removed at
-    ``removal_version`` — keeping it longer than that is a bug. Each
-    decorated alias is recorded in :data:`ALIAS_LEDGER` so the hygiene
-    test can enforce exactly that.
-    """
-    def decorate(func: Callable) -> Callable:
-        ALIAS_LEDGER.append(AliasRecord(
-            qualname=func.__qualname__, module=func.__module__,
-            replacement=replacement, removal_version=removal_version))
-        @functools.wraps(func)
-        def wrapper(self, *args, **kwargs):
-            warnings.warn(
-                f"{type(self).__name__}.{func.__name__}() is deprecated"
-                f" and will be removed in {removal_version};"
-                f" use {type(self).__name__}.{replacement}() instead",
-                DeprecationWarning, stacklevel=2)
-            return func(self, *args, **kwargs)
-        return wrapper
-    return decorate

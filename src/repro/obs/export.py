@@ -7,9 +7,9 @@ Three output shapes, all deterministic for a deterministic input:
   spans, instant ``"i"`` events for span events, microsecond
   timestamps. Spans are emitted in canonical order — a depth-first
   walk from the roots with siblings sorted by
-  ``(start, end, name, key, span_id)`` — so serial, thread, and
-  process runs of the same seed under a pinned clock export
-  byte-identical documents.
+  ``(start, end, name, key, span_id)`` — so serial and process runs
+  of the same seed under a pinned clock export byte-identical
+  documents.
 * :func:`spans_jsonl` — one JSON object per completed span, same
   canonical order; the grep-friendly shape.
 * :func:`prometheus_text` — the metrics registry in Prometheus text

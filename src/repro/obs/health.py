@@ -26,7 +26,7 @@ inputs:
    multiplier). Rules evaluate every tick in a fixed order (SLO name,
    then rule id); rule ids, alert ids, and incident ids are
    **content-derived** blake2b digests of their coordinates, so
-   serial/thread/process runs at a fixed seed — chaos included —
+   serial/process runs at a fixed seed — chaos included —
    produce byte-identical health reports.
 
 3. **Incident timelines.** The first rule of an SLO to transition

@@ -29,8 +29,8 @@ Design constraints mirror the metrics registry's:
 3. **Deterministic export.** Span ids are *content-derived* — a hash
    of ``(trace_id, parent_id, name, key)`` where ``key`` is a
    backend-invariant coordinate (global execution index, frame index,
-   round index) — so serial, thread, and process runs of the same
-   seed produce byte-identical Chrome exports under a pinned clock
+   round index) — so serial and process runs of the same seed
+   produce byte-identical Chrome exports under a pinned clock
    (:class:`FixedClock`). Allocation order never leaks into the tree.
 """
 

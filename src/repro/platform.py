@@ -8,9 +8,9 @@ hive into the paper's feedback cycle, executed in deterministic rounds:
    here, serialized, so the plan is backend-independent
    (``repro.exec.plan``);
 2. an :class:`~repro.exec.backends.ExecutorBackend` executes the plan
-   — inline, across threads, or across worker processes — and ships
-   batched traces plus execution-tree edge deltas back
-   (``--backend {serial,thread,process}``); coordinator-side state
+   — inline or across worker processes — and ships batched traces
+   plus execution-tree edge deltas back
+   (``--backend {serial,process}``); coordinator-side state
    changes (cache redistributions, fix deploys, staged rollouts) reach
    the shards as epoch-stamped ``publish()`` deltas;
 3. the hive folds the shard tree deltas and ingests the batch entries
@@ -127,16 +127,9 @@ class PlatformConfig(BaseConfig):
     enable_proofs: bool = True
     dedup: bool = False              # pod-side heartbeats for repeats
     seed: int = 0
-    backend: str = "auto"            # serial | thread | process | auto
+    backend: str = "auto"            # serial | process | auto
     workers: int = 0                 # 0 = auto (one worker per core)
     batch_max_traces: int = 0        # 0 = one flush per shard per round
-    #: Batched dispatch: ship up to K planned rounds per backend
-    #: transaction (ROADMAP: collapse K-1 pipe round-trips on the
-    #: process backend). Only applies when every between-round
-    #: coordinator action is a no-op — fixing, guidance, collective
-    #: caching, chaos, and invariants all force the per-round path
-    #: (see :meth:`SoftBorgPlatform._dispatch_window`).
-    dispatch_rounds: int = 1
     chaos_profile: object = "none"   # profile name or FaultProfile
     check_invariants: bool = False   # run the invariant catalogue/round
     solver_cache: str = "none"       # none | local | collective
@@ -161,7 +154,6 @@ class PlatformConfig(BaseConfig):
         if self.batch_max_traces < 0:
             raise ConfigError(
                 "batch_max_traces must be >= 0 (0 = one flush per round)")
-        check_positive(self.dispatch_rounds, "dispatch_rounds")
         if self.solver_cache not in ("none", "local", "collective"):
             raise ConfigError(
                 "solver_cache must be one of none, local, collective")
@@ -356,91 +348,13 @@ class SoftBorgPlatform(Instrumented):
         # The backend is a context manager: worker pools cannot leak
         # on an error path, and close() is idempotent if callers also
         # close explicitly.
-        window = self._dispatch_window()
         with self.backend:
-            round_index = 0
-            while round_index < self.config.rounds:
-                if window > 1:
-                    count = min(window, self.config.rounds - round_index)
-                    self._run_window(round_index, count)
-                    round_index += count
-                else:
-                    with self._obs_round.time(), \
-                            self._tracer.span("round", key=round_index,
-                                              round=round_index):
-                        self._run_round(round_index)
-                    round_index += 1
+            for round_index in range(self.config.rounds):
+                with self._obs_round.time(), \
+                        self._tracer.span("round", key=round_index,
+                                          round=round_index):
+                    self._run_round(round_index)
         return self.report
-
-    def _dispatch_window(self) -> int:
-        """Effective batched-dispatch window (1 = classic per-round).
-
-        Batching ships K planned rounds per backend transaction, which
-        is only report-preserving when every between-round coordinator
-        action is a no-op. Each gate condition guards one such action:
-
-        * ``guidance`` — steering directives are planned from hive
-          state that the previous round's ingest just updated;
-        * ``fixing`` — a deployed fix publishes a new hive program
-          (and triggers rollouts) between rounds;
-        * ``solver_cache == "collective"`` — cache facts redistribute
-          to the shards at every round start;
-        * ``chaos`` — fault injection owns round execution wholesale;
-        * ``invariants`` — the catalogue runs between rounds and can
-          dump the flight recorder.
-
-        Everything that remains — planning RNG draws, density folds,
-        proof snapshots, health observation — either happens at plan
-        time or is a pure coordinator-side fold, so a K-round window
-        produces byte-identical reports to K single rounds.
-        """
-        config = self.config
-        if (config.dispatch_rounds > 1
-                and not config.guidance
-                and not config.fixing
-                and config.solver_cache != "collective"
-                and self.chaos is None
-                and self.invariants is None):
-            return config.dispatch_rounds
-        return 1
-
-    def _run_window(self, start: int, count: int) -> None:
-        """Plan ``count`` rounds, execute them in one backend
-        transaction, then fold the results round by round.
-
-        Span discipline: the per-round ``round``/``round.plan``/
-        ``round.execute`` spans are opened (and closed) during the
-        planning pass, capturing each round's execute context for the
-        shards; the fold pass reopens under the saved round context via
-        ``span_at`` for ``round.deliver``. Span ids are content-derived
-        and exports sort canonically, so the assembled trace is
-        record-for-record identical to the per-round path.
-        """
-        plans: List[RoundPlan] = []
-        exec_ctxs = []
-        round_ctxs = []
-        for offset in range(count):
-            round_index = start + offset
-            with self._obs_round.time(), \
-                    self._tracer.span("round", key=round_index,
-                                      round=round_index):
-                round_ctxs.append(self._tracer.current_context())
-                with self._tracer.span("round.plan", key=round_index):
-                    plan = self._plan_round(round_index)
-                plans.append(plan)
-                with self._tracer.span("round.execute", key=round_index,
-                                       runs=len(plan.runs)):
-                    exec_ctxs.append(self._tracer.current_context())
-        per_round = self.backend.run_rounds(plans, exec_ctxs)
-        for offset in range(count):
-            shard_results = per_round[offset]
-            records = sorted(
-                (record for result in shard_results
-                 for record in result.records),
-                key=lambda record: record.global_index)
-            self._fold_round(start + offset, plans[offset], records,
-                             shard_results, None,
-                             round_ctx=round_ctxs[offset])
 
     def snapshot(self) -> Dict[str, object]:
         """Unified platform state: config, report, hive stats, metrics.
@@ -607,16 +521,11 @@ class SoftBorgPlatform(Instrumented):
 
     def _fold_round(self, round_index: int, plan: RoundPlan,
                     records: List[RunRecord], shard_results,
-                    entries, round_ctx=None) -> None:
+                    entries) -> None:
         """Everything after execution: density folds, delivery into the
         hive, proofs, fixing, rollout, per-round stats, invariants,
         health. Pure coordinator-side state — no backend traffic except
-        the fix/rollout publishes (which batched dispatch gates off).
-
-        ``round_ctx`` is set only on the batched-dispatch path, where
-        the round span already closed during planning; the deliver span
-        then reattaches under it via ``span_at``.
-        """
+        the fix/rollout publishes."""
         config = self.config
         failures = 0
         guided = 0
@@ -640,12 +549,7 @@ class SoftBorgPlatform(Instrumented):
         if lost:
             self.report.traces_lost += lost
             self._obs_traces_lost.inc(lost)
-        deliver = (self._tracer.span_at(round_ctx, "round.deliver",
-                                        key=round_index)
-                   if round_ctx is not None
-                   else self._tracer.span("round.deliver",
-                                          key=round_index))
-        with deliver:
+        with self._tracer.span("round.deliver", key=round_index):
             if self.chaos is not None:
                 # Delivery goes over the chaos wire: entries re-framed
                 # in global order, checksummed, faulted per the plan,

@@ -8,7 +8,7 @@ Two execution modes per bug, both deterministic at a fixed seed:
 2. **Hive workload** — the same tests become
    :class:`~repro.guidance.steering.SteeringDirective` replay runs mixed
    with seeded background executions, shipped through an executor
-   backend (serial/thread/process) into a per-bug
+   backend (serial/process) into a per-bug
    :class:`~repro.hive.hive.Hive`; this measures *detection* (did any
    shipped run manifest the bug?) and *localization* (Ochiai rank of the
    true defect site in the merged tree).

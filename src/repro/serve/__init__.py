@@ -15,7 +15,7 @@ trace and cache-delta streams from an elastically scaled pod fleet:
 
 Everything runs on integer virtual-clock ticks: a service run is a
 pure function of (config, seed) and snapshots byte-identically across
-the serial, thread, and process backends.
+the serial and process backends.
 """
 
 from repro.serve.autoscaler import (

@@ -17,7 +17,7 @@ seed) on every backend:
    :mod:`~repro.serve.balance` policy; admission pauses while the
    ingest pump is pushing back;
 4. **execute** — the admitted micro-plan runs on the ordinary
-   :mod:`repro.exec` backend (serial/thread/process — results are
+   :mod:`repro.exec` backend (serial/process — results are
    bit-identical);
 5. **stream** — the tick's entries are framed onto the wire and
    offered to the bounded :class:`~repro.serve.pump.IngestPump`;

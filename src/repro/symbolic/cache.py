@@ -36,7 +36,7 @@ once, and the platform folds round deltas through
 independent of how runs were sharded — before merging first-writer-wins
 into the hive cache. Redistributed facts are remembered so shards never
 re-export them. The hive cache therefore evolves identically on the
-serial, thread, and process backends at a fixed seed, which is what
+serial and process backends at a fixed seed, which is what
 keeps cache-enabled runs bit-identical across backends.
 """
 

@@ -1,5 +1,5 @@
 """Cache determinism grid: with the collective constraint cache on,
-serial, thread, and process backends must converge to bit-identical
+the serial and process backends must converge to bit-identical
 reports, hive state, cache contents, and solver accounting — including
 under chaos fault profiles. Sharing is only legal because the merge
 order is canonical; this grid is the proof."""
@@ -13,7 +13,7 @@ from repro.workloads.scenarios import crash_scenario
 
 pytestmark = pytest.mark.slow
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 ROUNDS = 4
 EXECUTIONS = 20

@@ -1,5 +1,5 @@
-"""Chaos determinism grid: for every (seed, fault profile), serial,
-thread, and process backends must produce bit-identical reports, chaos
+"""Chaos determinism grid: for every (seed, fault profile), the serial
+and process backends must produce bit-identical reports, chaos
 summaries, and hive state — and a fault-free plan must match the
 serial no-chaos baseline (modulo wire framing)."""
 
@@ -13,7 +13,7 @@ from repro.workloads.scenarios import crash_scenario
 
 pytestmark = pytest.mark.slow
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 PROFILES = ("lossy-workers", "flaky-hive")
 SEEDS = (3, 11)
 

@@ -1,8 +1,14 @@
 """CLI smoke tests (python -m repro ...)."""
 
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+README = Path(__file__).parent.parent / "README.md"
 
 
 class TestParser:
@@ -61,6 +67,23 @@ class TestParser:
         assert build_parser().parse_args(["serve"]).chaos == "none"
         assert build_parser().parse_args(["explore"]).workers == 4
 
+    def test_readme_documents_every_flag(self):
+        # Every option of every subcommand appears in README.md as a
+        # whole token (``--out`` does not count for ``--snapshot-out``).
+        readme = README.read_text(encoding="utf-8")
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+        missing = sorted({
+            option
+            for command in subparsers.choices.values()
+            for action in command._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+            and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])",
+                              readme)})
+        assert not missing, f"flags missing from README.md: {missing}"
+
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.ticks == 90
@@ -94,8 +117,7 @@ class TestCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema_version"] == 3
         assert doc["config"]["rounds"] == 5
-        assert doc["execution"]["backend"] in ("serial", "thread",
-                                               "process")
+        assert doc["execution"]["backend"] in ("serial", "process")
         assert doc["execution"]["workers"] >= 1
         assert doc["execution"]["batch_max_traces"] == 0
         assert doc["hive"]["traces_ingested"] == doc["obs"]["counters"][

@@ -4,6 +4,7 @@ shard-merge algebra, and the TraceSink surface."""
 
 import dataclasses
 import os
+import zlib
 
 import pytest
 
@@ -74,18 +75,24 @@ class TestBatchWire:
 
     def test_products_and_trees_do_not_cross_the_wire(self):
         _demo, batch = self._batch()
-        batch.tree_blob = b"not for the uplink"
         decoded = decode_batch(encode_batch(batch))
-        assert decoded.tree_blob is None
         assert all(entry.product is None for entry in decoded.entries)
 
     def test_truncated_and_trailing_bytes_raise(self):
-        _demo, batch = self._batch()
+        demo, batch = self._batch()
         blob = encode_batch(batch)
         with pytest.raises(TraceError):
             decode_batch(blob[:-1])
         with pytest.raises(TraceError):
             decode_batch(blob + b"\x00")
+        # A well-formed, checksummed v2 frame (no trace-context byte,
+        # zero entries): decode reads v3 only.
+        name = demo.program.name.encode("utf-8")
+        body = (bytes([2, len(name)]) + name
+                + bytes([demo.program.version, 2, 5, 0]))
+        v2_frame = body + zlib.crc32(body).to_bytes(4, "big")
+        with pytest.raises(TraceError, match="version 2"):
+            decode_batch(v2_frame)
 
     def test_accumulator_rolls_at_max_traces(self):
         acc = BatchAccumulator(0, "p", 1, max_traces=2)
@@ -132,10 +139,8 @@ def _run(backend, workers=0, **overrides):
 class TestCrossBackendDeterminism:
     def test_thread_and_process_match_serial(self):
         _p, serial = _run("serial")
-        _p, thread = _run("thread", workers=3)
         _p, process = _run("process", workers=3)
         assert serial["total_executions"] == 80
-        assert thread == serial
         assert process == serial
 
     def test_identical_with_dedup_loss_and_guidance(self):
@@ -175,7 +180,7 @@ class TestCrossBackendDeterminism:
 
 class TestBackendResolution:
     def test_explicit_names_pass_through(self):
-        for name in ("serial", "thread", "process"):
+        for name in ("serial", "process"):
             assert resolve_backend_name(name) == name
 
     def test_auto_consults_environment(self, monkeypatch):
@@ -186,8 +191,9 @@ class TestBackendResolution:
         assert resolve_backend_name("serial") == "serial"  # explicit wins
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError):
-            resolve_backend_name("quantum")
+        for name in ("quantum", "thread"):
+            with pytest.raises(ConfigError):
+                resolve_backend_name(name)
         with pytest.raises(ConfigError):
             PlatformConfig(backend="quantum").validate()
 
@@ -207,7 +213,7 @@ class TestBackendResolution:
         monkeypatch.setattr("repro.exec.backends.os.cpu_count",
                             lambda: 6)
         assert resolve_workers(0, "process", 100) == 6
-        assert resolve_workers(0, "thread", 4) == 4     # pod cap wins
+        assert resolve_workers(0, "process", 4) == 4    # pod cap wins
         monkeypatch.setattr("repro.exec.backends.os.cpu_count",
                             lambda: None)
         assert resolve_workers(0, "process", 100) == 1  # unknown -> 1
@@ -228,8 +234,8 @@ def _session_plan(program, n_runs=4, n_pods=4):
 
 
 class TestSessionProtocol:
-    """publish() epochs, the deprecated mutator trio, context-manager
-    lifecycle, and worker respawn replaying the session log."""
+    """publish() epochs, context-manager lifecycle, and worker respawn
+    replaying the session log."""
 
     def test_publish_stamps_monotonic_epochs(self):
         demo = make_crash_demo()
@@ -245,29 +251,6 @@ class TestSessionProtocol:
             # rollout is a single state change, not two.
             assert backend.publish(
                 SyncDelta(hive_program=v2, rollout=(v2, (0, 1)))) == 2
-            assert backend.epoch == 2
-
-    def test_deprecated_trio_delegates_to_publish(self):
-        demo = make_crash_demo()
-        v2 = dataclasses.replace(demo.program, version=2)
-        with make_backend("serial", _session_pods(demo.program),
-                          demo.program) as backend:
-            shard = backend._shard
-            with pytest.warns(DeprecationWarning) as caught:
-                backend.set_hive_program(v2)
-            message = str(caught[0].message)
-            assert "publish" in message and "v0.3" in message
-            assert backend.epoch == 1
-            assert shard.hive_program.version == 2
-            with pytest.warns(DeprecationWarning, match="publish"):
-                backend.apply_update(v2, [0])
-            assert backend.epoch == 2
-            assert shard.pods[0].version == 2
-            assert shard.pods[1].version == 1
-            # An empty legacy seed compacts to an empty delta: warned,
-            # but no epoch burned.
-            with pytest.warns(DeprecationWarning, match="publish"):
-                backend.seed_cache([])
             assert backend.epoch == 2
 
     def test_context_manager_closes_workers(self):
@@ -314,6 +297,26 @@ class TestSessionProtocol:
             assert state["hive_version"] == 2
             assert state["pod_versions"] == {0: 2, 1: 1, 2: 2, 3: 1}
             assert state["cache_entries"] == 1
+
+    def test_publish_after_worker_death_reaches_the_respawn(self):
+        # A worker killed between rounds misses the publish broadcast,
+        # not the delta: publish must not raise on the dead pipe, the
+        # next round respawns the worker, and the replacement replays
+        # the session log up to the current epoch.
+        demo = make_crash_demo()
+        v2 = dataclasses.replace(demo.program, version=2)
+        with make_backend("process", _session_pods(demo.program),
+                          demo.program, workers=2) as backend:
+            backend.run_round(_session_plan(demo.program))
+            backend._procs[1].kill()
+            backend._procs[1].join()
+            assert backend.publish(SyncDelta(hive_program=v2)) == 1
+            results = backend.run_round(_session_plan(demo.program))
+            assert sum(len(r.records) for r in results) == 4
+            for shard_id in (0, 1):
+                state = backend.probe(shard_id)
+                assert state["epoch"] == 1 == backend.epoch
+                assert state["hive_version"] == 2
 
     def test_round_at_wrong_epoch_is_rejected(self):
         # Protocol guard: a worker refuses to execute a round stamped
@@ -515,22 +518,6 @@ class TestIngestSurface:
         assert not hasattr(hive, "ingest")
         hive.ingest_trace(_trace(demo.program, {"n": 1, "mode": 2}))
         assert hive.stats.traces_ingested == 1
-
-    def test_deprecated_alias_names_removal_version(self):
-        from repro.interfaces import deprecated_alias
-
-        class Thing:
-            def new_name(self):
-                return "ok"
-
-            @deprecated_alias("new_name", removal_version="v9")
-            def old_name(self):
-                return self.new_name()
-
-        with pytest.warns(DeprecationWarning) as caught:
-            assert Thing().old_name() == "ok"
-        message = str(caught[0].message)
-        assert "new_name" in message and "v9" in message
 
     def test_ingest_batch_matches_trace_by_trace(self):
         demo = make_crash_demo()

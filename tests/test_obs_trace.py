@@ -120,6 +120,25 @@ class TestDisabledFastPath:
         assert NULL_RECORDER.take() == ()
         assert NULL_RECORDER.span("x") is NULL_SPAN
 
+    def test_shard_result_spans_empty_when_disabled(self):
+        # Lazy span shipping: with tracing off the shard allocates no
+        # recorder state and ships an empty span tuple over the pipe.
+        from repro.exec.plan import PlannedRun
+        from repro.exec.shard import Shard
+        from repro.pod.pod import Pod
+        from repro.workloads.scenarios import crash_scenario
+        demo = crash_scenario(seed=1)
+        previous_tracer = set_tracer(Tracer(enabled=False))
+        try:
+            pods = {0: Pod(pod_id="p0", program=demo.program, seed=1)}
+            shard = Shard(0, pods, demo.program)
+            plan = [PlannedRun(0, 0, {name: lo for name, (lo, _hi)
+                                      in demo.program.inputs.items()})]
+            result = shard.run_shard(plan)
+            assert result.spans == ()
+        finally:
+            set_tracer(previous_tracer)
+
     def test_enable_disable_helpers_swap_default(self):
         before = get_tracer()
         try:

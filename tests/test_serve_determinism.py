@@ -2,8 +2,8 @@
 
 The acceptance bar for ``repro serve``: the JSON snapshot — fleet
 history, scaling trajectory, pump counters, hive stats, per-tick
-rows — is a pure function of (config, seed), so serial, thread, and
-process backends must produce byte-identical documents.
+rows — is a pure function of (config, seed), so the serial and process
+backends must produce byte-identical documents.
 """
 
 import json
@@ -34,9 +34,7 @@ def snapshot_bytes(backend, **overrides):
 class TestServeDeterminism:
     def test_serial_thread_process_snapshots_identical(self):
         serial = snapshot_bytes("serial")
-        thread = snapshot_bytes("thread", workers=3)
         process = snapshot_bytes("process", workers=2)
-        assert serial == thread
         assert serial == process
 
     def test_same_seed_same_backend_reproduces(self):
@@ -49,12 +47,12 @@ class TestServeDeterminism:
     def test_chaos_run_is_backend_invariant(self):
         serial = snapshot_bytes("serial", chaos_profile="lossy-workers",
                                 seed=7)
-        thread = snapshot_bytes("thread", chaos_profile="lossy-workers",
-                                seed=7, workers=4)
-        assert serial == thread
+        process = snapshot_bytes("process", chaos_profile="lossy-workers",
+                                 seed=7, workers=4)
+        assert serial == process
 
     def test_collective_cache_run_is_backend_invariant(self):
         serial = snapshot_bytes("serial", solver_cache="collective")
-        thread = snapshot_bytes("thread", solver_cache="collective",
-                                workers=3)
-        assert serial == thread
+        process = snapshot_bytes("process", solver_cache="collective",
+                                 workers=3)
+        assert serial == process
