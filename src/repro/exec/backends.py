@@ -47,7 +47,7 @@ from repro.exec.session import (
     unpack_runs,
 )
 from repro.exec.shard import Shard
-from repro.obs import Instrumented
+from repro.obs import Instrumented, get_registry
 from repro.obs.trace import get_tracer
 from repro.pod.pod import Pod
 from repro.progmodel.interpreter import ExecutionLimits
@@ -318,7 +318,8 @@ class ProcessBackend(_BackendBase):
                   # builtins and FixedClock are.
                   self._tracer.spec(),
                   self._solver_cache, self._replay_products,
-                  self._session.snapshot()),
+                  self._session.snapshot(),
+                  get_registry().enabled),
             daemon=True,
         )
         proc.start()
@@ -488,7 +489,8 @@ def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
                          tracer_spec=(False, None),
                          solver_cache: bool = False,
                          replay_products: bool = True,
-                         session=(0, (), ())) -> None:
+                         session=(0, (), ()),
+                         metrics_enabled: bool = True) -> None:
     """Worker entry point: rebuild the shard, replay the session log,
     serve round requests at the session's epoch."""
     import traceback
@@ -499,8 +501,10 @@ def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
 
     # A fresh worker-local registry (under fork the default one holds
     # the coordinator's accumulated metrics). Counter deltas ship back
-    # with every round reply.
-    set_registry(Registry())
+    # with every round reply; a coordinator whose registry is disabled
+    # would drop them, so the worker's is disabled too and its pods pay
+    # nothing, as they would in the serial backend.
+    set_registry(Registry(enabled=metrics_enabled))
     # Same for the tracer: rebuild it from the coordinator's spec so
     # shard-side spans use the same clock (and the same no-op fast
     # path when tracing is off). Spans ride back inside ShardResult.

@@ -12,9 +12,11 @@ process boundary exactly once — when a worker (re)spawns — and only
   after a crash replays the log and rejoins at the current epoch.
 * worker → coordinator: a packed :class:`~repro.exec.batch.ShardResult`
   (:func:`pack_result` / :func:`unpack_result`): run records as flat
-  rows over an interned outcome table, replay products deduplicated
-  into a content-keyed table (a round usually explores a handful of
-  distinct paths across thousands of runs), execution-tree *edge
+  rows over an interned outcome table, replay products interned by
+  object identity into a product table (the shard replays each
+  distinct replay source once per round and shares that one product
+  among its entries, so the table holds one row per distinct replay
+  source — a handful across thousands of runs), execution-tree *edge
   deltas* ``(path, outcome, count)`` instead of partial-tree blobs,
   and trace payloads as raw bytes encoded once on the worker.
 
@@ -161,10 +163,14 @@ def pack_result(result: ShardResult) -> tuple:
     """Flatten a ShardResult for the coordinator pipe.
 
     Outcomes intern into a value table; replay products intern by
-    content (path + version + outcome identify a product for a
-    deterministic interpreter); record failure details ship sparsely.
-    Trace payload bytes pass through untouched — they were encoded once
-    on the worker and the coordinator decodes them lazily.
+    object identity — the shard's round-scoped replay memo hands every
+    entry with the same replay source the same product object, so each
+    entry unpacks to exactly the product it carried (path, version and
+    outcome alone do not identify a product: a concurrency program's
+    lock and global events vary with the interleaving). Record failure
+    details ship sparsely. Trace payload bytes pass through untouched —
+    they were encoded once on the worker and the coordinator decodes
+    them lazily.
     """
     outcomes: List[str] = []
     outcome_index: Dict[str, int] = {}
@@ -180,7 +186,7 @@ def pack_result(result: ShardResult) -> tuple:
                                           rec.failure_block)
 
     products: List[ReplayProduct] = []
-    product_index: Dict[tuple, int] = {}
+    product_index: Dict[int, int] = {}
     batch_rows: List[tuple] = []
     for batch in result.batches:
         entry_rows: List[tuple] = []
@@ -192,9 +198,8 @@ def pack_result(result: ShardResult) -> tuple:
             slot = -1
             product = entry.product
             if product is not None:
-                key = (product.program_version, product.outcome.value,
-                       product.path_decisions)
-                slot = _intern(products, product_index, key, product)
+                slot = _intern(products, product_index, id(product),
+                               product)
             entry_rows.append((entry.global_index, entry.payload,
                                None, slot))
         batch_rows.append((batch.sequence, batch.program_name,

@@ -15,6 +15,13 @@ so each pod's RNG stream and dedup state advance exactly as under the
 historical serial loop; the replay it performs is the same
 ``Interpreter.replay`` the hive would have run, against the same
 program version.
+
+Round-scoped recycling: many users run the same few paths, so one
+``run_shard`` call encodes each distinct trace once and replays each
+distinct replay source once. Both memos live for that one call, while
+the hive program is fixed, and are keyed by everything their value
+depends on, so every entry carries exactly what recomputing it would
+have produced (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -138,6 +145,9 @@ class Shard:
         # worker pipe, and counted-insert merging hive-side reproduces
         # the exact tree the old partial-tree blobs built.
         edges: Dict = {} if self.collect_tree else None
+        # Round-scoped memos: trace -> payload, replay source -> product.
+        payloads: Dict[Trace, bytes] = {}
+        replays: Dict[tuple, Optional[ReplayProduct]] = {}
         records: List[RunRecord] = []
         for planned in runs:
             pod = self.pods[planned.pod_index]
@@ -185,7 +195,7 @@ class Shard:
                 if not planned.ship:
                     continue                   # lost on the wire
                 entry = self._collect(planned.global_index, trace, edges,
-                                      recorder, tracing)
+                                      recorder, tracing, payloads, replays)
                 if entry is not None:
                     accumulator.add(entry)
                     if entry.product is not None:
@@ -233,28 +243,58 @@ class Shard:
     # -- collection -----------------------------------------------------------
 
     def _collect(self, global_index: int, trace: Trace,
-                 edges: Optional[Dict],
-                 recorder, tracing: bool = True) -> Optional[BatchEntry]:
+                 edges: Optional[Dict], recorder, tracing: bool,
+                 payloads: Dict[Trace, bytes],
+                 replays: Dict[tuple, Optional[ReplayProduct]],
+                 ) -> Optional[BatchEntry]:
         if self._dedup:
             shipped, heartbeat = self._dedup[trace.pod_id].submit(trace)
             if shipped is None:
                 return BatchEntry(global_index=global_index,
                                   heartbeat=heartbeat)
             trace = shipped
-        if tracing:
-            with recorder.span("wire.encode", key=global_index) as span:
+        # A frozen trace's bytes are a function of its fields: equal
+        # traces share one encode (and one wire.encode span).
+        payload = payloads.get(trace)
+        if payload is None:
+            if tracing:
+                with recorder.span("wire.encode",
+                                   key=global_index) as span:
+                    payload = encode_trace(trace)
+                    span.set(bytes=len(payload))
+            else:
                 payload = encode_trace(trace)
-                span.set(bytes=len(payload))
-        else:
-            payload = encode_trace(trace)
+            payloads[trace] = payload
         entry = BatchEntry(global_index=global_index, payload=payload)
         if self.replay_products:
-            entry.product = self._replay(trace, edges)
+            entry.product = self._replay(trace, edges, replays)
         return entry
 
-    def _replay(self, trace: Trace,
-                edges: Optional[Dict]) -> Optional[ReplayProduct]:
-        """The hive's replay, done shard-locally.
+    def _replay(self, trace: Trace, edges: Optional[Dict],
+                replays: Dict[tuple, Optional[ReplayProduct]],
+                ) -> Optional[ReplayProduct]:
+        """The hive's replay, done shard-locally, once per distinct
+        replay source in ``replays``; every run still counts one edge.
+
+        The product depends only on the (fixed) hive program and the
+        trace's version, replayability and recorded nondeterminism, so
+        that tuple is the memo key, and ``None`` results (stale,
+        unreplayable, corrupt) are remembered like any other.
+        """
+        source = (trace.program_version, trace.replayable,
+                  trace.branch_bits, trace.syscall_returns,
+                  trace.schedule_rle)
+        try:
+            product = replays[source]
+        except KeyError:
+            product = replays[source] = self._replay_source(trace)
+        if product is not None and edges is not None:
+            key = (product.path_decisions, product.outcome)
+            edges[key] = edges.get(key, 0) + 1
+        return product
+
+    def _replay_source(self, trace: Trace) -> Optional[ReplayProduct]:
+        """Replay one trace against the hive program.
 
         Only replayable traces for the hive's current version qualify;
         everything else (stale, sampled, truncated, corrupt) returns
@@ -275,9 +315,6 @@ class Shard:
                 ))
         except TraceError:
             return None                        # hive will count the failure
-        if edges is not None:
-            key = (tuple(result.path_decisions), result.outcome)
-            edges[key] = edges.get(key, 0) + 1
         return ReplayProduct(
             program_version=trace.program_version,
             outcome=result.outcome,

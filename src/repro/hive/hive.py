@@ -249,6 +249,12 @@ class Hive(Instrumented):
            replay (stale, sampled, truncated, corrupt) fall back to
            the exact single-trace path.
 
+        Equal payloads decode to equal traces, so each distinct payload
+        is decoded once per call (one ``wire.decode`` span per decode
+        performed) and its entries share that one frozen
+        :class:`Trace`, whose memoized encode prefix turns every later
+        ``trace_digest`` into a concatenation plus a hash.
+
         Returns the number of entries consumed.
         """
         from repro.tracing.encode import decode_trace
@@ -269,14 +275,18 @@ class Hive(Instrumented):
                     for decisions, outcome, count in rows:
                         self.tree.insert_path(decisions, outcome,
                                               count=count)
+            decoded: Dict[bytes, Trace] = {}
             for entry in entries:
                 if entry.is_heartbeat:
                     self.ingest_heartbeat(entry.heartbeat)
                     continue
-                with self._tracer.span("wire.decode",
-                                       key=entry.global_index,
-                                       bytes=len(entry.payload)):
-                    trace = decode_trace(entry.payload)
+                trace = decoded.get(entry.payload)
+                if trace is None:
+                    with self._tracer.span("wire.decode",
+                                           key=entry.global_index,
+                                           bytes=len(entry.payload)):
+                        trace = decode_trace(entry.payload)
+                    decoded[entry.payload] = trace
                 product = entry.product
                 if (product is not None
                         and product.program_version

@@ -7,6 +7,8 @@ import os
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, TraceError, TreeError
 from repro.exec import (
@@ -17,17 +19,29 @@ from repro.exec import (
 from repro.exec.backends import (
     make_backend, resolve_backend_name, resolve_workers,
 )
+from repro.exec.batch import ReplayProduct
 from repro.exec.plan import RoundPlan
+from repro.exec.shard import Shard
 from repro.hive.hive import Hive
 from repro.interfaces import TraceSink, TraceSource
 from repro.platform import PlatformConfig, SoftBorgPlatform
-from repro.progmodel.corpus import make_crash_demo
-from repro.progmodel.interpreter import Interpreter, Outcome
+from repro.pod.pod import Pod
+from repro.progmodel.bugs import BugKind
+from repro.progmodel.corpus import (
+    CorpusConfig, generate_program, make_crash_demo, make_deadlock_demo,
+    make_race_demo,
+)
+from repro.progmodel.interpreter import (
+    ExecutionLimits, Interpreter, Outcome, ReplaySource,
+)
 from repro.tracing.dedup import Heartbeat
 from repro.tracing.encode import decode_trace, encode_trace
 from repro.tracing.trace import trace_from_result
 from repro.tree.exectree import ExecutionTree
-from repro.workloads.scenarios import crash_scenario, deadlock_scenario
+from repro.workloads.population import UserPopulation
+from repro.workloads.scenarios import (
+    crash_scenario, deadlock_scenario, race_scenario,
+)
 
 
 def _trace(program, inputs):
@@ -151,13 +165,27 @@ class TestCrossBackendDeterminism:
         assert process == serial
 
     def test_identical_on_concurrency_scenario(self):
-        knobs = dict(scenario=deadlock_scenario, enable_proofs=False,
-                     rounds=3, seed=3)
-        _p, serial = _run("serial", **knobs)
-        _p, process = _run("process", workers=4, **knobs)
-        assert process == serial
-        # The loop still does its job under the parallel backend.
-        assert serial["total_failures"] >= 0
+        # The report alone is not enough: analyzer state must match
+        # too, since a product table that loses interleaving-specific
+        # events shifts race counts without moving any report field.
+        for scenario in (deadlock_scenario, race_scenario):
+            knobs = dict(scenario=scenario, enable_proofs=False,
+                         rounds=3, seed=3)
+            serial_platform, serial = _run("serial", **knobs)
+            process_platform, process = _run("process", workers=4,
+                                             **knobs)
+            assert process == serial
+            # The loop still does its job under the parallel backend.
+            assert serial["total_failures"] >= 0
+            serial_hive = serial_platform.hive
+            process_hive = process_platform.hive
+            assert serial_hive.races.executions_analyzed > 0
+            assert process_hive.races.reports() == \
+                serial_hive.races.reports()
+            assert process_hive.deadlocks.diagnoses() == \
+                serial_hive.deadlocks.diagnoses()
+            assert process_hive.invariants.invariants() == \
+                serial_hive.invariants.invariants()
 
     def test_snapshot_carries_schema_v3_execution_block(self):
         from repro.obs import Registry, set_registry
@@ -228,6 +256,13 @@ def _session_pods(program, count=4):
 
 def _session_plan(program, n_runs=4, n_pods=4):
     runs = [PlannedRun(i, i % n_pods, {"n": i, "mode": 2})
+            for i in range(n_runs)]
+    return RoundPlan(round_index=0, hive_version=program.version,
+                     runs=runs)
+
+
+def _population_plan(program, population, n_runs, n_pods=4):
+    runs = [PlannedRun(i, i % n_pods, population.sample_execution()[1])
             for i in range(n_runs)]
     return RoundPlan(round_index=0, hive_version=program.version,
                      runs=runs)
@@ -318,6 +353,30 @@ class TestSessionProtocol:
                 assert state["epoch"] == 1 == backend.epoch
                 assert state["hive_version"] == 2
 
+    def test_worker_registry_follows_the_coordinator(self):
+        # Workers ship counter deltas that a disabled coordinator
+        # registry drops: a worker spawned under a disabled registry
+        # records none, like pods built after obs.disable() serially.
+        from repro.obs import Registry, set_registry
+        demo = make_crash_demo()
+        deltas = {}
+        for enabled in (True, False):
+            previous = set_registry(Registry(enabled=enabled))
+            try:
+                with make_backend("process", _session_pods(demo.program),
+                                  demo.program, workers=1) as backend:
+                    backend._start()
+                    pipe = backend._pipes[0]
+                    pipe.send(("round", 0, pack_runs(
+                        _session_plan(demo.program).runs), None))
+                    reply = pipe.recv()
+            finally:
+                set_registry(previous)
+            assert reply[0] == "ok"
+            deltas[enabled] = reply[2]
+        assert deltas[True]["pod.executions"] == 4
+        assert deltas[False] == {}
+
     def test_round_at_wrong_epoch_is_rejected(self):
         # Protocol guard: a worker refuses to execute a round stamped
         # with an epoch it has not reached — running it would produce
@@ -349,24 +408,139 @@ class TestSessionWire:
         assert unpack_runs(packed) == runs
 
     def test_pack_result_round_trip(self):
-        demo = make_crash_demo()
-        with SerialBackend(_session_pods(demo.program),
-                           demo.program) as backend:
-            result = backend.run_round(
-                _session_plan(demo.program, n_runs=6))[0]
-        clone = unpack_result(pack_result(result))
-        assert clone.shard_id == result.shard_id
-        assert clone.records == result.records
-        assert clone.tree_version == result.tree_version
-        assert clone.tree_delta == result.tree_delta
-        assert clone.busy_seconds == result.busy_seconds
-        assert len(clone.batches) == len(result.batches)
-        for original, copy in zip(result.batches, clone.batches):
-            assert copy.program_version == original.program_version
-            assert [e.payload for e in copy.entries] == \
-                [e.payload for e in original.entries]
-            assert [e.product for e in copy.entries] == \
-                [e.product for e in original.entries]
+        # Concurrency programs reach one path under many interleavings
+        # whose lock and global events differ: every entry must unpack
+        # to the product it carried, not the first one on its path.
+        crash = make_crash_demo().program
+        rounds = [(crash, _session_plan(crash, n_runs=6))]
+        for factory in (race_scenario, deadlock_scenario):
+            scenario = factory(seed=3)
+            rounds.append((scenario.program, _population_plan(
+                scenario.program, scenario.population, n_runs=24)))
+        for program, plan in rounds:
+            with SerialBackend(_session_pods(program), program) as backend:
+                result = backend.run_round(plan)[0]
+            clone = unpack_result(pack_result(result))
+            assert clone.shard_id == result.shard_id
+            assert clone.records == result.records
+            assert clone.tree_version == result.tree_version
+            assert clone.tree_delta == result.tree_delta
+            assert clone.busy_seconds == result.busy_seconds
+            assert len(clone.batches) == len(result.batches)
+            for original, copy in zip(result.batches, clone.batches):
+                assert copy.program_version == original.program_version
+                assert [e.payload for e in copy.entries] == \
+                    [e.payload for e in original.entries]
+                assert [e.product for e in copy.entries] == \
+                    [e.product for e in original.entries]
+
+
+# -- round-scoped recycling ----------------------------------------------------
+
+def _reference_product(program, trace):
+    """The shard's replay product, recomputed with no memo."""
+    if (not trace.replayable
+            or trace.program_version != program.version):
+        return None
+    try:
+        result = Interpreter(program, limits=ExecutionLimits()).replay(
+            ReplaySource(branch_bits=list(trace.branch_bits),
+                         syscall_returns=list(trace.syscall_returns),
+                         schedule_picks=list(trace.schedule_picks())))
+    except TraceError:
+        return None
+    return ReplayProduct(
+        program_version=trace.program_version, outcome=result.outcome,
+        path_decisions=tuple(result.path_decisions),
+        lock_events=tuple(result.lock_events),
+        global_events=tuple(result.global_events),
+        final_globals=dict(result.final_globals),
+        return_values=dict(result.return_values))
+
+
+class TestRoundRecycling:
+    """One run_shard call encodes each distinct trace and replays each
+    distinct replay source once, and every entry still carries exactly
+    what recomputing it would produce."""
+
+    def _check(self, program, n_runs=24):
+        # Three users over four pods: inputs repeat. Pods 0 and 1 run a
+        # newer version than the hive, so their traces are stale and
+        # their (memoized) products None.
+        population = UserPopulation(program, 3, volatility=0.0, seed=5)
+        plan = _population_plan(program, population, n_runs)
+        shard = Shard(0, dict(enumerate(_session_pods(program))), program)
+        shard.apply_update(dataclasses.replace(
+            program, version=program.version + 1), (0, 1))
+
+        traces = {}
+        execute = Pod.execute
+
+        def recording_execute(pod, inputs, directive=None):
+            run = execute(pod, inputs, directive=directive)
+            traces[len(traces)] = run.trace
+            return run
+
+        encodes = []
+        replays = []
+        encode = encode_trace
+        replay = Interpreter.replay
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Pod, "execute", recording_execute)
+            patch.setattr("repro.exec.shard.encode_trace",
+                          lambda trace: encodes.append(trace)
+                          or encode(trace))
+            patch.setattr(Interpreter, "replay",
+                          lambda self, source: replays.append(source)
+                          or replay(self, source))
+            result = shard.run_shard(plan.runs)
+
+        entries = [entry for batch in result.batches
+                   for entry in batch.entries]
+        assert [entry.global_index for entry in entries] == \
+            list(range(n_runs))
+        expected_edges = {}
+        for entry in entries:
+            trace = traces[entry.global_index]
+            assert entry.payload == encode_trace(trace)
+            reference = _reference_product(program, trace)
+            assert entry.product == reference
+            if reference is not None:
+                key = (reference.path_decisions, reference.outcome)
+                expected_edges[key] = expected_edges.get(key, 0) + 1
+        assert result.tree_delta == [
+            (path, outcome, count)
+            for (path, outcome), count in expected_edges.items()]
+        assert len(encodes) == len(set(traces.values()))
+        sources = {(trace.branch_bits, trace.syscall_returns,
+                    trace.schedule_rle) for trace in traces.values()
+                   if trace.replayable
+                   and trace.program_version == program.version}
+        assert len(replays) == len(sources)
+        return traces
+
+    def test_demo_programs(self):
+        for demo in (make_crash_demo, make_race_demo, make_deadlock_demo):
+            traces = self._check(demo().program)
+            assert {trace.program_version
+                    for trace in traces.values()} == {1, 2}
+            if demo is make_crash_demo:
+                # Single-threaded runs of repeated inputs repeat
+                # traces, so the crash demo must actually recycle.
+                assert len(set(traces.values())) < len(traces)
+
+    @settings(max_examples=8, deadline=None)
+    @given(config=st.builds(CorpusConfig, seed=st.integers(0, 50),
+                            n_inputs=st.integers(2, 4),
+                            input_domain=st.integers(3, 8),
+                            n_segments=st.integers(2, 5)),
+           kinds=st.sampled_from([(), (BugKind.CRASH,), (BugKind.ASSERT,),
+                                  (BugKind.SHORT_READ,),
+                                  (BugKind.DEADLOCK,), (BugKind.RACE,)]))
+    def test_generated_programs(self, config, kinds):
+        if len(kinds) > config.n_segments:
+            return
+        self._check(generate_program("recycle", config, kinds).program)
 
 
 # -- shard-merge algebra -------------------------------------------------------
@@ -520,25 +694,39 @@ class TestIngestSurface:
         assert hive.stats.traces_ingested == 1
 
     def test_ingest_batch_matches_trace_by_trace(self):
+        from repro.tracing.dedup import trace_digest
         demo = make_crash_demo()
-        traces = [_trace(demo.program, {"n": n, "mode": 2})
-                  for n in range(6)]
+        distinct = [_trace(demo.program, {"n": n, "mode": 2})
+                    for n in range(6)]
+        # The second batch repeats payloads (decoded once, ingested as
+        # one shared trace) and ends with a heartbeat, whose lookup
+        # needs the shared trace's digest to equal a fresh one's.
+        repeated = [distinct[i % 3] for i in range(12)]
+        beat = Heartbeat(program_name=demo.program.name,
+                         program_version=demo.program.version,
+                         digest=trace_digest(distinct[1]), count=2)
+        for traces, heartbeats in ((distinct, []), (repeated, [beat])):
+            one_by_one = Hive(demo.program)
+            for trace in traces:
+                one_by_one.ingest_trace(trace)
+            for heartbeat in heartbeats:
+                one_by_one.ingest_heartbeat(heartbeat)
 
-        one_by_one = Hive(demo.program)
-        for trace in traces:
-            one_by_one.ingest_trace(trace)
-
-        batched = Hive(demo.program)
-        entries = [BatchEntry(global_index=i, payload=encode_trace(t))
-                   for i, t in enumerate(traces)]
-        batch = TraceBatch(shard_id=0, program_name=demo.program.name,
-                           program_version=demo.program.version,
-                           entries=entries)
-        consumed = batched.ingest_batch([batch])
-        assert consumed == 6
-        assert batched.stats.as_dict() == one_by_one.stats.as_dict()
-        assert (batched.tree.canonical_paths()
-                == one_by_one.tree.canonical_paths())
+            batched = Hive(demo.program)
+            entries = [BatchEntry(global_index=i, payload=encode_trace(t))
+                       for i, t in enumerate(traces)]
+            entries += [BatchEntry(global_index=len(traces) + i,
+                                   heartbeat=heartbeat)
+                        for i, heartbeat in enumerate(heartbeats)]
+            batch = TraceBatch(shard_id=0, program_name=demo.program.name,
+                               program_version=demo.program.version,
+                               entries=entries)
+            consumed = batched.ingest_batch([batch])
+            assert consumed == len(traces) + len(heartbeats)
+            assert batched.stats.as_dict() == one_by_one.stats.as_dict()
+            assert (batched.tree.canonical_paths()
+                    == one_by_one.tree.canonical_paths())
+            assert batched.stats.unknown_heartbeats == 0
 
     def test_serial_backend_runs_a_plan(self):
         # The protocol in miniature: plan two runs on one pod, execute
