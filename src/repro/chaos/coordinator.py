@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.chaos.plan import FaultPlan
-from repro.chaos.profiles import FaultProfile, resolve_profile
 from repro.config import BaseReport
 from repro.errors import TraceError
 from repro.exec.batch import (
@@ -104,21 +103,15 @@ class ChaosCoordinator(Instrumented):
 
     obs_namespace = "chaos"
 
-    def __init__(self, profile: FaultProfile, seed: int = 0):
-        self.profile = resolve_profile(profile)
-        self.plan = FaultPlan(self.profile, seed)
+    def __init__(self, plan: FaultPlan):
+        self.plan = plan
+        self.profile = plan.profile
         # Injected faults become events on the active span; retry
         # waves and wire frames get spans of their own (keys are
         # round/frame/attempt indices — backend-invariant).
         self._tracer = get_tracer()
         self.rounds: List[ChaosRoundStats] = []
         self._current: Optional[ChaosRoundStats] = None
-        # Solver-cache deltas ride the coordinator channel (like spans
-        # and counters), not the faulted uplink: a virtual worker's
-        # death loses its records and traces, never its cache export.
-        # Keeping the delta set plan-determined is what makes collective
-        # recycling bit-identical across backends under chaos.
-        self._cache_deltas: List[list] = []
         self._obs_worker_deaths = self.obs_counter("worker_deaths")
         self._obs_runs_recovered = self.obs_counter("runs_recovered")
         self._obs_runs_lost = self.obs_counter("runs_lost")
@@ -137,19 +130,22 @@ class ChaosCoordinator(Instrumented):
     # -- execution: worker death + crash-tolerant retry waves -----------------
 
     def execute_round(self, backend, plan: RoundPlan,
-                      ) -> Tuple[List[RunRecord], List[BatchEntry]]:
+                      ) -> Tuple[List[RunRecord], List[BatchEntry],
+                                 List[list]]:
         """Run ``plan`` on ``backend`` under worker-death faults.
 
-        Returns the surviving run records and batch entries; both lists
-        cover every planned run except the (rare) permanently lost
-        ones, each global index at most once.
+        Returns the surviving run records and batch entries (every
+        planned run except the rare permanently lost ones, each global
+        index at most once) and the cache delta of every dispatch.
+        Deltas ride the reliable coordinator channel, not the faulted
+        uplink: a dead worker or retry wave loses its records and
+        traces, never its cache export — which keeps collective
+        recycling bit-identical across backends under chaos.
         """
         stats = ChaosRoundStats(round_index=plan.round_index)
         self._current = stats
         results = backend.run_round(plan)
-        for result in results:
-            if result.cache_delta:
-                self._cache_deltas.append(result.cache_delta)
+        cache_deltas = [result.cache_delta for result in results]
         dead = set(self.plan.dead_virtual_shards(plan.round_index))
         workers = self.profile.virtual_workers
 
@@ -168,7 +164,7 @@ class ChaosCoordinator(Instrumented):
                     if not lost(pod_of[entry.global_index]):
                         entries.append(entry)
         if not dead:
-            return records, entries
+            return records, entries, cache_deltas
 
         stats.worker_deaths = len(dead)
         self._obs_worker_deaths.inc(len(dead))
@@ -196,9 +192,7 @@ class ChaosCoordinator(Instrumented):
                     round_index=plan.round_index,
                     hive_version=plan.hive_version,
                     runs=pending))
-                for result in wave:
-                    if result.cache_delta:
-                        self._cache_deltas.append(result.cache_delta)
+                cache_deltas.extend(result.cache_delta for result in wave)
                 if self.plan.retry_wave_dies(plan.round_index, attempt):
                     # The replacement worker executed the runs, then
                     # died before reporting — the pods' RNG streams
@@ -220,19 +214,7 @@ class ChaosCoordinator(Instrumented):
             self._tracer.event("chaos.runs_lost",
                                round=plan.round_index,
                                runs=len(pending))
-        return records, entries
-
-    def take_cache_deltas(self) -> List[list]:
-        """Drain the solver-cache deltas collected so far.
-
-        Deltas arrive over the (reliable) coordinator channel from both
-        the initial dispatch and every retry wave — including waves
-        whose *results* died before reporting, since the cache export
-        is charged to the channel, not the worker. The platform calls
-        this once per round, after :meth:`execute_round`.
-        """
-        deltas, self._cache_deltas = self._cache_deltas, []
-        return deltas
+        return records, entries, cache_deltas
 
     # -- delivery: the hostile uplink -----------------------------------------
 

@@ -104,10 +104,6 @@ class TraceBatch:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def wire_size(self) -> int:
-        """Bytes this batch puts on the (simulated) pod uplink."""
-        return len(encode_batch(self))
-
 
 @dataclass
 class ShardResult:

@@ -55,7 +55,6 @@ class Shard:
                  limits: Optional[ExecutionLimits] = None,
                  dedup: bool = False,
                  batch_max_traces: int = 0,
-                 collect_tree: bool = True,
                  solver_cache=None,
                  replay_products: bool = True):
         self.shard_id = shard_id
@@ -63,7 +62,6 @@ class Shard:
         self.hive_program = hive_program       # what the hive replays on
         self.limits = limits or ExecutionLimits()
         self.batch_max_traces = batch_max_traces
-        self.collect_tree = collect_tree
         # Service mode turns shard-side replay off: products never
         # survive the pump's re-framed wire, so building them is pure
         # waste there — unless collective recycling mines them.
@@ -144,7 +142,7 @@ class Shard:
         # rows, not as an ExecutionTree: the delta is what crosses the
         # worker pipe, and counted-insert merging hive-side reproduces
         # the exact tree the old partial-tree blobs built.
-        edges: Dict = {} if self.collect_tree else None
+        edges: Dict = {}
         # Round-scoped memos: trace -> payload, replay source -> product.
         payloads: Dict[Trace, bytes] = {}
         replays: Dict[tuple, Optional[ReplayProduct]] = {}
@@ -213,8 +211,7 @@ class Shard:
                          if self.solver_cache is not None else []),
             tree_version=self.hive_program.version,
             tree_delta=[(path, outcome, count)
-                        for (path, outcome), count in edges.items()]
-            if edges else [],
+                        for (path, outcome), count in edges.items()],
         )
 
     # -- constraint recycling --------------------------------------------------
@@ -243,7 +240,7 @@ class Shard:
     # -- collection -----------------------------------------------------------
 
     def _collect(self, global_index: int, trace: Trace,
-                 edges: Optional[Dict], recorder, tracing: bool,
+                 edges: Dict, recorder, tracing: bool,
                  payloads: Dict[Trace, bytes],
                  replays: Dict[tuple, Optional[ReplayProduct]],
                  ) -> Optional[BatchEntry]:
@@ -270,7 +267,7 @@ class Shard:
             entry.product = self._replay(trace, edges, replays)
         return entry
 
-    def _replay(self, trace: Trace, edges: Optional[Dict],
+    def _replay(self, trace: Trace, edges: Dict,
                 replays: Dict[tuple, Optional[ReplayProduct]],
                 ) -> Optional[ReplayProduct]:
         """The hive's replay, done shard-locally, once per distinct
@@ -288,7 +285,7 @@ class Shard:
             product = replays[source]
         except KeyError:
             product = replays[source] = self._replay_source(trace)
-        if product is not None and edges is not None:
+        if product is not None:
             key = (product.path_decisions, product.outcome)
             edges[key] = edges.get(key, 0) + 1
         return product

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cbi import CbiAnalyzer
@@ -160,18 +160,8 @@ class Hive(Instrumented):
             self._ingest_trace(trace)
 
     def _ingest_trace(self, trace: Trace) -> None:
-        self.stats.traces_ingested += 1
-        self._obs_ingested.inc()
-        if trace.program_version != self.program.version:
-            self.stats.stale_traces += 1
-            self._obs_stale.inc()
+        if not self._admit(trace):
             return
-        if trace.outcome.is_failure:
-            self._failure_traces.append(trace)
-            if (trace.outcome in (Outcome.DEADLOCK, Outcome.ASSERT)
-                    and len(trace.schedule_rle) > 1
-                    and len(self._dangerous_schedules) < 8):
-                self._dangerous_schedules.append(trace.schedule_picks())
         if not trace.replayable:
             if trace.branch_bits:
                 # Privacy-truncated trace: the retained bit prefix still
@@ -210,23 +200,49 @@ class Hive(Instrumented):
             self._obs_replay_failures.inc()
             self.bucketer.add(trace)
             return
+        self._fold(trace, result, insert=True)
+
+    def _admit(self, trace: Trace) -> bool:
+        """Count an arriving trace; False when it is stale. A failing
+        trace joins the fix evidence, and its interleaving the
+        dangerous schedules steering re-drives."""
+        self.stats.traces_ingested += 1
+        self._obs_ingested.inc()
+        if trace.program_version != self.program.version:
+            self.stats.stale_traces += 1
+            self._obs_stale.inc()
+            return False
+        if trace.outcome.is_failure:
+            self._failure_traces.append(trace)
+            if (trace.outcome in (Outcome.DEADLOCK, Outcome.ASSERT)
+                    and len(trace.schedule_rle) > 1
+                    and len(self._dangerous_schedules) < 8):
+                self._dangerous_schedules.append(trace.schedule_picks())
+        return True
+
+    def _fold(self, trace: Trace, replay, insert: bool) -> None:
+        """Feed an admitted trace's replay — the hive's interpreter
+        result or a shard's product, same by-products — to the
+        analyzers. ``insert`` adds the path to the tree; a product's
+        path arrived as a counted edge row in its shard's tree delta."""
         with self._obs_phase_analysis.time():
             # Replayable failure dumps carry their full decision path —
             # feed it to the bucketer for WER-style bucket splitting.
-            self.bucketer.add(trace, path=result.path_decisions)
-            self.tree.insert_path(result.path_decisions, result.outcome)
-            self.deadlocks.add_execution(result)
-            self.races.add_execution(result)
-            if result.outcome is Outcome.OK:
+            self.bucketer.add(trace, path=replay.path_decisions)
+            if insert:
+                self.tree.insert_path(replay.path_decisions, replay.outcome)
+            self.deadlocks.add_execution(replay)
+            self.races.add_execution(replay)
+            if replay.outcome is Outcome.OK:
                 # Invariants are mined from healthy behaviour only:
                 # "identify the correct code in P" (Sec. 2).
-                self.invariants.add_execution(result)
+                self.invariants.add_execution(replay)
         # Remember the digest -> path association so later heartbeats
         # from deduplicating pods can bump this path's usage counts
         # without re-shipping the trace.
         from repro.tracing.dedup import trace_digest
         self._digest_paths[trace_digest(trace)] = (
-            tuple(result.path_decisions), result.outcome)
+            tuple(replay.path_decisions), replay.outcome)
 
     def ingest_batch(self, batches, tree_deltas=None) -> int:
         """Fold a round's worth of shard :class:`TraceBatch` flushes.
@@ -307,30 +323,8 @@ class Hive(Instrumented):
         with self._tracer.span("hive.ingest_product",
                                key=self._next_seq(),
                                outcome=product.outcome.value):
-            self._ingest_product_inner(trace, product)
-
-    def _ingest_product_inner(self, trace: Trace, product) -> None:
-        self.stats.traces_ingested += 1
-        self._obs_ingested.inc()
-        if trace.program_version != self.program.version:
-            self.stats.stale_traces += 1
-            self._obs_stale.inc()
-            return
-        if trace.outcome.is_failure:
-            self._failure_traces.append(trace)
-            if (trace.outcome in (Outcome.DEADLOCK, Outcome.ASSERT)
-                    and len(trace.schedule_rle) > 1
-                    and len(self._dangerous_schedules) < 8):
-                self._dangerous_schedules.append(trace.schedule_picks())
-        with self._obs_phase_analysis.time():
-            self.bucketer.add(trace, path=product.path_decisions)
-            self.deadlocks.add_execution(product)
-            self.races.add_execution(product)
-            if product.outcome is Outcome.OK:
-                self.invariants.add_execution(product)
-        from repro.tracing.dedup import trace_digest
-        self._digest_paths[trace_digest(trace)] = (
-            tuple(product.path_decisions), product.outcome)
+            if self._admit(trace):
+                self._fold(trace, product, insert=False)
 
     def ingest_heartbeat(self, heartbeat) -> None:
         """Account a deduplicated repeat of an already-known trace."""
@@ -338,6 +332,7 @@ class Hive(Instrumented):
         self._obs_heartbeats.inc()
         if heartbeat.program_version != self.program.version:
             self.stats.stale_traces += 1
+            self._obs_stale.inc()
             return
         known = self._digest_paths.get(heartbeat.digest)
         if known is None:
@@ -408,10 +403,6 @@ class Hive(Instrumented):
                 candidates.append(synthesize_lockify_fix(
                     report, self.program.name))
         return candidates
-
-    def _mark_fixed(self, fixes: List[Fix]) -> None:
-        for fix in fixes:
-            self._note_fix_target(fix)
 
     def _note_fix_target(self, fix: Fix) -> None:
         from repro.fixes.deadlock_immunity import GateLockFix

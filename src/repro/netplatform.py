@@ -18,14 +18,14 @@ fix payloads the pod applies locally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.config import (
     BaseConfig, BaseReport, check_at_least_one, check_positive,
     check_unit_interval,
 )
-from repro.errors import ConfigError
 from repro.hive.hive import Hive
+from repro.loop import check_solver_cache, solver_cache_doc
 from repro.metrics.series import Series
 from repro.net.network import Link, Network
 from repro.net.simclock import SimClock
@@ -67,16 +67,17 @@ class NetworkedConfig(BaseConfig):
 
     def validate(self) -> None:
         check_at_least_one(self.n_pods, "need at least one pod")
+        check_positive(self.duration, "duration",
+                       message="times must be positive")
         check_positive(self.mean_think_time, "mean_think_time",
                        message="times must be positive")
         check_positive(self.analysis_interval, "analysis_interval",
                        message="times must be positive")
         check_unit_interval(self.loss_rate, "loss_rate")
+        check_positive(self.max_steps, "max_steps")
         check_at_least_one(self.batch_max_traces,
                            "batch_max_traces must be >= 1")
-        if self.solver_cache not in ("none", "local", "collective"):
-            raise ConfigError(
-                "solver_cache must be one of none, local, collective")
+        check_solver_cache(self.solver_cache)
         self.resolved_chaos_profile()      # raises on unknown/bad
 
     def resolved_chaos_profile(self):
@@ -362,55 +363,49 @@ class NetworkedPlatform(Instrumented):
         # The transport already opened the delivery span (parented to
         # the sender's uplink span via the wire context); everything
         # below — decode spans, hive ingest spans — nests under it.
-        from repro.errors import TraceError
         kind, body = message
         if kind == "trace":
-            try:
-                with self._tracer.span("wire.decode",
-                                       key=self._next_decode_seq(),
-                                       bytes=len(body)):
-                    trace = decode_trace(body)
-            except TraceError:
-                # Mangled on the (chaos) wire: reject, never ingest.
-                self.count_chaos("frames_rejected")
-                self._obs_rejected.inc()
-                self._tracer.event("net.frame_rejected", src=src)
+            trace = self._decode_or_reject(decode_trace, body, src)
+            if trace is None:
                 return
             self.report.traces_delivered += 1
             self._obs_traces_delivered.inc()
             self.hive.ingest_trace(trace)
         elif kind == "batch":
             from repro.exec.batch import decode_batch
-            try:
-                with self._tracer.span("wire.decode",
-                                       key=self._next_decode_seq(),
-                                       bytes=len(body)):
-                    # Zero-copy: only per-entry payloads materialize
-                    # out of the received frame buffer.
-                    batch = decode_batch(memoryview(body))
-            except TraceError:
-                # Truncated/corrupt frame: the CRC32 footer caught it.
-                self.count_chaos("frames_rejected")
-                self._obs_rejected.inc()
-                self._tracer.event("net.frame_rejected", src=src)
+            # Zero-copy: only per-entry payloads materialize out of the
+            # received frame buffer. A truncated/corrupt frame fails
+            # its CRC32 footer and is rejected whole.
+            batch = self._decode_or_reject(decode_batch, memoryview(body),
+                                           src)
+            if batch is None:
                 return
             for entry in batch.entries:
                 self.report.traces_delivered += 1
                 self._obs_traces_delivered.inc()
                 if entry.is_heartbeat:
                     self.hive.ingest_heartbeat(entry.heartbeat)
-                else:
-                    try:
-                        with self._tracer.span(
-                                "wire.decode",
-                                key=self._next_decode_seq(),
-                                bytes=len(entry.payload)):
-                            trace = decode_trace(entry.payload)
-                    except TraceError:
-                        self.count_chaos("frames_rejected")
-                        self._obs_rejected.inc()
-                        continue
+                    continue
+                trace = self._decode_or_reject(decode_trace, entry.payload,
+                                               src)
+                if trace is not None:
                     self.hive.ingest_trace(trace)
+
+    def _decode_or_reject(self, decode, blob, src: str):
+        """``decode(blob)`` under a ``wire.decode`` span, or None when
+        the blob was mangled on the (chaos) wire: rejected, counted,
+        never ingested."""
+        from repro.errors import TraceError
+        try:
+            with self._tracer.span("wire.decode",
+                                   key=self._next_decode_seq(),
+                                   bytes=len(blob)):
+                return decode(blob)
+        except TraceError:
+            self.count_chaos("frames_rejected")
+            self._obs_rejected.inc()
+            self._tracer.event("net.frame_rejected", src=src)
+            return None
 
     def count_chaos(self, event: str) -> None:
         """Account one injected-fault occurrence (no-op sans chaos)."""
@@ -438,12 +433,8 @@ class NetworkedPlatform(Instrumented):
                 **self.chaos_events,
             }
         if self.solver_cache is not None:
-            doc["solver_cache"] = {
-                "mode": self.config.solver_cache,
-                "entries": len(self.solver_cache),
-                "stats": self.solver_cache.stats.as_dict(),
-                "solver": self.hive.solver_stats().as_dict(),
-            }
+            doc["solver_cache"] = solver_cache_doc(
+                self.config.solver_cache, self.solver_cache, self.hive)
         return doc
 
     def _analysis_tick(self) -> None:

@@ -8,9 +8,9 @@ hive into the paper's feedback cycle, executed in deterministic rounds:
    here, serialized, so the plan is backend-independent
    (``repro.exec.plan``);
 2. an :class:`~repro.exec.backends.ExecutorBackend` executes the plan
-   — inline or across worker processes — and ships batched traces
-   plus execution-tree edge deltas back
-   (``--backend {serial,process}``); coordinator-side state
+   (``--backend {serial,process}``) through the execute step
+   :mod:`repro.loop` shares with ``repro serve``, and ships batched
+   traces plus execution-tree edge deltas back; coordinator-side state
    changes (cache redistributions, fix deploys, staged rollouts) reach
    the shards as epoch-stamped ``publish()`` deltas;
 3. the hive folds the shard tree deltas and ingests the batch entries
@@ -32,22 +32,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import (
-    BaseConfig, BaseReport, check_at_least_one, check_positive,
-    check_unit_interval,
+    BaseReport, check_at_least_one, check_positive, check_unit_interval,
 )
-from repro.errors import ConfigError
-from repro.exec.backends import (
-    SyncDelta, make_backend, resolve_backend_name, resolve_workers,
-)
+from repro.exec.backends import SyncDelta, resolve_workers
 from repro.exec.batch import RunRecord
 from repro.exec.plan import PlannedRun, RoundPlan
-from repro.hive.hive import Hive
+from repro.loop import ClosedLoop, LoopConfig, solver_cache_doc
 from repro.metrics.bugdensity import BugDensityTracker
 from repro.metrics.series import Series
-from repro.obs import Instrumented
-from repro.obs.trace import derive_trace_id, get_tracer
-from repro.pod.pod import Pod
-from repro.progmodel.interpreter import ExecutionLimits
 from repro.proofs.proof import Proof
 from repro.rng import make_rng
 from repro.tracing.capture import CapturePolicy, FullCapture
@@ -109,64 +101,29 @@ def _default_platform_slos():
 
 
 @dataclass
-class PlatformConfig(BaseConfig):
-    """Knobs of one platform run (ablations flip these)."""
+class PlatformConfig(LoopConfig):
+    """Knobs of one platform run (ablations flip these); the shared
+    closed-loop knobs live on :class:`~repro.loop.LoopConfig`."""
 
     n_pods: int = 20
     rounds: int = 30
     executions_per_round: int = 40
-    max_steps: int = 4000
     capture: Optional[CapturePolicy] = None    # default FullCapture
     guidance: bool = False
     guided_per_round: int = 4
-    fixing: bool = True
-    validate_fixes: bool = True
     rollout_fraction: float = 1.0              # pods updated per round
     trace_loss_rate: float = 0.0
-    min_failure_reports: int = 1
-    enable_proofs: bool = True
-    dedup: bool = False              # pod-side heartbeats for repeats
-    seed: int = 0
-    backend: str = "auto"            # serial | process | auto
-    workers: int = 0                 # 0 = auto (one worker per core)
-    batch_max_traces: int = 0        # 0 = one flush per shard per round
-    chaos_profile: object = "none"   # profile name or FaultProfile
     check_invariants: bool = False   # run the invariant catalogue/round
-    solver_cache: str = "none"       # none | local | collective
-    #: The health plane (repro.obs.health) — default OFF for bare batch
-    #: runs (serve defaults on); enabling adds an additive ``health``
-    #: snapshot block, still schema v3.
-    health: bool = False
-    slo_overrides: Dict[str, float] = field(default_factory=dict)
 
     def validate(self) -> None:
         check_at_least_one(self.n_pods, "need at least one pod")
         check_positive(self.rounds, "rounds")
         check_positive(self.executions_per_round, "executions_per_round")
         check_positive(self.guided_per_round, "guided_per_round")
-        check_positive(self.max_steps, "max_steps")
         check_unit_interval(self.rollout_fraction, "rollout_fraction",
                             include_zero=False, include_one=True)
         check_unit_interval(self.trace_loss_rate, "trace_loss_rate")
-        resolve_backend_name(self.backend)   # raises on unknown names
-        if self.workers < 0:
-            raise ConfigError("workers must be >= 0 (0 = auto)")
-        if self.batch_max_traces < 0:
-            raise ConfigError(
-                "batch_max_traces must be >= 0 (0 = one flush per round)")
-        if self.solver_cache not in ("none", "local", "collective"):
-            raise ConfigError(
-                "solver_cache must be one of none, local, collective")
-        self.resolved_chaos_profile()        # raises on unknown/bad
-
-    def resolved_chaos_profile(self):
-        """The validated :class:`~repro.chaos.FaultProfile` in force."""
-        from repro.chaos import resolve_profile
-        return resolve_profile(self.chaos_profile)
-
-    def resolved_backend(self) -> str:
-        """The concrete backend this config selects (env-aware)."""
-        return resolve_backend_name(self.backend)
+        super().validate()
 
     def resolved_workers(self) -> int:
         """The worker count the resolved backend will actually use."""
@@ -243,22 +200,19 @@ class PlatformReport(BaseReport):
         return None
 
 
-class SoftBorgPlatform(Instrumented):
+class SoftBorgPlatform(ClosedLoop):
     """One program, its users, its pods, and its hive."""
 
     obs_namespace = "platform"
 
     def __init__(self, scenario: Scenario,
                  config: Optional[PlatformConfig] = None):
-        self.config = config or PlatformConfig()
-        self.config.validate()
-        self.scenario = scenario
-        # Resolved once, like the metric handles. The trace id is a
-        # pure function of (program, seed) so exports reproduce.
-        self._tracer = get_tracer()
-        if self._tracer.enabled:
-            self._tracer.set_trace_id(derive_trace_id(
-                scenario.program.name, self.config.seed))
+        config = config or PlatformConfig()
+        super().__init__(scenario, config,
+                         trace_labels=(scenario.program.name, config.seed),
+                         n_pods=config.n_pods,
+                         capture=config.capture or FullCapture(),
+                         slos=_default_platform_slos)
         self.flight_dumps: List[Dict[str, object]] = []
         self._obs_round = self.obs_timer("round")
         self._obs_executions = self.obs_counter("executions")
@@ -268,79 +222,21 @@ class SoftBorgPlatform(Instrumented):
         self._obs_traces_lost = self.obs_counter("traces_lost")
         self._obs_wire_bytes = self.obs_counter("wire_bytes")
         self._obs_fixes = self.obs_counter("fixes_deployed")
-        limits = ExecutionLimits(max_steps=self.config.max_steps)
-        capture = self.config.capture or FullCapture()
-        self._rng = make_rng(self.config.seed, "platform",
-                             scenario.program.name)
-        self.pods = [
-            Pod(pod_id=f"pod{i:04d}",
-                program=scenario.program,
-                capture=capture,
-                limits=limits,
-                fault_rate=scenario.fault_rate,
-                seed=self.config.seed + i)
-            for i in range(self.config.n_pods)
-        ]
-        # Collective constraint recycling: the hive-side cache serves
-        # every hive solver ("local" mode stops there); "collective"
-        # additionally equips shards with private caches whose round
-        # deltas merge back here and redistribute at round start.
-        self.solver_cache = None
-        if self.config.solver_cache != "none":
-            from repro.symbolic.cache import ConstraintCache
-            self.solver_cache = ConstraintCache()
-        self.hive = Hive(
-            scenario.program,
-            limits=limits,
-            validate_fixes=self.config.validate_fixes,
-            min_failure_reports=self.config.min_failure_reports,
-            enable_proofs=self.config.enable_proofs,
-            solver_cache=self.solver_cache,
-        )
-        # Per-pod dedup state lives inside the backend's shards now —
-        # each pod's trace stream is observed by exactly one shard, in
-        # order, so heartbeat semantics are backend-invariant.
-        self.backend = make_backend(
-            self.config.resolved_backend(), self.pods, scenario.program,
-            capture=capture, limits=limits,
-            fault_rate=scenario.fault_rate,
-            dedup=self.config.dedup,
-            batch_max_traces=self.config.batch_max_traces,
-            workers=self.config.workers,
-            solver_cache=self.config.solver_cache)
+        self._rng = make_rng(config.seed, "platform", scenario.program.name)
         self.report = PlatformReport()
         # Chaos + invariants: both default off and cost one ``is None``
         # per round when disabled (mirroring repro.obs's no-op mode).
         # A chaos run always checks invariants — the verdicts depend on
         # them — and ``check_invariants`` enables the catalogue alone.
-        profile = self.config.resolved_chaos_profile()
         self.chaos = None
         self.invariants = None
         self.invariant_violations: List[Tuple[int, object]] = []
-        if not profile.is_noop():
+        if self.fault_plan is not None:
             from repro.chaos import ChaosCoordinator
-            self.chaos = ChaosCoordinator(profile, seed=self.config.seed)
-        if self.chaos is not None or self.config.check_invariants:
+            self.chaos = ChaosCoordinator(self.fault_plan)
+        if self.chaos is not None or config.check_invariants:
             from repro.chaos import Invariants
             self.invariants = Invariants()
-        # The health plane: round-aligned SLOs over the same quantities
-        # the report tracks. None when off — one ``is None`` per round,
-        # zero obs-registry allocations (the E22 benchmark pins this).
-        self.health = None
-        if self.config.health:
-            from repro.obs.health import HealthConfig, HealthPlane
-            from repro.registry.model import family_of
-            self._bug_family = {bug.message: family_of(bug.kind)
-                                for bug in scenario.bugs}
-            self._family_bugs: Dict[str, int] = {}
-            for family in self._bug_family.values():
-                self._family_bugs[family] = \
-                    self._family_bugs.get(family, 0) + 1
-            self.health = HealthPlane(
-                _default_platform_slos(),
-                HealthConfig(
-                    slo_overrides=dict(self.config.slo_overrides)),
-                flight=self._tracer.flight)
 
     # -- main loop ------------------------------------------------------------
 
@@ -392,14 +288,9 @@ class SoftBorgPlatform(Instrumented):
             "observability": observability,
         }
         if self.solver_cache is not None:
-            # Additive block (still schema v3): mode, entry count, tier
-            # hit accounting, and the hive engines' solver totals.
-            doc["solver_cache"] = {
-                "mode": self.config.solver_cache,
-                "entries": len(self.solver_cache),
-                "stats": self.solver_cache.stats.as_dict(),
-                "solver": self.hive.solver_stats().as_dict(),
-            }
+            # Additive block (still schema v3).
+            doc["solver_cache"] = solver_cache_doc(
+                self.config.solver_cache, self.solver_cache, self.hive)
         # Additive block (still schema v3): the scenario's seeded bugs
         # grouped into registry families, with seen/fixed taken from the
         # density ledger and defect-localization ranks from the final
@@ -476,48 +367,11 @@ class SoftBorgPlatform(Instrumented):
                          runs=runs)
 
     def _run_round(self, round_index: int) -> None:
-        config = self.config
         with self._tracer.span("round.plan", key=round_index):
             plan = self._plan_round(round_index)
-        collective = (self.solver_cache is not None
-                      and config.solver_cache == "collective")
-        if collective:
-            # Redistribute everything the hive learned since the last
-            # round (its own solves plus last round's shard deltas) to
-            # every shard before execution.
-            seed_delta = self.solver_cache.export_delta()
-            if seed_delta:
-                with self._tracer.span("cache.redistribute",
-                                       key=round_index,
-                                       entries=len(seed_delta)):
-                    self.backend.publish(
-                        SyncDelta(cache_entries=seed_delta))
-        entries = None
-        cache_deltas = []
-        with self._tracer.span("round.execute", key=round_index,
-                               runs=len(plan.runs)):
-            if self.chaos is not None:
-                records, entries = self.chaos.execute_round(self.backend,
-                                                            plan)
-                records.sort(key=lambda record: record.global_index)
-                if collective:
-                    cache_deltas = self.chaos.take_cache_deltas()
-            else:
-                shard_results = self.backend.run_round(plan)
-                records = sorted(
-                    (record for result in shard_results
-                     for record in result.records),
-                    key=lambda record: record.global_index)
-                if collective:
-                    cache_deltas = [result.cache_delta
-                                    for result in shard_results
-                                    if result.cache_delta]
-        if collective and cache_deltas:
-            with self._tracer.span("cache.merge", key=round_index):
-                self.hive.adopt_cache_deltas(cache_deltas)
-        self._fold_round(round_index, plan, records,
-                         None if self.chaos is not None else shard_results,
-                         entries)
+        records, entries, shard_results = self._execute(
+            plan, "round.execute", self.chaos)
+        self._fold_round(round_index, plan, records, shard_results, entries)
 
     def _fold_round(self, round_index: int, plan: RoundPlan,
                     records: List[RunRecord], shard_results,
@@ -560,15 +414,13 @@ class SoftBorgPlatform(Instrumented):
                                    wire=self._account_wire)
             else:
                 from repro.tracing.dedup import Heartbeat
-                batches = [batch for result in shard_results
-                           for batch in result.batches]
-                for batch in batches:
-                    for entry in batch.entries:
-                        self._account_wire(Heartbeat.WIRE_SIZE
-                                           if entry.is_heartbeat
-                                           else len(entry.payload))
+                for entry in entries:
+                    self._account_wire(Heartbeat.WIRE_SIZE
+                                       if entry.is_heartbeat
+                                       else len(entry.payload))
                 self.hive.ingest_batch(
-                    batches,
+                    [batch for result in shard_results
+                     for batch in result.batches],
                     tree_deltas=[(result.tree_version,
                                   result.tree_delta)
                                  for result in shard_results
@@ -661,19 +513,8 @@ class SoftBorgPlatform(Instrumented):
                 0.0 if invariant_result is None or invariant_result.ok
                 else float(len(invariant_result.violations))),
         }
-        if self._family_bugs:
-            seen: Dict[str, int] = {}
-            for message in self.report.density.bugs_seen:
-                family = self._bug_family.get(message)
-                if family is not None:
-                    seen[family] = seen.get(family, 0) + 1
-            rates = {family: seen.get(family, 0) / count
-                     for family, count in self._family_bugs.items()}
-            sample["family_detection_rate"] = min(rates.values())
-            for family in sorted(rates):
-                sample[f"detect.{family}"] = rates[family]
-        else:
-            sample["family_detection_rate"] = 1.0
+        sample.update(self._detection_sample(
+            self.report.density.bugs_seen))
         chaos_events: List[Dict[str, object]] = []
         if chaos_verdict is not None:
             chaos_events.append({
@@ -690,14 +531,14 @@ class SoftBorgPlatform(Instrumented):
             invariants=invariant_events, stats=stats.as_dict()))
 
     def _attribute(self, record: RunRecord) -> Optional[str]:
-        """Ground-truth attribution of a failing run (metrics only)."""
+        """Ground-truth attribution of a failing run (metrics only).
+
+        The density ledger also counts failures no seeded bug explains,
+        under their own failure message."""
         if not record.has_failure:
             return None
-        for bug in self.scenario.bugs:
-            if bug.matches_result(record.outcome, record.failure_message,
-                                  record.failure_block):
-                return bug.message
-        return record.failure_message
+        bug = self._seeded_bug(record)
+        return bug.message if bug is not None else record.failure_message
 
     def _record_flight_dump(self, reason: str) -> None:
         dump = self._tracer.flight_dump(reason)

@@ -161,10 +161,6 @@ class IngestPump(Instrumented):
     def depth_entries(self) -> int:
         return self._depth_entries
 
-    @property
-    def depth_frames(self) -> int:
-        return len(self._queue)
-
     def lag_ticks(self, drain_per_tick: int) -> float:
         """Backlog expressed in ticks of drain capacity."""
         if drain_per_tick <= 0:

@@ -17,8 +17,8 @@ seed) on every backend:
    :mod:`~repro.serve.balance` policy; admission pauses while the
    ingest pump is pushing back;
 4. **execute** — the admitted micro-plan runs on the ordinary
-   :mod:`repro.exec` backend (serial/process — results are
-   bit-identical);
+   :mod:`repro.exec` backend through :mod:`repro.loop`'s execute step
+   (serial/process — results are bit-identical);
 5. **stream** — the tick's entries are framed onto the wire and
    offered to the bounded :class:`~repro.serve.pump.IngestPump`;
    the hive drains as many entries as its ingest workers afford;
@@ -45,27 +45,20 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Set
 
-from repro.config import (
-    BaseConfig, BaseReport, check_at_least_one, check_positive,
-)
+from repro.config import BaseReport, check_at_least_one, check_positive
 from repro.errors import ConfigError
-from repro.exec.backends import (
-    SyncDelta, make_backend, resolve_backend_name,
-)
+from repro.exec.backends import SyncDelta
 from repro.exec.batch import BatchEntry
 from repro.exec.plan import PlannedRun, RoundPlan
-from repro.hive.hive import Hive
-from repro.obs import Instrumented
+from repro.loop import ClosedLoop, LoopConfig
 from repro.obs.health import TickEvidence
-from repro.obs.trace import derive_trace_id, get_tracer
-from repro.pod.pod import Pod
-from repro.progmodel.interpreter import ExecutionLimits
 from repro.serve.autoscaler import Autoscaler, AutoscalerConfig
 from repro.serve.balance import make_balancer
 from repro.serve.control import ControlPlane
 from repro.serve.pump import IngestPump
+from repro.serve.slos import default_serve_slos
 from repro.tracing.capture import FullCapture
 from repro.workloads.scenarios import Scenario
 
@@ -79,7 +72,7 @@ SERVE_SCHEMA_VERSION = 2
 
 
 @dataclass
-class ServiceConfig(BaseConfig):
+class ServiceConfig(LoopConfig):
     """Knobs of one service run (see docs/SERVICE.md)."""
 
     # -- virtual clock / load ------------------------------------------------
@@ -116,29 +109,14 @@ class ServiceConfig(BaseConfig):
     #: under this many ticks of drain capacity.
     max_ingest_lag_ticks: float = 3.0
 
-    # -- hive ----------------------------------------------------------------
-    fixing: bool = True
-    validate_fixes: bool = True
+    # -- hive (the shared knobs live on repro.loop.LoopConfig) --------------
     fix_interval_ticks: int = 10
     enable_proofs: bool = False
-    min_failure_reports: int = 1
-    max_steps: int = 4000
-    dedup: bool = False
-
-    # -- execution substrate (mirrors PlatformConfig) ------------------------
-    seed: int = 0
-    backend: str = "auto"
-    workers: int = 0
-    batch_max_traces: int = 0
-    chaos_profile: object = "none"
-    solver_cache: str = "none"
 
     # -- health plane --------------------------------------------------------
     #: Serve runs default to a live health plane (SLOs, alerts,
-    #: incidents); bare batch runs default off. Costs nothing when off.
+    #: incidents); bare batch runs default off.
     health: bool = True
-    #: ``{slo_name: objective}`` from ``repro serve --slo NAME=TARGET``.
-    slo_overrides: Dict[str, float] = field(default_factory=dict)
 
     def validate(self) -> None:
         check_positive(self.ticks, "ticks")
@@ -169,26 +147,12 @@ class ServiceConfig(BaseConfig):
                 "max_ingest_workers must be >= min_ingest_workers")
         check_positive(self.max_ingest_lag_ticks, "max_ingest_lag_ticks")
         check_positive(self.fix_interval_ticks, "fix_interval_ticks")
-        check_positive(self.max_steps, "max_steps")
         from repro.serve.balance import BALANCE_POLICIES
         if self.balance not in BALANCE_POLICIES:
             raise ConfigError(
                 f"balance must be one of"
                 f" {', '.join(sorted(BALANCE_POLICIES))}")
-        if self.solver_cache not in ("none", "local", "collective"):
-            raise ConfigError(
-                "solver_cache must be one of none, local, collective")
-        resolve_backend_name(self.backend)
-        if self.workers < 0:
-            raise ConfigError("workers must be >= 0 (0 = auto)")
-        self.resolved_chaos_profile()
-
-    def resolved_chaos_profile(self):
-        from repro.chaos import resolve_profile
-        return resolve_profile(self.chaos_profile)
-
-    def resolved_backend(self) -> str:
-        return resolve_backend_name(self.backend)
+        super().validate()
 
     def arrivals_for(self, tick: int) -> int:
         """The deterministic load curve: base rate with a burst window."""
@@ -255,21 +219,24 @@ class ServiceReport(BaseReport):
         }
 
 
-class Service(Instrumented):
+class Service(ClosedLoop):
     """One program's hive, run as a continuously ingesting service."""
 
     obs_namespace = "serve"
 
     def __init__(self, scenario: Scenario,
                  config: Optional[ServiceConfig] = None):
-        self.config = config or ServiceConfig()
-        self.config.validate()
-        self.scenario = scenario
-        config = self.config
-        self._tracer = get_tracer()
-        if self._tracer.enabled:
-            self._tracer.set_trace_id(derive_trace_id(
-                "serve", scenario.program.name, config.seed))
+        config = config or ServiceConfig()
+        # Shard-side replay products never survive the service wire
+        # (the pump re-frames through encode_batch, which models the
+        # pod uplink), so shards skip that work — unless collective
+        # recycling needs the replay to mine solver facts.
+        super().__init__(
+            scenario, config,
+            trace_labels=("serve", scenario.program.name, config.seed),
+            n_pods=config.max_pods, capture=FullCapture(),
+            slos=lambda: default_serve_slos(config),
+            replay_products=config.solver_cache == "collective")
         self._obs_tick = self.obs_timer("tick")
         self._obs_arrivals = self.obs_counter("arrivals")
         self._obs_admitted = self.obs_counter("admitted")
@@ -279,8 +246,6 @@ class Service(Instrumented):
         self._obs_backpressure = self.obs_counter("backpressure_ticks")
         self._obs_kills = self.obs_counter("pod_kills")
 
-        limits = ExecutionLimits(max_steps=config.max_steps)
-        capture = FullCapture()
         if config.users > 0:
             from repro.workloads.population import ZipfPopulation
             self.population = ZipfPopulation(
@@ -288,37 +253,6 @@ class Service(Instrumented):
                 volatility=config.volatility, seed=config.seed)
         else:
             self.population = scenario.population
-
-        self.pods = [
-            Pod(pod_id=f"pod{i:04d}", program=scenario.program,
-                capture=capture, limits=limits,
-                fault_rate=scenario.fault_rate,
-                seed=config.seed + i)
-            for i in range(config.max_pods)
-        ]
-        self.solver_cache = None
-        if config.solver_cache != "none":
-            from repro.symbolic.cache import ConstraintCache
-            self.solver_cache = ConstraintCache()
-        self.hive = Hive(
-            scenario.program, limits=limits,
-            validate_fixes=config.validate_fixes,
-            min_failure_reports=config.min_failure_reports,
-            enable_proofs=config.enable_proofs,
-            solver_cache=self.solver_cache)
-        # Shard-side replay products never survive the service wire
-        # (the pump re-frames through encode_batch, which models the
-        # pod uplink), so shards skip that work — unless collective
-        # recycling needs the replay to mine solver facts.
-        self.backend = make_backend(
-            config.resolved_backend(), self.pods, scenario.program,
-            capture=capture, limits=limits,
-            fault_rate=scenario.fault_rate,
-            dedup=config.dedup,
-            batch_max_traces=config.batch_max_traces,
-            workers=config.workers,
-            solver_cache=config.solver_cache,
-            replay_products=(config.solver_cache == "collective"))
 
         self.control = ControlPlane(config.max_pods,
                                     warmup_ticks=config.warmup_ticks,
@@ -346,40 +280,13 @@ class Service(Instrumented):
             capacity_frames=config.pump_capacity_frames,
             frame_max_entries=config.frame_max_entries)
 
-        profile = config.resolved_chaos_profile()
-        self.fault_plan = None
-        if not profile.is_noop():
-            from repro.chaos.plan import FaultPlan
-            self.fault_plan = FaultPlan(profile, seed=config.seed)
-
         self.report = ServiceReport()
         self._admission: Deque[Dict[str, int]] = deque()
         self._outbox: Deque = deque()   # frames awaiting pump space
         self._global_index = 0
-        self._ingested_entries = 0
-
-        # The health plane: None when disabled — every per-tick hook
-        # below is a single ``is None`` check, and no obs registry
-        # metric or series is ever allocated (BENCH_e22 pins this).
-        self.health = None
-        self._chaos_profile_name = profile.name
-        if config.health:
-            from repro.obs.health import HealthConfig, HealthPlane
-            from repro.registry.model import family_of
-            from repro.serve.slos import default_serve_slos
-            self._bug_family = {
-                bug.message: family_of(bug.kind)
-                for bug in scenario.bugs}
-            self._family_bugs: Dict[str, int] = {}
-            for family in self._bug_family.values():
-                self._family_bugs[family] = \
-                    self._family_bugs.get(family, 0) + 1
-            self._family_seen = {family: set()
-                                 for family in self._family_bugs}
-            self.health = HealthPlane(
-                default_serve_slos(config),
-                HealthConfig(slo_overrides=dict(config.slo_overrides)),
-                flight=self._tracer.flight)
+        self._chaos_profile_name = config.resolved_chaos_profile().name
+        #: Seeded bugs some failing run matched (health evidence).
+        self._bugs_seen: Set[str] = set()
 
     # -- properties ------------------------------------------------------------
 
@@ -453,37 +360,18 @@ class Service(Instrumented):
         failures = 0
         entries: List[BatchEntry] = []
         if admitted_runs:
-            collective = (self.solver_cache is not None
-                          and config.solver_cache == "collective")
-            if collective:
-                delta = self.solver_cache.export_delta()
-                if delta:
-                    self.backend.publish(SyncDelta(cache_entries=delta))
-            plan = RoundPlan(round_index=tick,
-                             hive_version=self.hive.program.version,
-                             runs=admitted_runs)
-            with self._tracer.span("serve.execute", key=tick,
-                                   runs=admitted):
-                results = self.backend.run_round(plan)
-            if collective:
-                deltas = [result.cache_delta for result in results
-                          if result.cache_delta]
-                if deltas:
-                    self.hive.adopt_cache_deltas(deltas)
-            records = sorted(
-                (record for result in results
-                 for record in result.records),
-                key=lambda record: record.global_index)
+            records, entries, _results = self._execute(
+                RoundPlan(round_index=tick,
+                          hive_version=self.hive.program.version,
+                          runs=admitted_runs),
+                "serve.execute")
             executed = len(records)
             for record in records:
                 failures += int(record.failed)
                 if self.health is not None and record.has_failure:
-                    self._note_detection(record)
-            entries = sorted(
-                (entry for result in results
-                 for batch in result.batches
-                 for entry in batch.entries),
-                key=lambda entry: entry.global_index)
+                    bug = self._seeded_bug(record)
+                    if bug is not None:
+                        self._bugs_seen.add(bug.message)
         self._obs_executed.inc(executed)
         self._obs_failures.inc(failures)
         self.report.total_executions += executed
@@ -501,8 +389,7 @@ class Service(Instrumented):
                 break                      # queue full: retry next tick
             self._outbox.popleft()
         with self._tracer.span("serve.drain", key=tick):
-            drained = self.pump.drain(self.hive, self._drain_budget())
-        self._ingested_entries += drained
+            self.pump.drain(self.hive, self._drain_budget())
 
         # 6. Scale: pods against admission demand, ingest workers
         # against pump depth.
@@ -594,17 +481,6 @@ class Service(Instrumented):
                 cache_hits,
                 cache_misses)
 
-    def _note_detection(self, record) -> None:
-        """Ground-truth detection attribution (mirrors the round
-        platform's ``_attribute``): the first seeded bug matching this
-        failing record counts as seen for its family."""
-        for bug in self.scenario.bugs:
-            if bug.matches_result(record.outcome, record.failure_message,
-                                  record.failure_block):
-                self._family_seen[self._bug_family[bug.message]].add(
-                    bug.message)
-                return
-
     def _observe_health(self, tick: int, stats: TickStats, span_id: str,
                         marks: tuple, killed: List[int]) -> None:
         """Feed the tick's SLI samples and correlation evidence."""
@@ -624,14 +500,7 @@ class Service(Instrumented):
             "pod_ready_ratio": (stats.ready_pods
                                 / max(1, stats.desired_pods)),
         }
-        if self._family_bugs:
-            rates = {family: len(self._family_seen[family]) / count
-                     for family, count in self._family_bugs.items()}
-            sample["family_detection_rate"] = min(rates.values())
-            for family in sorted(rates):
-                sample[f"detect.{family}"] = rates[family]
-        else:
-            sample["family_detection_rate"] = 1.0
+        sample.update(self._detection_sample(self._bugs_seen))
         if self.solver_cache is not None:
             # Per-tick delta, not the cumulative rate: the SLO window
             # should react to this tick's lookups. Lookup-free ticks emit

@@ -72,6 +72,10 @@ class TestNetworkedLoop:
             NetworkedConfig(loss_rate=1.0).validate()
         with pytest.raises(ConfigError):
             NetworkedConfig(batch_max_traces=0).validate()
+        with pytest.raises(ConfigError, match="max_steps must be positive"):
+            NetworkedConfig(max_steps=0).validate()
+        with pytest.raises(ConfigError):
+            NetworkedConfig(duration=-1).validate()
 
     def test_batched_uplink_delivers_everything_for_less(self):
         _p1, legacy = _run(duration=150.0)

@@ -189,3 +189,27 @@ class TestDedupPlatform:
         assert bool(naive.fixes) == bool(deduped.fixes)
         assert (naive_platform.hive.tree.path_count
                 == dedup_platform.hive.tree.path_count)
+
+    def test_stale_heartbeats_reach_the_obs_counter(self):
+        # A staged rollout keeps most pods on the pre-fix version, so
+        # their repeats arrive as stale heartbeats: the hive.stale_traces
+        # metric must count them exactly like HiveStats does.
+        from repro import obs
+        from repro.obs import Registry
+        from repro.platform import PlatformConfig, SoftBorgPlatform
+        from repro.workloads.scenarios import crash_scenario
+
+        previous = obs.set_registry(Registry())
+        try:
+            platform = SoftBorgPlatform(
+                crash_scenario(seed=7),
+                PlatformConfig(n_pods=6, rounds=8, executions_per_round=40,
+                               dedup=True, rollout_fraction=0.25, seed=7,
+                               backend="serial"))
+            platform.run()
+            counters = platform.snapshot()["obs"]["counters"]
+        finally:
+            obs.set_registry(previous)
+        assert platform.hive.stats.stale_traces > 0
+        assert (counters["hive.stale_traces"]
+                == platform.hive.stats.stale_traces)
