@@ -247,8 +247,9 @@ class SerialBackend(_BackendBase):
 class ProcessBackend(_BackendBase):
     """Long-lived worker processes, one shard each, session protocol.
 
-    Workers are started lazily on the first round and reconstruct their
-    pods from picklable specs (pod id + seed + serialized program), so
+    Workers start when the session opens (``with``) or on the first
+    round, whichever comes first, and reconstruct their pods from
+    picklable specs (pod id + seed + serialized program), so
     shard state is a pure function of (platform config, session log) —
     the same guarantee the coordinator's own pods give — under both
     ``fork`` and ``spawn`` start methods.
@@ -296,6 +297,11 @@ class ProcessBackend(_BackendBase):
     _RESPAWN_BACKOFF_CAP = 0.2
 
     # -- lifecycle ------------------------------------------------------------
+
+    def __enter__(self):
+        # Workers boot while the coordinator plans the first round.
+        self._start()
+        return self
 
     def _context(self):
         import multiprocessing
@@ -493,6 +499,7 @@ def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
                          metrics_enabled: bool = True) -> None:
     """Worker entry point: rebuild the shard, replay the session log,
     serve round requests at the session's epoch."""
+    import gc
     import traceback
 
     from repro.obs import Registry, get_registry, set_registry
@@ -538,6 +545,10 @@ def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
     except Exception:  # pragma: no cover - construction is config-pure
         conn.send(("error", traceback.format_exc()))
         return
+    # Under fork the worker inherits the coordinator's whole heap, and
+    # its shard state lives for the session: park both outside the
+    # collector, so a full collection walks only what rounds allocate.
+    gc.freeze()
     last_totals: Dict[str, int] = {}
 
     def counter_deltas() -> Dict[str, int]:

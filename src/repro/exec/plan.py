@@ -55,7 +55,9 @@ def partition_runs(runs: Sequence[PlannedRun],
     RNG stream is identical under every backend — and consecutive pod
     ids spread across workers for balance.
     """
-    shards: List[List[PlannedRun]] = [[] for _ in range(max(1, n_shards))]
+    if n_shards <= 1:
+        return [list(runs)]
+    shards: List[List[PlannedRun]] = [[] for _ in range(n_shards)]
     for run in runs:
-        shards[run.pod_index % max(1, n_shards)].append(run)
+        shards[run.pod_index % n_shards].append(run)
     return shards

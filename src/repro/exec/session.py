@@ -129,11 +129,14 @@ def pack_runs(runs: Sequence[PlannedRun]) -> tuple:
     rows: List[tuple] = []
     directives: Dict[int, object] = {}
     for run in runs:
-        key = tuple(sorted(run.inputs.items()))
+        # Item order is the program's input order for every sampled
+        # dict; an equal dict in another order just takes its own slot.
+        inputs = run.inputs
+        key = tuple(inputs.items())
         slot = inputs_index.get(key)
         if slot is None:
             slot = inputs_index[key] = len(inputs_table)
-            inputs_table.append(run.inputs)
+            inputs_table.append(inputs)
         rows.append((run.global_index, run.pod_index, slot, run.ship))
         if run.directive is not None:
             directives[run.global_index] = run.directive
@@ -142,22 +145,15 @@ def pack_runs(runs: Sequence[PlannedRun]) -> tuple:
 
 def unpack_runs(packed: tuple) -> List[PlannedRun]:
     inputs_table, rows, directives = packed
+    # Positional fields: (global_index, pod_index, inputs, directive,
+    # ship). Thousands per round, so the keyword form's cost shows.
     return [
-        PlannedRun(global_index=gi, pod_index=pod, inputs=inputs_table[slot],
-                   directive=directives.get(gi), ship=ship)
+        PlannedRun(gi, pod, inputs_table[slot], directives.get(gi), ship)
         for gi, pod, slot, ship in rows
     ]
 
 
 # -- result packing ------------------------------------------------------------
-
-def _intern(table: List, index: Dict, key, value) -> int:
-    slot = index.get(key)
-    if slot is None:
-        slot = index[key] = len(table)
-        table.append(value)
-    return slot
-
 
 def pack_result(result: ShardResult) -> tuple:
     """Flatten a ShardResult for the coordinator pipe.
@@ -172,13 +168,14 @@ def pack_result(result: ShardResult) -> tuple:
     they were encoded once on the worker and the coordinator decodes
     them lazily.
     """
-    outcomes: List[str] = []
-    outcome_index: Dict[str, int] = {}
+    outcome_index: Dict[str, int] = {}      # value -> slot, in slot order
     record_rows: List[tuple] = []
     failures: Dict[int, tuple] = {}
     for rec in result.records:
-        slot = _intern(outcomes, outcome_index, rec.outcome.value,
-                       rec.outcome.value)
+        value = rec.outcome.value
+        slot = outcome_index.get(value)
+        if slot is None:
+            slot = outcome_index[value] = len(outcome_index)
         flags = (rec.guided | (rec.failed << 1) | (rec.has_failure << 2))
         record_rows.append((rec.global_index, flags, slot))
         if rec.failure_message is not None or rec.failure_block is not None:
@@ -198,8 +195,10 @@ def pack_result(result: ShardResult) -> tuple:
             slot = -1
             product = entry.product
             if product is not None:
-                slot = _intern(products, product_index, id(product),
-                               product)
+                slot = product_index.get(id(product))
+                if slot is None:
+                    slot = product_index[id(product)] = len(products)
+                    products.append(product)
             entry_rows.append((entry.global_index, entry.payload,
                                None, slot))
         batch_rows.append((batch.sequence, batch.program_name,
@@ -208,7 +207,7 @@ def pack_result(result: ShardResult) -> tuple:
 
     return (
         result.shard_id,
-        (outcomes, record_rows, failures),
+        (list(outcome_index), record_rows, failures),
         (products, batch_rows),
         result.tree_version,
         list(result.tree_delta),
@@ -218,29 +217,27 @@ def pack_result(result: ShardResult) -> tuple:
     )
 
 
+_NO_FAILURE = (None, None)
+
+
 def unpack_result(packed: tuple) -> ShardResult:
     (shard_id, (outcomes, record_rows, failures),
      (products, batch_rows), tree_version, tree_delta,
      busy_seconds, spans, cache_delta) = packed
     outcome_table = [Outcome(value) for value in outcomes]
-    records: List[RunRecord] = []
-    for gi, flags, slot in record_rows:
-        message, block = failures.get(gi, (None, None))
-        records.append(RunRecord(
-            global_index=gi,
-            guided=bool(flags & 1),
-            failed=bool(flags & 2),
-            outcome=outcome_table[slot],
-            has_failure=bool(flags & 4),
-            failure_message=message,
-            failure_block=block,
-        ))
+    # Positional fields, as in unpack_runs: (global_index, guided,
+    # failed, outcome, has_failure, failure_message, failure_block) and
+    # (global_index, payload, heartbeat, product).
+    records = [
+        RunRecord(gi, bool(flags & 1), bool(flags & 2), outcome_table[slot],
+                  bool(flags & 4), *failures.get(gi, _NO_FAILURE))
+        for gi, flags, slot in record_rows
+    ]
     batches: List[TraceBatch] = []
     for sequence, name, version, context, entry_rows in batch_rows:
         entries = [
-            BatchEntry(global_index=gi, payload=payload or b"",
-                       heartbeat=heartbeat,
-                       product=products[slot] if slot >= 0 else None)
+            BatchEntry(gi, payload or b"", heartbeat,
+                       products[slot] if slot >= 0 else None)
             for gi, payload, heartbeat, slot in entry_rows
         ]
         batches.append(TraceBatch(

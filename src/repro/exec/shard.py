@@ -36,9 +36,7 @@ from repro.exec.batch import (
 from repro.exec.plan import PlannedRun
 from repro.obs.trace import NULL_SPAN, SpanContext, get_tracer
 from repro.pod.pod import Pod
-from repro.progmodel.interpreter import (
-    ExecutionLimits, Interpreter, Outcome, ReplaySource,
-)
+from repro.progmodel.interpreter import ExecutionLimits, Interpreter, Outcome
 from repro.progmodel.ir import Program
 from repro.tracing.dedup import PodDeduplicator
 from repro.tracing.encode import encode_trace
@@ -305,11 +303,7 @@ class Shard:
         try:
             result = Interpreter(
                 self.hive_program, limits=self.limits).replay(
-                ReplaySource(
-                    branch_bits=list(trace.branch_bits),
-                    syscall_returns=list(trace.syscall_returns),
-                    schedule_picks=list(trace.schedule_picks()),
-                ))
+                trace.replay_source())
         except TraceError:
             return None                        # hive will count the failure
         return ReplayProduct(

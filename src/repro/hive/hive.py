@@ -20,9 +20,7 @@ from repro.fixes.patches import synthesize_recovery_fixes
 from repro.fixes.repairlab import RepairLab
 from repro.fixes.validation import FixValidator, make_validation_suite
 from repro.guidance.steering import Steering, SteeringDirective
-from repro.progmodel.interpreter import (
-    ExecutionLimits, Interpreter, Outcome, ReplaySource,
-)
+from repro.progmodel.interpreter import ExecutionLimits, Interpreter, Outcome
 from repro.progmodel.ir import Program, Syscall
 from repro.proofs.properties import NO_FAILURES, OutcomeProperty
 from repro.proofs.prover import CumulativeProver
@@ -171,11 +169,7 @@ class Hive(Instrumented):
                     with self._obs_phase_replay.time():
                         prefix = Interpreter(
                             self.program, limits=self.limits).replay_prefix(
-                            ReplaySource(
-                                branch_bits=list(trace.branch_bits),
-                                syscall_returns=list(trace.syscall_returns),
-                                schedule_picks=list(trace.schedule_picks()),
-                            ))
+                            trace.replay_source())
                 except TraceError:
                     self.stats.replay_failures += 1
                     self._obs_replay_failures.inc()
@@ -190,11 +184,7 @@ class Hive(Instrumented):
             with self._obs_phase_replay.time():
                 result = Interpreter(
                     self.program, limits=self.limits).replay(
-                    ReplaySource(
-                        branch_bits=list(trace.branch_bits),
-                        syscall_returns=list(trace.syscall_returns),
-                        schedule_picks=list(trace.schedule_picks()),
-                    ))
+                    trace.replay_source())
         except TraceError:
             self.stats.replay_failures += 1
             self._obs_replay_failures.inc()
@@ -205,7 +195,8 @@ class Hive(Instrumented):
     def _admit(self, trace: Trace) -> bool:
         """Count an arriving trace; False when it is stale. A failing
         trace joins the fix evidence, and its interleaving the
-        dangerous schedules steering re-drives."""
+        dangerous schedules steering re-drives, if the schedule it
+        claims fits the step budget."""
         self.stats.traces_ingested += 1
         self._obs_ingested.inc()
         if trace.program_version != self.program.version:
@@ -216,7 +207,9 @@ class Hive(Instrumented):
             self._failure_traces.append(trace)
             if (trace.outcome in (Outcome.DEADLOCK, Outcome.ASSERT)
                     and len(trace.schedule_rle) > 1
-                    and len(self._dangerous_schedules) < 8):
+                    and len(self._dangerous_schedules) < 8
+                    and sum(length for _thread, length in trace.schedule_rle)
+                    <= self.limits.max_steps):
                 self._dangerous_schedules.append(trace.schedule_picks())
         return True
 

@@ -9,7 +9,7 @@ from typing import Dict, Optional
 from repro.guidance.steering import SteeringDirective
 from repro.obs import Instrumented
 from repro.progmodel.interpreter import (
-    Environment, ExecutionLimits, ExecutionResult, Interpreter,
+    Environment, ExecutionLimits, ExecutionResult, Interpreter, Outcome,
 )
 from repro.progmodel.ir import Program
 from repro.rng import make_rng
@@ -83,8 +83,11 @@ class Pod(Instrumented):
         fault_plan = None
         if guided and directive.fault_plan is not None:
             fault_plan = directive.fault_plan
+        # The pod draws a seed for each generator a run may need, in a
+        # fixed order, but builds a generator only where a draw can
+        # happen: seeding one costs more than a short run.
         environment = Environment(
-            rng=self._spawn_rng("env"),
+            seed=self._rng.getrandbits(64),
             fault_rate=0.0 if fault_plan else self.fault_rate,
             fault_plan=fault_plan,
         )
@@ -104,15 +107,20 @@ class Pod(Instrumented):
                 n_threads=len(self.program.threads), depth=3,
                 max_steps=horizon, seed=directive.pct_seed)
         else:
-            scheduler = RandomScheduler(rng=self._spawn_rng("sched"))
+            seed = self._rng.getrandbits(64)
+            # A one-thread program has exactly one schedule.
+            scheduler = (RandomScheduler(seed=seed)
+                         if len(self.program.threads) > 1 else None)
 
         with self._obs_execute.time():
             result = Interpreter(self.program, limits=self.limits).run(
                 inputs, environment=environment, scheduler=scheduler)
             trace = self.capture.capture(result, pod_id=self.pod_id,
                                          guided=guided)
-        feedback = infer_feedback(result, rng=self._spawn_rng("fb"),
-                                  max_steps=self.limits.max_steps)
+        seed = self._rng.getrandbits(64)
+        feedback = infer_feedback(
+            result, max_steps=self.limits.max_steps,
+            rng=random.Random(seed) if result.outcome is Outcome.HANG else None)
         self.runs += 1
         self._obs_executions.inc()
         self._obs_steps.observe(result.steps)
@@ -124,9 +132,6 @@ class Pod(Instrumented):
                       guided=guided, program_version=self.program.version)
 
     # -- helpers ----------------------------------------------------------------
-
-    def _spawn_rng(self, label: str):
-        return random.Random(self._rng.getrandbits(64))
 
     def _clamp_inputs(self, inputs: Dict[str, int]) -> Dict[str, int]:
         """Directives may come from an engine run against an older

@@ -18,12 +18,18 @@ The interpreter plays two roles:
 
 Values are ``(int | None, tainted: bool)`` pairs: ``None`` appears only
 during replay, for data derived from inputs the hive does not know.
+
+Both roles run the same code: each block of a program is lowered, on
+first entry, into a list of closures (one per instruction, terminator
+last), cached per program, and the step loop makes one call per step.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 import sys
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -201,40 +207,65 @@ class ExecutionResult:
     def branch_bits(self) -> List[bool]:
         """Directions of input-dependent conditionals — the bit-vector
         a pod ships (1 bit per branch the hive cannot reconstruct)."""
-        return [e.taken for e in self.events
-                if isinstance(e, BranchEvent) and e.input_dependent]
+        return list(self._by_products()[0])
 
     @property
     def branch_events(self) -> List[BranchEvent]:
-        return [e for e in self.events if isinstance(e, BranchEvent)]
+        return list(self._by_products()[1])
 
     @property
     def tainted_branch_events(self) -> List[BranchEvent]:
-        return [e for e in self.events
-                if isinstance(e, BranchEvent) and e.tainted]
+        return list(self._by_products()[2])
 
     @property
     def lock_events(self) -> List[LockEvent]:
-        return [e for e in self.events if isinstance(e, LockEvent)]
+        return list(self._by_products()[3])
 
     @property
     def global_events(self) -> List["GlobalEvent"]:
-        return [e for e in self.events if isinstance(e, GlobalEvent)]
+        return list(self._by_products()[4])
 
     @property
     def syscall_values(self) -> List[int]:
-        return [e.value for e in self.events if isinstance(e, SyscallEvent)]
+        return list(self._by_products()[5])
 
     @property
     def schedule_picks(self) -> List[int]:
-        return [e.thread for e in self.events if isinstance(e, SchedEvent)]
+        return list(self._by_products()[6])
 
     @property
     def path_decisions(self) -> List[Tuple[Tuple[int, str, str], bool]]:
         """(site, taken) decisions at tainted conditionals — the path
         identity used by the collective execution tree."""
-        return [(e.site, e.taken) for e in self.events
-                if isinstance(e, BranchEvent) and e.tainted]
+        return list(self._by_products()[7])
+
+    def _by_products(self) -> Tuple[list, ...]:
+        """Every projection above, split from ``events`` in one pass on
+        the first read. The parts live in the instance dict, outside
+        the fields, so ``==`` and ``repr`` do not see them."""
+        split = self.__dict__.get("_split")
+        if split is None:
+            split = self.__dict__["_split"] = tuple([] for _ in range(8))
+            bits, branches, tainted, locks, globals_, syscalls, picks, path \
+                = split
+            for event in self.events:
+                kind = type(event)
+                if kind is SchedEvent:
+                    picks.append(event.thread)
+                elif kind is BranchEvent:
+                    branches.append(event)
+                    if event.input_dependent:
+                        bits.append(event.taken)
+                    if event.tainted:
+                        tainted.append(event)
+                        path.append((event.site, event.taken))
+                elif kind is GlobalEvent:
+                    globals_.append(event)
+                elif kind is LockEvent:
+                    locks.append(event)
+                elif kind is SyscallEvent:
+                    syscalls.append(event.value)
+        return split
 
 
 # --------------------------------------------------------------------------
@@ -268,13 +299,17 @@ class Environment:
     * ``rand(m)`` — uniform in [0, m).
 
     ``fault_rate`` is the natural probability of a degraded result;
-    a :class:`FaultPlan` can force failures deterministically.
+    a :class:`FaultPlan` can force failures deterministically. Draws
+    come from ``rng``, or else from a generator seeded with ``seed`` on
+    the first draw.
     """
 
     def __init__(self, rng: Optional[random.Random] = None,
                  fault_rate: float = 0.0,
-                 fault_plan: Optional[FaultPlan] = None):
-        self._rng = rng if rng is not None else random.Random(0)
+                 fault_plan: Optional[FaultPlan] = None,
+                 seed: int = 0):
+        self._rng = rng
+        self._seed = seed
         self.fault_rate = fault_rate
         self.fault_plan = fault_plan or FaultPlan()
         self._clock = 0
@@ -288,8 +323,16 @@ class Environment:
         forced = self.fault_plan.override(occurrence)
         if forced is not None:
             return forced
-        faulty = self.fault_rate > 0.0 and self._rng.random() < self.fault_rate
+        faulty = (self.fault_rate > 0.0
+                  and self._random().random() < self.fault_rate)
         return self._dispatch(name, list(args), faulty)
+
+    def _random(self) -> random.Random:
+        """The generator, seeded from ``seed`` on the first draw, so a
+        run that makes no draw never pays for seeding one."""
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
+        return self._rng
 
     def _dispatch(self, name: str, args: List[int], faulty: bool) -> int:
         if name == "open":
@@ -308,7 +351,7 @@ class Environment:
             requested = max(0, requested)
             if faulty:
                 # Short read: strictly less than requested (possibly 0).
-                return self._rng.randrange(0, requested) if requested > 0 else -1
+                return self._random().randrange(0, requested) if requested > 0 else -1
             return requested
         if name == "write":
             requested = args[1] if len(args) > 1 else (args[0] if args else 0)
@@ -326,7 +369,7 @@ class Environment:
             return self._clock
         if name == "rand":
             bound = args[0] if args and args[0] > 0 else 2
-            return self._rng.randrange(bound)
+            return self._random().randrange(bound)
         # Unknown syscalls behave as benign no-ops returning 0 (or -1 when
         # faulty) so corpora can invent descriptive names freely.
         return -1 if faulty else 0
@@ -351,7 +394,8 @@ class ReplaySource:
 
     Exhaustion of the bit stream mid-replay raises
     :class:`TraceExhausted` (a :class:`TraceError`): corruption for
-    full traces, the expected end for truncated ones.
+    full traces, the expected end for truncated ones. The streams are
+    consumed lazily, so any iterable works, a generator included.
     """
 
     def __init__(self, branch_bits: Sequence[bool],
@@ -379,43 +423,57 @@ class ReplaySource:
         except StopIteration:
             return None
 
+    def unconsumed(self) -> Optional[str]:
+        """The first recorded stream with items left over, if any."""
+        for name, stream in (("branch bits", self._bits),
+                             ("syscall returns", self._sys),
+                             ("schedule picks", self._sched)):
+            for _item in stream:
+                return name
+        return None
+
 
 # --------------------------------------------------------------------------
 # Interpreter internals
 # --------------------------------------------------------------------------
 
 class _Frame:
-    """One call frame. ``fn``/``code`` cache the resolved Function and
-    Block objects for the current position, updated at every control
-    transfer, so the step loop never re-resolves names."""
+    """One call frame: ``code`` is the current block's lowered op list
+    and ``index`` the next op in it; ``function``/``block`` name the
+    position for failure sites."""
 
     __slots__ = ("function", "block", "index", "locals", "return_dst",
-                 "fn", "code")
+                 "code")
 
-    def __init__(self, function: str, block: str, index: int,
-                 locals: Dict[str, Value],
-                 return_dst: Optional[str] = None,
-                 fn=None, code=None):
+    def __init__(self, function: str, block: str, locals: Dict[str, Value],
+                 return_dst: Optional[str], code: list):
         self.function = function
         self.block = block
-        self.index = index
+        self.index = 0
         self.locals = locals
         self.return_dst = return_dst
-        self.fn = fn
         self.code = code
 
 
 class _Thread:
     __slots__ = ("tid", "frames", "status", "blocked_on", "held", "return_value")
 
-    def __init__(self, tid: int, entry_function: str):
+    def __init__(self, tid: int, frame: _Frame):
         self.tid = tid
-        self.frames: List[_Frame] = [
-            _Frame(function=entry_function, block="", index=0, locals={})]
+        self.frames: List[_Frame] = [frame]
         self.status = "runnable"  # runnable | blocked | done
         self.blocked_on: Optional[str] = None
         self.held: List[str] = []
         self.return_value: Optional[int] = None
+
+
+class _Run:
+    """The state of one execution that lowered ops read and write.
+    ``inputs`` is None during replay, where ``replay`` supplies the
+    recorded nondeterminism instead."""
+
+    __slots__ = ("inputs", "replay", "environment", "events", "globals",
+                 "lock_owner", "threads", "max_call_depth")
 
 
 @dataclass
@@ -425,22 +483,25 @@ class ExecutionLimits:
     max_call_depth: int = 64
 
 
-class _RoundRobinScheduler:
-    """Default scheduler when none is supplied."""
+def _divide(a: int, b: int) -> int:
+    if b == 0:
+        raise _ProgramFailure("division by zero")
+    return a // b
 
-    def pick(self, step: int, runnable: List[int]) -> int:
-        return runnable[step % len(runnable)]
+
+def _modulo(a: int, b: int) -> int:
+    if b == 0:
+        raise _ProgramFailure("modulo by zero")
+    return a % b
 
 
-# Total binary operators (no failure path), dispatched by table; ``//``
-# and ``%`` stay in :meth:`Interpreter._apply` because division by zero
-# is a program crash that needs the faulting site. Comparisons wrap in
-# int() — values must stay exactly ``int`` (a ``bool`` would leak into
-# reprs of globals/returns and change report bytes).
+# Binary operators on known values. Comparisons wrap in int() — values
+# must stay exactly ``int`` (a ``bool`` would leak into reprs of
+# globals/returns and change report bytes).
 _BINOPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
     "==": lambda a, b: int(a == b),
     "!=": lambda a, b: int(a != b),
     "<": lambda a, b: int(a < b),
@@ -451,14 +512,23 @@ _BINOPS = {
     "or": lambda a, b: int(bool(a) or bool(b)),
     "min": lambda a, b: a if a <= b else b,
     "max": lambda a, b: a if a >= b else b,
+    "//": _divide,
+    "%": _modulo,
 }
+
+
+class _ProgramFailure(Exception):
+    """Internal control flow: a division or modulo by zero mid-evaluation;
+    the step loop turns it into a CRASH at the running frame."""
 
 
 class Interpreter:
     """Executes a :class:`Program` and collects its by-products.
 
     One interpreter instance is single-use per ``run``/``replay`` call;
-    it holds no state between executions.
+    it holds no state between executions. The program's code is lowered
+    into closures once (see :func:`_lowered`) and shared by every
+    interpreter that runs it.
     """
 
     def __init__(self, program: Program,
@@ -473,21 +543,21 @@ class Interpreter:
             scheduler=None) -> ExecutionResult:
         """Execute concretely on ``inputs`` (pod side)."""
         self._validate_inputs(inputs)
-        self._inputs = dict(inputs)
-        return self._execute(
-            environment=environment or Environment(),
-            scheduler=scheduler or _RoundRobinScheduler(),
-            replay=None,
-        )
+        return self._execute(dict(inputs), None, environment or Environment(),
+                             scheduler, [])
 
     def replay(self, source: ReplaySource) -> ExecutionResult:
-        """Reconstruct an execution from a recorded trace (hive side)."""
-        self._inputs = {}
-        return self._execute(
-            environment=None,
-            scheduler=None,
-            replay=source,
-        )
+        """Reconstruct an execution from a recorded trace (hive side).
+
+        A trace whose recorded nondeterminism outlasts the execution is
+        corrupt: the first stream left unconsumed is named in a
+        :class:`TraceError`.
+        """
+        result = self._execute(None, source, None, None, [])
+        leftover = source.unconsumed()
+        if leftover is not None:
+            raise TraceError(f"replay left recorded {leftover} unconsumed")
+        return result
 
     def replay_prefix(self, source: ReplaySource) -> List[Tuple]:
         """Reconstruct as much of an execution as a (possibly
@@ -497,13 +567,11 @@ class Interpreter:
         prefix still pins down a path *prefix*, which merges into the
         collective tree as partial evidence.
         """
-        self._inputs = {}
+        events: List[Event] = []
         try:
-            result = self._execute(environment=None, scheduler=None,
-                                   replay=source)
-            return result.path_decisions
+            return self._execute(None, source, None, None, events).path_decisions
         except TraceExhausted:
-            return [(e.site, e.taken) for e in self._partial_events
+            return [(e.site, e.taken) for e in events
                     if isinstance(e, BranchEvent) and e.tainted]
 
     # -- helpers ----------------------------------------------------------------
@@ -521,401 +589,455 @@ class Interpreter:
 
     # -- main loop -------------------------------------------------------------
 
-    def _execute(self, environment, scheduler, replay) -> ExecutionResult:
+    def _execute(self, inputs, replay, environment, scheduler,
+                 events: List[Event]) -> ExecutionResult:
         program = self.program
-        events: List[Event] = []
-        # Exposed for replay_prefix to salvage on TraceExhausted.
-        self._partial_events = events
-        globals_: Dict[str, Value] = {
-            name: (value, False, False) for name, value in program.globals.items()}
-        lock_owner: Dict[str, Optional[int]] = {}
-        threads = [_Thread(tid, entry) for tid, entry in enumerate(program.threads)]
-        self._threads_snapshot = threads
-        for thread in threads:
-            frame = thread.frames[0]
-            fn = program.function(frame.function)
-            frame.fn = fn
-            frame.block = fn.entry
-            frame.code = fn.block(fn.entry)
+        lowered = _lowered(program)
+        run = _Run()
+        run.inputs, run.replay, run.environment = inputs, replay, environment
+        run.events, run.lock_owner, run.threads = events, {}, []
+        run.globals = {name: (value, False, False)
+                       for name, value in program.globals.items()}
+        run.max_call_depth = self.limits.max_call_depth
+        threads = run.threads
+        for tid, entry in enumerate(program.threads):
+            label = program.function(entry).entry
+            threads.append(_Thread(tid, _Frame(
+                entry, label, {}, None, lowered.code(entry, label))))
 
+        # The runnable set changes only when an op reports _CHANGED (a
+        # thread blocked, woke or finished); the scheduler still sees a
+        # fresh copy every step, so a random stream is consumed as ever.
+        next_pick = replay.next_pick if replay is not None else None
+        pick = scheduler.pick if scheduler else None
+        max_steps = self.limits.max_steps
+        append = events.append
         failure: Optional[FailureInfo] = None
-        outcome: Optional[Outcome] = None
+        runnable: Optional[List[int]] = None
         steps = 0
-
-        while outcome is None:
-            runnable = [t.tid for t in threads if t.status == "runnable"]
-            if not runnable:
-                if all(t.status == "done" for t in threads):
-                    outcome = Outcome.OK
+        while True:
+            if runnable is None:
+                runnable = [t.tid for t in threads if t.status == "runnable"]
+                if not runnable:
+                    if all(t.status == "done" for t in threads):
+                        break
+                    victim = next(t for t in threads if t.status == "blocked")
+                    frame = victim.frames[-1]
+                    failure = FailureInfo(
+                        Outcome.DEADLOCK,
+                        f"deadlock: thread {victim.tid} blocked on"
+                        f" lock {victim.blocked_on!r}",
+                        victim.tid, frame.function, frame.block)
                     break
-                blocked = [t for t in threads if t.status == "blocked"]
-                victim = blocked[0]
-                frame = victim.frames[-1]
-                failure = FailureInfo(
-                    Outcome.DEADLOCK,
-                    f"deadlock: thread {victim.tid} blocked on"
-                    f" lock {victim.blocked_on!r}",
-                    victim.tid, frame.function, frame.block)
-                outcome = Outcome.DEADLOCK
-                break
-            if steps >= self.limits.max_steps:
+            if steps >= max_steps:
                 frame = threads[runnable[0]].frames[-1]
                 failure = FailureInfo(
                     Outcome.HANG, "step budget exhausted",
                     runnable[0], frame.function, frame.block)
-                outcome = Outcome.HANG
                 break
 
-            tid = self._pick_thread(replay, scheduler, steps, runnable)
-            events.append(SchedEvent(tid))
+            if next_pick is not None:
+                tid = next_pick()
+                if tid is None:
+                    # Trace ended with threads still live: the recorded
+                    # run stopped here (e.g. HANG cut off at the budget);
+                    # follow round-robin for any residual steps.
+                    tid = runnable[steps % len(runnable)]
+                elif tid not in runnable:
+                    raise TraceError(
+                        f"recorded schedule picks thread {tid}, not runnable")
+            elif pick is not None:
+                tid = pick(steps, runnable[:])
+                if tid not in runnable:
+                    raise ScheduleError(
+                        f"scheduler picked thread {tid}, not in runnable"
+                        f" set {runnable}")
+            else:
+                tid = runnable[steps % len(runnable)]
+            append(SchedEvent(tid))
             steps += 1
             thread = threads[tid]
+            frame = thread.frames[-1]
             try:
-                failure = self._step(
-                    thread, threads, globals_, lock_owner, events,
-                    environment, replay)
+                signal = frame.code[frame.index](run, thread, frame)
             except _ProgramFailure as exc:
-                failure = exc.info
-            if failure is not None:
-                outcome = failure.outcome
+                failure = FailureInfo(Outcome.CRASH, exc.args[0], tid,
+                                      frame.function, frame.block)
                 break
+            if signal is not None:
+                if signal is not _CHANGED:
+                    failure = signal
+                    break
+                runnable = None
 
         return ExecutionResult(
             program_name=program.name,
             program_version=program.version,
-            outcome=outcome,
+            outcome=failure.outcome if failure is not None else Outcome.OK,
             events=events,
             steps=steps,
             failure=failure,
             return_values={t.tid: t.return_value for t in threads},
             final_globals={name: value
-                           for name, (value, _e, _i) in globals_.items()},
+                           for name, (value, _e, _i) in run.globals.items()},
         )
 
-    def _pick_thread(self, replay, scheduler, step: int, runnable: List[int]) -> int:
-        if replay is not None:
-            pick = replay.next_pick()
-            if pick is None:
-                # Trace ended with threads still live: the recorded run
-                # stopped here (e.g. HANG cut off at the budget); follow
-                # round-robin for any residual steps.
-                return runnable[step % len(runnable)]
-            if pick not in runnable:
-                raise TraceError(
-                    f"recorded schedule picks thread {pick}, not runnable")
-            return pick
-        pick = scheduler.pick(step, list(runnable))
-        if pick not in runnable:
-            raise ScheduleError(
-                f"scheduler picked thread {pick}, not in runnable set {runnable}")
-        return pick
 
-    # -- single step -------------------------------------------------------------
+# --------------------------------------------------------------------------
+# Lowering: each block becomes a list of closures on first entry
+# --------------------------------------------------------------------------
 
-    def _step(self, thread, threads, globals_, lock_owner, events,
-              environment, replay) -> Optional[FailureInfo]:
-        frame = thread.frames[-1]
-        block = frame.code
+# An op is ``op(run, thread, frame)``: it returns None to go on, _CHANGED
+# after a thread blocked, woke or finished, or the FailureInfo that ends
+# the execution. An expression is ``expr(locals, inputs) -> Value``.
+_CHANGED = object()
+_ZERO: Value = (0, False, False)
+_UNKNOWN: Value = (None, True, True)
 
-        instructions = block.instructions
-        if frame.index < len(instructions):
-            instr = instructions[frame.index]
-            handler = _INSTR_DISPATCH.get(type(instr))
-            if handler is None:
-                raise ExecutionError(f"unknown instruction {instr!r}")
-            return handler(self, instr, thread, frame, globals_, lock_owner,
-                           events, environment, replay)
+# Lowered code per live program, keyed by ``id(program)``. It lives
+# outside the Program so clones, deep copies and pickles never carry
+# stale code, and each entry's weak reference drops it when its program
+# dies. Sound because programs are never changed after they run.
+_LOWERED: Dict[int, "_Lowered"] = {}
 
-        # Terminator
-        term = block.terminator
-        if isinstance(term, Jump):
-            frame.block = term.target
-            frame.code = frame.fn.block(term.target)
-            frame.index = 0
-            return None
-        if isinstance(term, Branch):
-            value, ext, inp = self._eval(term.cond, frame, thread, events, replay)
-            taken = self._decide(value, inp, replay)
-            events.append(BranchEvent(
-                thread.tid, frame.function, frame.block, taken, ext,
-                "branch", inp))
-            target = term.then_block if taken else term.else_block
-            frame.block = target
-            frame.code = frame.fn.block(target)
-            frame.index = 0
-            return None
-        if isinstance(term, Return):
-            value, ext, inp = self._eval(term.value, frame, thread, events, replay)
-            thread.frames.pop()
-            if not thread.frames:
-                thread.status = "done"
-                thread.return_value = value
-                self._release_all(thread, lock_owner, threads)
-                return None
-            caller = thread.frames[-1]
-            call = self._current_call(caller)
-            if call.dst is not None:
-                caller.locals[call.dst] = (value, ext, inp)
-            caller.index += 1
-            return None
-        if isinstance(term, Halt):
-            thread.frames.clear()
-            thread.status = "done"
-            self._release_all(thread, lock_owner, threads)
-            return None
-        raise ExecutionError(f"block {frame.block!r} has no terminator")
 
-    def _current_call(self, frame) -> Call:
-        func = self.program.function(frame.function)
-        instr = func.block(frame.block).instructions[frame.index]
-        if not isinstance(instr, Call):
-            raise ExecutionError("return did not land on a Call instruction")
-        return instr
+def _lowered(program: Program) -> "_Lowered":
+    entry = _LOWERED.get(id(program))
+    if entry is None or entry.program() is not program:
+        entry = _LOWERED[id(program)] = _Lowered(program)
+    return entry
 
-    def _exec_instruction(self, instr, thread, frame, globals_, lock_owner,
-                          events, environment, replay) -> Optional[FailureInfo]:
-        """Type-dispatched instruction execution (kept as the one entry
-        point for subclasses/tests; the step loop uses the table
-        directly)."""
-        handler = _INSTR_DISPATCH.get(type(instr))
-        if handler is None:
-            raise ExecutionError(f"unknown instruction {instr!r}")
-        return handler(self, instr, thread, frame, globals_, lock_owner,
-                       events, environment, replay)
 
-    def _exec_assign(self, instr, thread, frame, globals_, lock_owner,
-                     events, environment, replay) -> None:
-        frame.locals[instr.dst] = self._eval(
-            instr.expr, frame, thread, events, replay)
+class _Lowered:
+    """One program's lowered code: each block's op list, keyed by
+    (function, label) and lowered on first entry."""
+
+    __slots__ = ("program", "blocks")
+
+    def __init__(self, program: Program):
+        key = id(program)
+        self.program = weakref.ref(program,
+                                   lambda _ref: _LOWERED.pop(key, None))
+        self.blocks: Dict[Tuple[str, str], list] = {}
+
+    def code(self, fname: str, label: str) -> list:
+        """The ops of block ``label`` in ``fname``, lowered on first use;
+        a missing function or block raises here, at the transfer."""
+        code = self.blocks.get((fname, label))
+        if code is None:
+            block = self.program().function(fname).block(label)
+            code = self.blocks[fname, label] = _lower_block(
+                self, fname, label, block)
+        return code
+
+
+def _raiser(error: type, message: str):
+    """An op or expression that fails when reached: malformed code
+    raises at the step that runs it, never at lowering."""
+    def fail(*_args):
+        raise error(message)
+    return fail
+
+
+def _lower_block(lowered: _Lowered, fname: str, label: str, block) -> list:
+    code = []
+    for instr in block.instructions:
+        lower = _LOWER_INSTRUCTION.get(type(instr))
+        code.append(_raiser(ExecutionError, f"unknown instruction {instr!r}")
+                    if lower is None else lower(lowered, fname, label, instr))
+    term = block.terminator
+    if isinstance(term, Jump):
+        code.append(_lower_jump(lowered, fname, term.target))
+    elif isinstance(term, Branch):
+        code.append(_lower_branch(lowered, fname, label, term))
+    elif isinstance(term, Return):
+        code.append(_lower_return(_lower_expr(term.value)))
+    elif isinstance(term, Halt):
+        code.append(_halt)
+    else:
+        code.append(_raiser(ExecutionError,
+                            f"block {label!r} has no terminator"))
+    return code
+
+
+def _replay_bit(run: _Run, input_dependent: bool) -> bool:
+    """Resolve a conditional on an unknown value: only replay meets
+    one, and only an input-dependent one consumes a recorded bit."""
+    if run.replay is None:
+        raise ExecutionError("unknown value outside replay mode")
+    if not input_dependent:
+        raise TraceError("non-input condition has unknown value")
+    return run.replay.next_bit()
+
+
+def _wake(run: _Run, lock_name: str):
+    """Threads blocked on this lock become runnable again (they retry
+    the Lock instruction when next scheduled); _CHANGED if any did."""
+    woke = None
+    for thread in run.threads:
+        if thread.status == "blocked" and thread.blocked_on == lock_name:
+            thread.status = "runnable"
+            thread.blocked_on = None
+            woke = _CHANGED
+    return woke
+
+
+def _finish(run: _Run, thread: _Thread):
+    thread.status = "done"
+    # A finished thread releases anything it still holds, so model
+    # programs that forget an Unlock do not wedge the whole run.
+    for lock_name in thread.held:
+        run.lock_owner[lock_name] = None
+        _wake(run, lock_name)
+    thread.held.clear()
+    return _CHANGED
+
+
+def _lower_assign(lowered, fname, label, instr):
+    dst, expr = instr.dst, _lower_expr(instr.expr)
+
+    def op(run, thread, frame):
+        frame.locals[dst] = expr(frame.locals, run.inputs)
         frame.index += 1
-        return None
+    return op
 
-    def _exec_store_global(self, instr, thread, frame, globals_, lock_owner,
-                           events, environment, replay) -> None:
-        globals_[instr.name] = self._eval(
-            instr.expr, frame, thread, events, replay)
-        events.append(GlobalEvent(thread.tid, "write", instr.name,
-                                  frame.function, frame.block,
-                                  tuple(thread.held)))
+
+def _lower_store_global(lowered, fname, label, instr):
+    name, expr = instr.name, _lower_expr(instr.expr)
+
+    def op(run, thread, frame):
+        run.globals[name] = expr(frame.locals, run.inputs)
+        run.events.append(GlobalEvent(thread.tid, "write", name, fname,
+                                      label, tuple(thread.held)))
         frame.index += 1
-        return None
+    return op
 
-    def _exec_load_global(self, instr, thread, frame, globals_, lock_owner,
-                          events, environment, replay) -> None:
-        frame.locals[instr.dst] = globals_.get(instr.name, (0, False, False))
-        events.append(GlobalEvent(thread.tid, "read", instr.name,
-                                  frame.function, frame.block,
-                                  tuple(thread.held)))
+
+def _lower_load_global(lowered, fname, label, instr):
+    dst, name = instr.dst, instr.name
+
+    def op(run, thread, frame):
+        frame.locals[dst] = run.globals.get(name, _ZERO)
+        run.events.append(GlobalEvent(thread.tid, "read", name, fname,
+                                      label, tuple(thread.held)))
         frame.index += 1
-        return None
+    return op
 
-    def _exec_lock(self, instr, thread, frame, globals_, lock_owner,
-                   events, environment, replay) -> None:
-        owner = lock_owner.get(instr.lock_name)
-        if owner is None or owner == thread.tid:
-            if owner == thread.tid:
-                # Re-acquiring a held lock self-deadlocks in this model.
-                thread.status = "blocked"
-                thread.blocked_on = instr.lock_name
-                events.append(LockEvent(thread.tid, "request",
-                                        instr.lock_name, frame.function,
-                                        frame.block))
-                return None
-            lock_owner[instr.lock_name] = thread.tid
-            thread.held.append(instr.lock_name)
-            events.append(LockEvent(thread.tid, "acquire", instr.lock_name,
-                                    frame.function, frame.block))
+
+def _lower_lock(lowered, fname, label, instr):
+    name = instr.lock_name
+
+    def op(run, thread, frame):
+        owner = run.lock_owner.get(name)
+        if owner is None:
+            run.lock_owner[name] = thread.tid
+            thread.held.append(name)
+            run.events.append(LockEvent(thread.tid, "acquire", name,
+                                        fname, label))
             frame.index += 1
-        else:
-            thread.status = "blocked"
-            thread.blocked_on = instr.lock_name
-            events.append(LockEvent(thread.tid, "request", instr.lock_name,
-                                    frame.function, frame.block))
-        return None
+            return None
+        # Held by another thread, or by this one: re-acquiring a held
+        # lock self-deadlocks in this model.
+        thread.status = "blocked"
+        thread.blocked_on = name
+        run.events.append(LockEvent(thread.tid, "request", name,
+                                    fname, label))
+        return _CHANGED
+    return op
 
-    def _exec_unlock(self, instr, thread, frame, globals_, lock_owner,
-                     events, environment, replay) -> Optional[FailureInfo]:
-        if lock_owner.get(instr.lock_name) != thread.tid:
-            return FailureInfo(
-                Outcome.CRASH,
-                f"unlock of lock {instr.lock_name!r} not held",
-                thread.tid, frame.function, frame.block)
-        lock_owner[instr.lock_name] = None
-        thread.held.remove(instr.lock_name)
-        events.append(LockEvent(thread.tid, "release", instr.lock_name,
-                                frame.function, frame.block))
-        self._wake_waiters(instr.lock_name)
+
+def _lower_unlock(lowered, fname, label, instr):
+    name = instr.lock_name
+    message = f"unlock of lock {name!r} not held"
+
+    def op(run, thread, frame):
+        if run.lock_owner.get(name) != thread.tid:
+            return FailureInfo(Outcome.CRASH, message, thread.tid,
+                               fname, label)
+        run.lock_owner[name] = None
+        thread.held.remove(name)
+        run.events.append(LockEvent(thread.tid, "release", name,
+                                    fname, label))
         frame.index += 1
-        return None
+        return _wake(run, name)
+    return op
 
-    def _exec_syscall(self, instr, thread, frame, globals_, lock_owner,
-                      events, environment, replay) -> None:
-        if replay is not None:
-            value = replay.next_syscall()
+
+def _lower_syscall(lowered, fname, label, instr):
+    dst, name = instr.dst, instr.name
+    args = [_lower_expr(arg) for arg in instr.args]
+
+    def op(run, thread, frame):
+        inputs = run.inputs
+        if inputs is None:
+            value = run.replay.next_syscall()
         else:
-            args = []
-            for arg in instr.args:
-                arg_value, _e, _i = self._eval(arg, frame, thread,
-                                               events, replay)
-                if arg_value is None:
+            values = []
+            for arg in args:
+                value = arg(frame.locals, inputs)[0]
+                if value is None:
                     raise TraceError("syscall argument unknown during live run")
-                args.append(arg_value)
-            value = environment.call(instr.name, args)
-        events.append(SyscallEvent(thread.tid, instr.name, value))
+                values.append(value)
+            value = run.environment.call(name, values)
+        run.events.append(SyscallEvent(thread.tid, name, value))
         # Syscall results are program-external (ext) but travel in
         # the trace, so the hive can reconstruct them (not inp).
-        frame.locals[instr.dst] = (value, True, False)
+        frame.locals[dst] = (value, True, False)
         frame.index += 1
-        return None
+    return op
 
-    def _exec_assert(self, instr, thread, frame, globals_, lock_owner,
-                     events, environment, replay) -> Optional[FailureInfo]:
-        value, ext, inp = self._eval(instr.cond, frame, thread, events, replay)
-        passed = self._decide(value, inp, replay)
-        events.append(BranchEvent(
-            thread.tid, frame.function, frame.block, passed, ext,
-            "assert", inp))
+
+def _lower_assert(lowered, fname, label, instr):
+    cond, message = _lower_expr(instr.cond), instr.message
+
+    def op(run, thread, frame):
+        value, ext, inp = cond(frame.locals, run.inputs)
+        passed = value != 0 if value is not None else _replay_bit(run, inp)
+        run.events.append(BranchEvent(thread.tid, fname, label, passed, ext,
+                                      "assert", inp))
         if not passed:
-            return FailureInfo(Outcome.ASSERT, instr.message,
-                               thread.tid, frame.function, frame.block)
+            return FailureInfo(Outcome.ASSERT, message, thread.tid,
+                               fname, label)
         frame.index += 1
-        return None
+    return op
 
-    def _exec_crash(self, instr, thread, frame, globals_, lock_owner,
-                    events, environment, replay) -> FailureInfo:
-        return FailureInfo(Outcome.CRASH, instr.message,
-                           thread.tid, frame.function, frame.block)
 
-    def _exec_call(self, instr, thread, frame, globals_, lock_owner,
-                   events, environment, replay) -> Optional[FailureInfo]:
-        if len(thread.frames) >= self.limits.max_call_depth:
+def _lower_crash(lowered, fname, label, instr):
+    message = instr.message
+    return lambda run, thread, frame: FailureInfo(
+        Outcome.CRASH, message, thread.tid, fname, label)
+
+
+def _lower_call(lowered, fname, label, instr):
+    name, dst = instr.callee, instr.dst
+    args = [_lower_expr(arg) for arg in instr.args]
+    callee = params = entry = None
+
+    def op(run, thread, frame):
+        nonlocal callee, params, entry
+        frames = thread.frames
+        if len(frames) >= run.max_call_depth:
             return FailureInfo(Outcome.CRASH, "call depth exceeded",
-                               thread.tid, frame.function, frame.block)
-        callee = self.program.function(instr.callee)
-        local_values = {}
-        for param, arg in zip(callee.params, instr.args):
-            local_values[param] = self._eval(arg, frame, thread, events, replay)
-        thread.frames.append(_Frame(
-            function=instr.callee, block=callee.entry, index=0,
-            locals=local_values, return_dst=instr.dst,
-            fn=callee, code=callee.block(callee.entry)))
-        return None
-
-    def _wake_waiters(self, lock_name: str) -> None:
-        # Threads blocked on this lock become runnable again; they will
-        # retry the Lock instruction when next scheduled.
-        for thread in self._threads_snapshot:
-            if thread.status == "blocked" and thread.blocked_on == lock_name:
-                thread.status = "runnable"
-                thread.blocked_on = None
-
-    def _release_all(self, thread, lock_owner, threads) -> None:
-        # A finished thread releases anything it still holds, so model
-        # programs that forget an Unlock do not wedge the whole run.
-        for lock_name in list(thread.held):
-            lock_owner[lock_name] = None
-            self._wake_waiters(lock_name)
-        thread.held.clear()
-
-    # -- decisions -------------------------------------------------------------
-
-    def _decide(self, value, input_dependent, replay) -> bool:
-        """Resolve a conditional: concrete when the value is known,
-        otherwise consume the next recorded bit (replay of an
-        input-dependent decision)."""
-        if value is not None:
-            return value != 0
-        if replay is None:
-            raise ExecutionError("unknown value outside replay mode")
-        if not input_dependent:
-            raise TraceError("non-input condition has unknown value")
-        return replay.next_bit()
-
-    # -- expression evaluation ------------------------------------------------
-
-    def _eval(self, expr: Expr, frame, thread, events, replay) -> Value:
-        # Exact-type tests ordered by dynamic frequency; the IR node
-        # classes are closed (no subclasses), so ``type(...) is`` is a
-        # faithful, faster isinstance.
-        kind = type(expr)
-        if kind is Var:
-            try:
-                return frame.locals[expr.name]
-            except KeyError:
-                # Uninitialised locals read as 0, like the paper's C-ish
-                # target language would after memset — keeps generated
-                # corpora robust.
-                return (0, False, False)
-        if kind is Const:
-            return (expr.value, False, False)
-        if kind is BinOp:
-            left, le, li = self._eval(expr.left, frame, thread, events, replay)
-            right, re_, ri = self._eval(expr.right, frame, thread, events, replay)
-            if left is None or right is None:
-                return (None, True, True)
-            op = expr.op
-            fn = _BINOPS.get(op)
-            if fn is not None:
-                return (fn(left, right), le or re_, li or ri)
-            return (self._apply(op, left, right, thread, frame),
-                    le or re_, li or ri)
-        if kind is Input:
-            if replay is not None:
-                return (None, True, True)
-            return self._input_value(expr.name)
-        if kind is UnOp:
-            value, ext, inp = self._eval(expr.operand, frame, thread,
-                                         events, replay)
-            if value is None:
-                return (None, True, True)
-            if expr.op == "neg":
-                return (-value, ext, inp)
-            return (int(value == 0), ext, inp)
-        raise ExecutionError(f"cannot evaluate {expr!r}")
-
-    def _input_value(self, name: str) -> Value:
-        value = self._inputs.get(name)
-        if value is None:
-            raise ExecutionError(f"input {name!r} not supplied")
-        return (value, True, True)
-
-    def _apply(self, op: str, left: int, right: int, thread, frame) -> int:
-        fn = _BINOPS.get(op)
-        if fn is not None:
-            return fn(left, right)
-        if op == "//" or op == "%":
-            if right == 0:
-                raise _ProgramFailure(FailureInfo(
-                    Outcome.CRASH,
-                    "division by zero" if op == "//" else "modulo by zero",
-                    thread.tid, frame.function, frame.block))
-            return left // right if op == "//" else left % right
-        raise ExecutionError(f"unknown operator {op!r}")
-
-    # The concrete input vector is installed by run(); kept as an
-    # attribute so _eval does not need an extra parameter on every call.
-    _inputs: InputVector = {}
-    _threads_snapshot: List[_Thread] = []
+                               thread.tid, fname, label)
+        if callee is None:
+            callee = lowered.program().function(name)
+            params = tuple(zip(callee.params, args))
+        local, inputs = frame.locals, run.inputs
+        values = {param: arg(local, inputs) for param, arg in params}
+        if entry is None:
+            entry = lowered.code(name, callee.entry)
+        frames.append(_Frame(name, callee.entry, values, dst, entry))
+    return op
 
 
-class _ProgramFailure(Exception):
-    """Internal control-flow: a program-level failure mid-evaluation."""
+def _lower_jump(lowered, fname, target):
+    code = None
 
-    def __init__(self, info: FailureInfo):
-        super().__init__(info.message)
-        self.info = info
+    def op(run, thread, frame):
+        nonlocal code
+        if code is None:
+            code = lowered.code(fname, target)
+        frame.code = code
+        frame.block = target
+        frame.index = 0
+    return op
 
 
-# Instruction handlers keyed by exact IR node type — one dict hit per
-# step instead of a nine-way isinstance ladder.
-_INSTR_DISPATCH = {
-    Assign: Interpreter._exec_assign,
-    StoreGlobal: Interpreter._exec_store_global,
-    LoadGlobal: Interpreter._exec_load_global,
-    Lock: Interpreter._exec_lock,
-    Unlock: Interpreter._exec_unlock,
-    Syscall: Interpreter._exec_syscall,
-    Assert: Interpreter._exec_assert,
-    Crash: Interpreter._exec_crash,
-    Call: Interpreter._exec_call,
+def _lower_branch(lowered, fname, label, term):
+    cond = _lower_expr(term.cond)
+    then_jump = _lower_jump(lowered, fname, term.then_block)
+    else_jump = _lower_jump(lowered, fname, term.else_block)
+
+    def op(run, thread, frame):
+        value, ext, inp = cond(frame.locals, run.inputs)
+        taken = value != 0 if value is not None else _replay_bit(run, inp)
+        run.events.append(BranchEvent(thread.tid, fname, label, taken, ext,
+                                      "branch", inp))
+        (then_jump if taken else else_jump)(run, thread, frame)
+    return op
+
+
+def _lower_return(value_of):
+    def op(run, thread, frame):
+        value = value_of(frame.locals, run.inputs)
+        frames = thread.frames
+        frames.pop()
+        if frames:
+            caller = frames[-1]
+            if frame.return_dst is not None:
+                caller.locals[frame.return_dst] = value
+            caller.index += 1
+            return None
+        thread.return_value = value[0]
+        return _finish(run, thread)
+    return op
+
+
+def _halt(run, thread, frame):
+    thread.frames.clear()
+    return _finish(run, thread)
+
+
+_LOWER_INSTRUCTION = {
+    Assign: _lower_assign,
+    StoreGlobal: _lower_store_global,
+    LoadGlobal: _lower_load_global,
+    Lock: _lower_lock,
+    Unlock: _lower_unlock,
+    Syscall: _lower_syscall,
+    Assert: _lower_assert,
+    Crash: _lower_crash,
+    Call: _lower_call,
 }
+
+
+def _lower_expr(expr: Expr):
+    # Exact-type tests: the IR node classes are closed (no subclasses).
+    kind = type(expr)
+    if kind is Var:
+        name = expr.name
+        # Uninitialised locals read as 0, like the paper's C-ish target
+        # language would after memset — keeps generated corpora robust.
+        return lambda local, inputs: local.get(name, _ZERO)
+    if kind is Const:
+        value = (expr.value, False, False)
+        return lambda local, inputs: value
+    if kind is Input:
+        name = expr.name
+
+        def read_input(local, inputs):
+            if inputs is None:
+                return _UNKNOWN
+            value = inputs.get(name)
+            if value is None:
+                raise ExecutionError(f"input {name!r} not supplied")
+            return (value, True, True)
+        return read_input
+    if kind is BinOp:
+        return _lower_binop(expr)
+    if kind is UnOp:
+        operand, neg = _lower_expr(expr.operand), expr.op == "neg"
+
+        def unop(local, inputs):
+            value, ext, inp = operand(local, inputs)
+            if value is None:
+                return _UNKNOWN
+            return (-value if neg else int(value == 0), ext, inp)
+        return unop
+    return _raiser(ExecutionError, f"cannot evaluate {expr!r}")
+
+
+def _lower_binop(expr: BinOp):
+    op, left, right = expr.op, _lower_expr(expr.left), _lower_expr(expr.right)
+    fn = _BINOPS.get(op)
+    if fn is None:
+        def fn(a, b):
+            raise ExecutionError(f"unknown operator {op!r}")
+
+    def binop(local, inputs):
+        a, ae, ai = left(local, inputs)
+        b, be, bi = right(local, inputs)
+        if a is None or b is None:
+            return _UNKNOWN
+        return (fn(a, b), ae or be, ai or bi)
+    return binop

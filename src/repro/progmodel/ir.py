@@ -406,6 +406,10 @@ class Program:
     each input name to its inclusive integer domain — the interpreter
     validates supplied input vectors against it and the symbolic engine
     uses it to bound search.
+
+    A program is never changed after it runs: the builder seals each
+    block, and every :class:`~repro.fixes.fix.Fix` transforms a clone.
+    The interpreter relies on this to lower each program's code once.
     """
 
     name: str

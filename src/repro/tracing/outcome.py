@@ -43,8 +43,8 @@ def infer_feedback(result: ExecutionResult,
     ``sluggish_threshold_fraction`` of the budget registers as
     SLUGGISH: the user noticed slowness but the program finished.
     """
-    rng = rng if rng is not None else random.Random(0)
     if result.outcome is Outcome.HANG:
+        rng = rng if rng is not None else random.Random(0)
         if rng.random() < kill_probability:
             return UserFeedback.FORCED_KILL
         return UserFeedback.SLUGGISH

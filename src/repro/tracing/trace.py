@@ -11,9 +11,10 @@ by hive-side replay, which is the paper's central cost-saving claim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from typing import Optional, Tuple
 
-from repro.progmodel.interpreter import ExecutionResult, Outcome
+from repro.progmodel.interpreter import ExecutionResult, Outcome, ReplaySource
 
 __all__ = ["Observation", "Trace"]
 
@@ -64,6 +65,16 @@ class Trace:
         for thread, length in self.schedule_rle:
             picks.extend([thread] * length)
         return tuple(picks)
+
+    def replay_source(self) -> ReplaySource:
+        """The recorded nondeterminism, ready to replay. The schedule
+        expands one pick per step, so a trace claiming more picks than
+        a replay can take costs no more than the replay."""
+        return ReplaySource(
+            branch_bits=self.branch_bits,
+            syscall_returns=self.syscall_returns,
+            schedule_picks=chain.from_iterable(
+                repeat(thread, length) for thread, length in self.schedule_rle))
 
     def with_pod(self, pod_id: str) -> "Trace":
         return replace(self, pod_id=pod_id)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import TraceError, TreeError
-from repro.progmodel.interpreter import Interpreter, Outcome, ReplaySource
+from repro.progmodel.interpreter import Interpreter, Outcome
 from repro.progmodel.ir import Program
 from repro.tracing.trace import Trace
 
@@ -280,10 +280,5 @@ def path_from_trace(trace: Trace, program: Program,
         raise TraceError(
             f"trace version {trace.program_version} != program"
             f" version {program.version}")
-    source = ReplaySource(
-        branch_bits=list(trace.branch_bits),
-        syscall_returns=list(trace.syscall_returns),
-        schedule_picks=list(trace.schedule_picks()),
-    )
-    result = Interpreter(program, limits=limits).replay(source)
+    result = Interpreter(program, limits=limits).replay(trace.replay_source())
     return result.path_decisions, result.outcome

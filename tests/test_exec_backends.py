@@ -299,6 +299,18 @@ class TestSessionProtocol:
         assert backend._procs == [] and backend._pipes == []
         backend.close()  # idempotent after __exit__
 
+    def test_workers_start_when_the_session_opens(self):
+        # Opening the context boots the workers, so they start while
+        # the coordinator plans its first round; the round reuses them.
+        demo = make_crash_demo()
+        with make_backend("process", _session_pods(demo.program),
+                          demo.program, workers=2) as backend:
+            assert len(backend._procs) == 2
+            assert all(proc.is_alive() for proc in backend._procs)
+            booted = list(backend._procs)
+            backend.run_round(_session_plan(demo.program))
+            assert backend._procs == booted
+
     def test_worker_respawn_replays_session_epoch(self):
         # The tentpole guarantee: a worker killed outright (a REAL
         # crash, not an injected one) is respawned at the CURRENT

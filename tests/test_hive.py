@@ -1,6 +1,9 @@
 """Hive tests: ingestion, fixing pipeline, proofs, steering, and the
 cooperative exploration simulation."""
 
+import dataclasses
+import tracemalloc
+
 import pytest
 
 from repro.errors import HiveError
@@ -13,12 +16,14 @@ from repro.pod.pod import Pod
 from repro.progmodel.bugs import BugKind
 from repro.progmodel.corpus import (
     CorpusConfig, generate_program, make_crash_demo, make_deadlock_demo,
+    make_race_demo,
 )
 from repro.progmodel.interpreter import ExecutionLimits, Interpreter, Outcome
 from repro.proofs.proof import ProofStatus
-from repro.sched.scheduler import RoundRobinScheduler
+from repro.sched.scheduler import RandomScheduler, RoundRobinScheduler
 from repro.symbolic.engine import SymbolicEngine
 from repro.tracing.capture import FullCapture, SampledCapture
+from repro.tracing.encode import decode_trace, encode_trace
 from repro.tracing.trace import trace_from_result
 
 
@@ -54,6 +59,32 @@ class TestHiveIngestion:
         hive.ingest_trace(capture.capture(result))
         assert hive.cbi.runs == 1
         assert hive.tree.insert_count == 0  # not replayable
+
+    @pytest.mark.parametrize("seed,outcome", [
+        (2, Outcome.OK), (0, Outcome.ASSERT),
+    ], ids=["ok", "assert"])
+    def test_overlong_schedule_fails_replay_in_bounded_memory(self, seed,
+                                                              outcome):
+        """A payload may claim any schedule length. Replay takes one
+        pick per step, so a claim of 50M picks costs one bounded replay
+        and is rejected; nothing materializes it, not even the dangerous
+        schedules a failing interleaving would join."""
+        demo = make_race_demo()
+        live = Interpreter(demo.program).run(
+            {"k": 1}, scheduler=RandomScheduler(seed=seed))
+        assert live.outcome is outcome
+        payload = encode_trace(dataclasses.replace(
+            trace_from_result(live),
+            schedule_rle=((0, 25_000_000), (1, 25_000_000))))
+        hive = Hive(demo.program)
+        tracemalloc.start()
+        try:
+            hive.ingest_trace(decode_trace(payload))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hive.stats.replay_failures == 1
+        assert peak < 10 * 2 ** 20
 
 
 class TestHiveFixing:

@@ -1,19 +1,31 @@
 """Interpreter tests: concrete execution, outcomes, taint, and the
 hive-side replay reconstruction that the execution tree depends on."""
 
+import gc
+import hashlib
+import random
+
 import pytest
 
-from repro.errors import ExecutionError, TraceError
+from repro.errors import ExecutionError, ProgramModelError, TraceError
+from repro.progmodel import corpus, interpreter
+from repro.progmodel.bugs import BugKind
 from repro.progmodel.builder import ProgramBuilder
 from repro.progmodel.corpus import (
-    make_crash_demo, make_deadlock_demo, make_shortread_demo,
+    CorpusConfig, generate_program, make_crash_demo, make_deadlock_demo,
+    make_race_demo, make_shortread_demo,
 )
 from repro.progmodel.interpreter import (
     Environment, ExecutionLimits, FaultPlan, Interpreter, Outcome,
     ReplaySource,
 )
-from repro.progmodel.ir import Input, c, v
+from repro.progmodel.ir import (
+    Block, Branch, Call, Function, Halt, Input, Instruction, Jump, Program,
+    c, v,
+)
+from repro.registry.patches import ForceBranchFix
 from repro.sched.scheduler import RandomScheduler, RoundRobinScheduler
+from repro.tracing.trace import trace_from_result
 
 
 class TestBasicExecution:
@@ -251,6 +263,33 @@ class TestReplay:
         with pytest.raises(TraceError):
             Interpreter(demo.program).replay(source)
 
+    @pytest.mark.parametrize("make,inputs", [
+        (make_crash_demo, {"n": 7, "mode": 2}),
+        (make_race_demo, {"k": 2}),
+        (make_shortread_demo, {"sz": 32}),
+    ], ids=["crash", "race", "shortread"])
+    @pytest.mark.parametrize("stream,extra", [
+        ("branch bits", [True, False]),
+        ("syscall returns", [0]),
+        ("schedule picks", [0] * 7),
+    ], ids=["bits", "syscalls", "picks"])
+    def test_replay_detects_overlong_streams(self, make, inputs, stream,
+                                             extra):
+        """Recorded nondeterminism the replay never consumed means the
+        trace does not describe this execution."""
+        program = make().program
+        live = Interpreter(program).run(inputs,
+                                        scheduler=RandomScheduler(seed=3))
+        streams = {"branch bits": live.branch_bits,
+                   "syscall returns": live.syscall_values,
+                   "schedule picks": live.schedule_picks}
+        streams[stream] = streams[stream] + extra
+        source = ReplaySource(branch_bits=streams["branch bits"],
+                              syscall_returns=streams["syscall returns"],
+                              schedule_picks=streams["schedule picks"])
+        with pytest.raises(TraceError, match=f"left recorded {stream}"):
+            Interpreter(program).replay(source)
+
     def test_replay_never_sees_raw_inputs(self):
         """Deterministic branches are reconstructed concretely even
         though input values are unknown to the replayer."""
@@ -270,3 +309,108 @@ class TestReplay:
         # ... but replay walked both branches.
         assert len(replayed.branch_events) == 2
         assert replayed.path_decisions == live.path_decisions
+
+
+#: sha256 of every by-product of the runs in TestGoldenByProducts,
+#: recorded with the tree-walking interpreter the lowered one replaced.
+GOLDEN_BY_PRODUCTS = \
+    "dcfafb2b19ecad5b178af608923f3a38888bd2dbb95d984353e7cf28dda2a799"
+DEMOS = ("crash", "deadlock", "shortread", "race", "leak", "prio",
+         "wakeup", "toctou", "provenance")
+
+
+class TestGoldenByProducts:
+    """Pins the interpreter's by-products to an independent reference:
+    outcomes, failures, step counts, every event, return values and
+    final globals, live and replayed, over every demo and four
+    generated programs with faults and random schedules."""
+
+    @staticmethod
+    def _programs():
+        for name in DEMOS:
+            yield getattr(corpus, f"make_{name}_demo")().program
+        for seed in range(4):
+            yield generate_program(
+                f"golden{seed}",
+                CorpusConfig(seed=seed, n_segments=6, input_domain=16),
+                bug_kinds=(BugKind.CRASH, BugKind.ASSERT)).program
+
+    @staticmethod
+    def _fingerprint(result):
+        return repr((result.outcome, result.failure, result.steps,
+                     result.events, sorted(result.return_values.items()),
+                     sorted(result.final_globals.items()))).encode()
+
+    def test_by_products_match_the_reference(self):
+        digest = hashlib.sha256()
+        for program in self._programs():
+            for i in range(20):
+                rng = random.Random(i)
+                inputs = {name: rng.randint(lo, hi)
+                          for name, (lo, hi) in sorted(program.inputs.items())}
+                live = Interpreter(program).run(
+                    inputs,
+                    environment=Environment(rng=random.Random(i),
+                                            fault_rate=0.2),
+                    scheduler=RandomScheduler(rng=random.Random(i + 1000)))
+                replayed = Interpreter(program).replay(
+                    trace_from_result(live).replay_source())
+                digest.update(self._fingerprint(live))
+                digest.update(self._fingerprint(replayed))
+        assert digest.hexdigest() == GOLDEN_BY_PRODUCTS
+
+
+def _forked_program(bad_block: Block) -> Program:
+    """An unvalidated program whose entry branch on input ``n`` reaches
+    ``bad_block`` when n == 1 and a clean halt otherwise."""
+    main = Function("main", blocks={
+        "entry": Block("entry", [],
+                       Branch(Input("n") == 1, bad_block.label, "good")),
+        "good": Block("good", [], Halt()),
+        bad_block.label: bad_block,
+    })
+    return Program("p", functions={"main": main}, inputs={"n": (0, 1)})
+
+
+class TestLoweredCode:
+    """Each program is lowered into closures once, on first entry to
+    each block, and cached outside the program by identity."""
+
+    def test_program_and_fixed_clone_keep_their_own_code(self):
+        program = make_crash_demo().program
+        fixed = ForceBranchFix("pin", function="main", block="m2",
+                               taken=False).apply(program)
+        trigger = {"n": 7, "mode": 2}
+        for _ in range(3):
+            assert Interpreter(program).run(trigger).outcome is Outcome.CRASH
+            assert Interpreter(fixed).run(trigger).outcome is Outcome.OK
+
+    def test_cache_entry_dies_with_its_program(self):
+        program = make_crash_demo().program
+        Interpreter(program).run({"n": 1, "mode": 0})
+        key = id(program)
+        assert interpreter._LOWERED[key].program() is program
+        del program
+        gc.collect()
+        assert key not in interpreter._LOWERED
+
+    @pytest.mark.parametrize("bad_block,error,message", [
+        (Block("bad", [], Jump("nowhere")), ProgramModelError,
+         "function 'main' has no block 'nowhere'"),
+        (Block("bad", [Call(None, "ghost")], Halt()), ProgramModelError,
+         "program 'p' has no function 'ghost'"),
+        (Block("bad", [], None), ExecutionError,
+         "block 'bad' has no terminator"),
+        (Block("bad", [Instruction()], Halt()), ExecutionError,
+         "unknown instruction"),
+    ], ids=["missing-target", "missing-callee", "no-terminator",
+            "unknown-instruction"])
+    def test_bad_block_fails_only_when_entered(self, bad_block, error,
+                                               message):
+        program = _forked_program(bad_block)
+        assert Interpreter(program).run({"n": 0}).outcome is Outcome.OK
+        with pytest.raises(error) as raised:
+            Interpreter(program).run({"n": 1})
+        if message == "unknown instruction":
+            message = f"unknown instruction {bad_block.instructions[0]!r}"
+        assert str(raised.value) == message
