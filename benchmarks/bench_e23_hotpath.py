@@ -1,9 +1,9 @@
 """E23 (extension) — hot-path compute overhaul.
 
 The PR-10 optimization bundle — expression interning + incremental
-slice keys, the pooled wire codec, the interpreter dispatch table,
-and lazy span shipping — is only admissible because it is
-*identity-preserving*: every report stays bit-identical across
+slice keys, the wire codec's varint fast paths, the interpreter
+dispatch table, and lazy span shipping — is only admissible because it
+is *identity-preserving*: every report stays bit-identical across
 backends. This experiment pins the payoff side of that bargain against
 the recorded pre-overhaul baselines (measured on the same workload at
 the PR-9 tree):

@@ -21,7 +21,6 @@ hive-side shard, not a pod uplink.
 
 from __future__ import annotations
 
-import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,6 +29,7 @@ from repro.errors import TraceError
 from repro.obs.trace import SpanContext
 from repro.progmodel.interpreter import Outcome
 from repro.tracing.dedup import Heartbeat
+from repro.wire import Reader, write_string, write_varint
 
 __all__ = [
     "ReplayProduct", "RunRecord", "BatchEntry", "TraceBatch",
@@ -136,143 +136,44 @@ class ShardResult:
 
 # -- wire encoding ------------------------------------------------------------
 
-# Encode buffers are pooled: a flush-heavy round encodes thousands of
-# frames, and reusing a grown bytearray skips both the allocation and
-# the progressive reallocation as the frame fills; a miss just
-# allocates.
-_BUFFER_POOL: List[bytearray] = []
-_BUFFER_POOL_MAX = 8
-
-
-def _acquire_buffer() -> bytearray:
-    try:
-        return _BUFFER_POOL.pop()
-    except IndexError:
-        return bytearray()
-
-
-def _release_buffer(buf: bytearray) -> None:
-    del buf[:]
-    if len(_BUFFER_POOL) < _BUFFER_POOL_MAX:
-        _BUFFER_POOL.append(buf)
-
-
-def _write_varint(out: bytearray, value: int) -> None:
-    if 0 <= value < 0x80:          # single-byte fast path (the common case)
-        out.append(value)
-        return
-    if value < 0:
-        raise TraceError(f"varint cannot encode negative value {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-class _Reader:
-    """Varint-framed reader over ``bytes`` or a ``memoryview``.
-
-    With a memoryview input, :meth:`blob` materializes each payload
-    with exactly one copy out of the received buffer — no intermediate
-    whole-body slice — which is how the coordinator decodes frames the
-    workers encoded once.
-    """
-
-    def __init__(self, data):
-        self._data = data
-        self._len = len(data)
-        self._pos = 0
-
-    def varint(self) -> int:
-        data = self._data
-        pos = self._pos
-        if pos < self._len:
-            byte = data[pos]
-            if not byte & 0x80:        # single-byte fast path
-                self._pos = pos + 1
-                return byte
-        shift = 0
-        value = 0
-        while True:
-            if pos >= self._len:
-                raise TraceError("truncated batch varint")
-            byte = data[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                self._pos = pos
-                return value
-            shift += 7
-
-    def blob(self) -> bytes:
-        length = self.varint()
-        if self._pos + length > self._len:
-            raise TraceError("truncated batch payload")
-        chunk = self._data[self._pos:self._pos + length]
-        self._pos += length
-        return bytes(chunk)
-
-    def string(self) -> str:
-        return self.blob().decode("utf-8")
-
-    def done(self) -> bool:
-        return self._pos == self._len
-
-
 def encode_batch(batch: TraceBatch) -> bytes:
     """Serialize the wire-visible part of a batch (indices + trace
     payloads + heartbeat digests); shard aggregates stay off the pod
     uplink. The frame ends with a CRC32 of everything before it.
 
-    Single pass into a pooled ``bytearray``: varints are emitted
-    directly (one-byte fast path), the CRC is computed over the buffer
-    without an intermediate copy, and the footer lands via
-    ``struct.pack_into`` — the only whole-frame copy left is the final
-    immutable ``bytes`` the caller keeps.
+    Single pass into one ``bytearray``: varints are emitted directly
+    (one-byte fast path) and each payload is appended in place.
     """
-    out = _acquire_buffer()
-    try:
-        _write_varint(out, _BATCH_FORMAT_VERSION)
-        name = batch.program_name.encode("utf-8")
-        _write_varint(out, len(name))
-        out += name
-        _write_varint(out, batch.program_version)
-        _write_varint(out, batch.shard_id)
-        _write_varint(out, batch.sequence)
-        context = batch.trace_context
-        if context is None:
-            out.append(0)
-        else:
+    out = bytearray()
+    write_varint(out, _BATCH_FORMAT_VERSION)
+    write_string(out, batch.program_name)
+    write_varint(out, batch.program_version)
+    write_varint(out, batch.shard_id)
+    write_varint(out, batch.sequence)
+    context = batch.trace_context
+    if context is None:
+        out.append(0)
+    else:
+        out.append(1)
+        write_string(out, context.trace_id)
+        write_string(out, context.span_id)
+    write_varint(out, len(batch.entries))
+    for entry in batch.entries:
+        write_varint(out, entry.global_index)
+        heartbeat = entry.heartbeat
+        if heartbeat is not None:
             out.append(1)
-            for part in (context.trace_id, context.span_id):
-                blob = part.encode("utf-8")
-                _write_varint(out, len(blob))
-                out += blob
-        _write_varint(out, len(batch.entries))
-        for entry in batch.entries:
-            _write_varint(out, entry.global_index)
-            heartbeat = entry.heartbeat
-            if heartbeat is not None:
-                out.append(1)
-                _write_varint(out, len(heartbeat.digest))
-                out += heartbeat.digest
-                _write_varint(out, heartbeat.count)
-            else:
-                payload = entry.payload
-                out.append(0)
-                _write_varint(out, len(payload))
-                out += payload
-        crc = zlib.crc32(out) & 0xFFFFFFFF
-        body_len = len(out)
-        out += b"\x00\x00\x00\x00"
-        struct.pack_into(">I", out, body_len, crc)
-        return bytes(out)
-    finally:
-        _release_buffer(out)
+            write_varint(out, len(heartbeat.digest))
+            out += heartbeat.digest
+            write_varint(out, heartbeat.count)
+        else:
+            payload = entry.payload
+            out.append(0)
+            write_varint(out, len(payload))
+            out += payload
+    crc = zlib.crc32(out) & 0xFFFFFFFF
+    out += crc.to_bytes(_CHECKSUM_BYTES, "big")
+    return bytes(out)
 
 
 def decode_batch(data) -> TraceBatch:
@@ -293,7 +194,7 @@ def decode_batch(data) -> TraceBatch:
     body, footer = view[:-_CHECKSUM_BYTES], view[-_CHECKSUM_BYTES:]
     if (zlib.crc32(body) & 0xFFFFFFFF) != int.from_bytes(footer, "big"):
         raise TraceError("batch checksum mismatch")
-    reader = _Reader(body)
+    reader = Reader(body)
     version = reader.varint()
     if version != _BATCH_FORMAT_VERSION:
         raise TraceError(f"unsupported batch format version {version}")
@@ -305,7 +206,7 @@ def decode_batch(data) -> TraceBatch:
     if reader.varint() == 1:
         trace_context = SpanContext(reader.string(), reader.string())
     entries: List[BatchEntry] = []
-    for _ in range(reader.varint()):
+    for _ in range(reader.count()):
         global_index = reader.varint()
         if reader.varint() == 1:
             digest = reader.blob()

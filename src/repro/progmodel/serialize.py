@@ -7,8 +7,12 @@ simulated network as bytes, exactly like traces do — and so a real
 deployment could persist or diff program versions.
 
 The format is a tagged pre-order walk of the IR with varint integers
-and length-prefixed UTF-8 strings; it round-trips every construct the
-IR supports and validates the result on decode.
+and length-prefixed UTF-8 strings (see :mod:`repro.wire`); it
+round-trips every construct the IR supports and validates the result
+on decode. A fix payload arrives off the network, so decode raises
+TraceError on any malformed bytes, in time proportional to their
+length, and ProgramModelError when well-formed bytes describe an
+invalid program.
 """
 
 from __future__ import annotations
@@ -42,8 +46,9 @@ from repro.progmodel.ir import (
     Unlock,
     Var,
 )
+from repro.wire import Reader, write_string, write_varint, write_zigzag
 
-__all__ = ["encode_program", "decode_program", "program_wire_size"]
+__all__ = ["encode_program", "decode_program"]
 
 _FORMAT_VERSION = 1
 
@@ -53,64 +58,10 @@ _EXPR_CONST, _EXPR_VAR, _EXPR_INPUT, _EXPR_BIN, _EXPR_UN = range(5)
  _I_CRASH, _I_CALL) = range(9)
 _T_BRANCH, _T_JUMP, _T_RETURN, _T_HALT = range(4)
 
-
-class _Writer:
-    def __init__(self):
-        self.out = bytearray()
-
-    def varint(self, value: int) -> None:
-        if value < 0:
-            raise ProgramModelError(f"varint cannot encode {value}")
-        while True:
-            byte = value & 0x7F
-            value >>= 7
-            if value:
-                self.out.append(byte | 0x80)
-            else:
-                self.out.append(byte)
-                return
-
-    def zigzag(self, value: int) -> None:
-        self.varint(value * 2 if value >= 0 else -value * 2 - 1)
-
-    def string(self, text: str) -> None:
-        data = text.encode("utf-8")
-        self.varint(len(data))
-        self.out.extend(data)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
-
-    def varint(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            if self._pos >= len(self._data):
-                raise TraceError("truncated program encoding (varint)")
-            byte = self._data[self._pos]
-            self._pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-
-    def zigzag(self) -> int:
-        raw = self.varint()
-        return raw // 2 if raw % 2 == 0 else -(raw + 1) // 2
-
-    def string(self) -> str:
-        length = self.varint()
-        if self._pos + length > len(self._data):
-            raise TraceError("truncated program encoding (string)")
-        text = self._data[self._pos:self._pos + length].decode("utf-8")
-        self._pos += length
-        return text
-
-    def done(self) -> bool:
-        return self._pos == len(self._data)
+# Deepest expression nesting decode accepts, counting a leaf as one
+# level. Demo, corpus and registry programs nest at most six levels; the
+# cap keeps a hostile payload from exhausting the interpreter stack.
+_MAX_EXPR_DEPTH = 200
 
 
 # -- expressions ---------------------------------------------------------------
@@ -120,30 +71,33 @@ _BINOPS = ("+", "-", "*", "//", "%", "==", "!=", "<", "<=", ">", ">=",
 _UNOPS = ("neg", "not")
 
 
-def _write_expr(w: _Writer, expr: Expr) -> None:
+def _write_expr(out: bytearray, expr: Expr) -> None:
     if isinstance(expr, Const):
-        w.varint(_EXPR_CONST)
-        w.zigzag(expr.value)
+        write_varint(out, _EXPR_CONST)
+        write_zigzag(out, expr.value)
     elif isinstance(expr, Var):
-        w.varint(_EXPR_VAR)
-        w.string(expr.name)
+        write_varint(out, _EXPR_VAR)
+        write_string(out, expr.name)
     elif isinstance(expr, Input):
-        w.varint(_EXPR_INPUT)
-        w.string(expr.name)
+        write_varint(out, _EXPR_INPUT)
+        write_string(out, expr.name)
     elif isinstance(expr, BinOp):
-        w.varint(_EXPR_BIN)
-        w.varint(_BINOPS.index(expr.op))
-        _write_expr(w, expr.left)
-        _write_expr(w, expr.right)
+        write_varint(out, _EXPR_BIN)
+        write_varint(out, _BINOPS.index(expr.op))
+        _write_expr(out, expr.left)
+        _write_expr(out, expr.right)
     elif isinstance(expr, UnOp):
-        w.varint(_EXPR_UN)
-        w.varint(_UNOPS.index(expr.op))
-        _write_expr(w, expr.operand)
+        write_varint(out, _EXPR_UN)
+        write_varint(out, _UNOPS.index(expr.op))
+        _write_expr(out, expr.operand)
     else:
         raise ProgramModelError(f"cannot serialize expression {expr!r}")
 
 
-def _read_expr(r: _Reader) -> Expr:
+def _read_expr(r: Reader, depth: int = 1) -> Expr:
+    if depth > _MAX_EXPR_DEPTH:
+        raise TraceError(
+            f"expression nested deeper than {_MAX_EXPR_DEPTH} levels")
     tag = r.varint()
     if tag == _EXPR_CONST:
         return Const(r.zigzag())
@@ -152,63 +106,63 @@ def _read_expr(r: _Reader) -> Expr:
     if tag == _EXPR_INPUT:
         return Input(r.string())
     if tag == _EXPR_BIN:
-        op = _BINOPS[r.varint()]
-        left = _read_expr(r)
-        right = _read_expr(r)
+        op = r.pick(_BINOPS)
+        left = _read_expr(r, depth + 1)
+        right = _read_expr(r, depth + 1)
         return BinOp(op, left, right)
     if tag == _EXPR_UN:
-        op = _UNOPS[r.varint()]
-        return UnOp(op, _read_expr(r))
+        op = r.pick(_UNOPS)
+        return UnOp(op, _read_expr(r, depth + 1))
     raise TraceError(f"bad expression tag {tag}")
 
 
 # -- instructions ---------------------------------------------------------------
 
-def _write_instruction(w: _Writer, instr: Instruction) -> None:
+def _write_instruction(out: bytearray, instr: Instruction) -> None:
     if isinstance(instr, Assign):
-        w.varint(_I_ASSIGN)
-        w.string(instr.dst)
-        _write_expr(w, instr.expr)
+        write_varint(out, _I_ASSIGN)
+        write_string(out, instr.dst)
+        _write_expr(out, instr.expr)
     elif isinstance(instr, StoreGlobal):
-        w.varint(_I_STORE)
-        w.string(instr.name)
-        _write_expr(w, instr.expr)
+        write_varint(out, _I_STORE)
+        write_string(out, instr.name)
+        _write_expr(out, instr.expr)
     elif isinstance(instr, LoadGlobal):
-        w.varint(_I_LOAD)
-        w.string(instr.dst)
-        w.string(instr.name)
+        write_varint(out, _I_LOAD)
+        write_string(out, instr.dst)
+        write_string(out, instr.name)
     elif isinstance(instr, Lock):
-        w.varint(_I_LOCK)
-        w.string(instr.lock_name)
+        write_varint(out, _I_LOCK)
+        write_string(out, instr.lock_name)
     elif isinstance(instr, Unlock):
-        w.varint(_I_UNLOCK)
-        w.string(instr.lock_name)
+        write_varint(out, _I_UNLOCK)
+        write_string(out, instr.lock_name)
     elif isinstance(instr, Syscall):
-        w.varint(_I_SYSCALL)
-        w.string(instr.dst)
-        w.string(instr.name)
-        w.varint(len(instr.args))
+        write_varint(out, _I_SYSCALL)
+        write_string(out, instr.dst)
+        write_string(out, instr.name)
+        write_varint(out, len(instr.args))
         for arg in instr.args:
-            _write_expr(w, arg)
+            _write_expr(out, arg)
     elif isinstance(instr, Assert):
-        w.varint(_I_ASSERT)
-        _write_expr(w, instr.cond)
-        w.string(instr.message)
+        write_varint(out, _I_ASSERT)
+        _write_expr(out, instr.cond)
+        write_string(out, instr.message)
     elif isinstance(instr, Crash):
-        w.varint(_I_CRASH)
-        w.string(instr.message)
+        write_varint(out, _I_CRASH)
+        write_string(out, instr.message)
     elif isinstance(instr, Call):
-        w.varint(_I_CALL)
-        w.string(instr.dst or "")
-        w.string(instr.callee)
-        w.varint(len(instr.args))
+        write_varint(out, _I_CALL)
+        write_string(out, instr.dst or "")
+        write_string(out, instr.callee)
+        write_varint(out, len(instr.args))
         for arg in instr.args:
-            _write_expr(w, arg)
+            _write_expr(out, arg)
     else:
         raise ProgramModelError(f"cannot serialize instruction {instr!r}")
 
 
-def _read_instruction(r: _Reader) -> Instruction:
+def _read_instruction(r: Reader) -> Instruction:
     tag = r.varint()
     if tag == _I_ASSIGN:
         return Assign(r.string(), _read_expr(r))
@@ -223,7 +177,7 @@ def _read_instruction(r: _Reader) -> Instruction:
     if tag == _I_SYSCALL:
         dst = r.string()
         name = r.string()
-        args = tuple(_read_expr(r) for _ in range(r.varint()))
+        args = tuple(_read_expr(r) for _ in range(r.count()))
         return Syscall(dst, name, args)
     if tag == _I_ASSERT:
         return Assert(_read_expr(r), r.string())
@@ -232,30 +186,30 @@ def _read_instruction(r: _Reader) -> Instruction:
     if tag == _I_CALL:
         dst = r.string() or None
         callee = r.string()
-        args = tuple(_read_expr(r) for _ in range(r.varint()))
+        args = tuple(_read_expr(r) for _ in range(r.count()))
         return Call(dst, callee, args)
     raise TraceError(f"bad instruction tag {tag}")
 
 
-def _write_terminator(w: _Writer, term: Terminator) -> None:
+def _write_terminator(out: bytearray, term: Terminator) -> None:
     if isinstance(term, Branch):
-        w.varint(_T_BRANCH)
-        _write_expr(w, term.cond)
-        w.string(term.then_block)
-        w.string(term.else_block)
+        write_varint(out, _T_BRANCH)
+        _write_expr(out, term.cond)
+        write_string(out, term.then_block)
+        write_string(out, term.else_block)
     elif isinstance(term, Jump):
-        w.varint(_T_JUMP)
-        w.string(term.target)
+        write_varint(out, _T_JUMP)
+        write_string(out, term.target)
     elif isinstance(term, Return):
-        w.varint(_T_RETURN)
-        _write_expr(w, term.value)
+        write_varint(out, _T_RETURN)
+        _write_expr(out, term.value)
     elif isinstance(term, Halt):
-        w.varint(_T_HALT)
+        write_varint(out, _T_HALT)
     else:
         raise ProgramModelError(f"cannot serialize terminator {term!r}")
 
 
-def _read_terminator(r: _Reader) -> Terminator:
+def _read_terminator(r: Reader) -> Terminator:
     tag = r.varint()
     if tag == _T_BRANCH:
         return Branch(_read_expr(r), r.string(), r.string())
@@ -272,72 +226,72 @@ def _read_terminator(r: _Reader) -> Terminator:
 
 def encode_program(program: Program) -> bytes:
     """Serialize a program (including its version stamp)."""
-    w = _Writer()
-    w.varint(_FORMAT_VERSION)
-    w.string(program.name)
-    w.varint(program.version)
-    w.varint(len(program.threads))
+    out = bytearray()
+    write_varint(out, _FORMAT_VERSION)
+    write_string(out, program.name)
+    write_varint(out, program.version)
+    write_varint(out, len(program.threads))
     for thread in program.threads:
-        w.string(thread)
-    w.varint(len(program.inputs))
+        write_string(out, thread)
+    write_varint(out, len(program.inputs))
     for name in sorted(program.inputs):
         lo, hi = program.inputs[name]
-        w.string(name)
-        w.zigzag(lo)
-        w.zigzag(hi)
-    w.varint(len(program.globals))
+        write_string(out, name)
+        write_zigzag(out, lo)
+        write_zigzag(out, hi)
+    write_varint(out, len(program.globals))
     for name in sorted(program.globals):
-        w.string(name)
-        w.zigzag(program.globals[name])
-    w.varint(len(program.functions))
+        write_string(out, name)
+        write_zigzag(out, program.globals[name])
+    write_varint(out, len(program.functions))
     for fname in sorted(program.functions):
         func = program.functions[fname]
-        w.string(func.name)
-        w.varint(len(func.params))
+        write_string(out, func.name)
+        write_varint(out, len(func.params))
         for param in func.params:
-            w.string(param)
-        w.string(func.entry)
-        w.varint(len(func.blocks))
+            write_string(out, param)
+        write_string(out, func.entry)
+        write_varint(out, len(func.blocks))
         for label in sorted(func.blocks):
             block = func.blocks[label]
-            w.string(block.label)
-            w.varint(len(block.instructions))
+            write_string(out, block.label)
+            write_varint(out, len(block.instructions))
             for instr in block.instructions:
-                _write_instruction(w, instr)
+                _write_instruction(out, instr)
             if block.terminator is None:
                 raise ProgramModelError(
                     f"block {label!r} has no terminator")
-            _write_terminator(w, block.terminator)
-    return bytes(w.out)
+            _write_terminator(out, block.terminator)
+    return bytes(out)
 
 
 def decode_program(data: bytes) -> Program:
     """Inverse of :func:`encode_program`; validates the result."""
-    r = _Reader(data)
+    r = Reader(data)
     version = r.varint()
     if version != _FORMAT_VERSION:
         raise TraceError(f"unsupported program format version {version}")
     name = r.string()
     program_version = r.varint()
-    threads = tuple(r.string() for _ in range(r.varint()))
+    threads = tuple(r.string() for _ in range(r.count()))
     inputs: Dict[str, Tuple[int, int]] = {}
-    for _ in range(r.varint()):
+    for _ in range(r.count()):
         input_name = r.string()
         inputs[input_name] = (r.zigzag(), r.zigzag())
     global_vars: Dict[str, int] = {}
-    for _ in range(r.varint()):
+    for _ in range(r.count()):
         global_name = r.string()
         global_vars[global_name] = r.zigzag()
     functions: Dict[str, Function] = {}
-    for _ in range(r.varint()):
+    for _ in range(r.count()):
         fname = r.string()
-        params = tuple(r.string() for _ in range(r.varint()))
+        params = tuple(r.string() for _ in range(r.count()))
         entry = r.string()
         blocks: Dict[str, Block] = {}
-        for _b in range(r.varint()):
+        for _b in range(r.count()):
             label = r.string()
             instructions: List[Instruction] = [
-                _read_instruction(r) for _ in range(r.varint())]
+                _read_instruction(r) for _ in range(r.count())]
             terminator = _read_terminator(r)
             blocks[label] = Block(label=label, instructions=instructions,
                                   terminator=terminator)
@@ -350,8 +304,3 @@ def decode_program(data: bytes) -> Program:
                       version=program_version)
     program.validate()
     return program
-
-
-def program_wire_size(program: Program) -> int:
-    """Update-payload size in bytes."""
-    return len(encode_program(program))

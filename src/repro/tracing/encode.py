@@ -3,120 +3,26 @@
 Pods ship traces over the (simulated) Internet; this module packs a
 :class:`Trace` into bytes and back. Branch bits are bit-packed (one bit
 per input-dependent branch, as the paper prescribes); integers use a
-zig-zag varint; strings are length-prefixed UTF-8. The format is
-self-contained and versioned.
+zig-zag varint; strings are length-prefixed UTF-8 (see
+:mod:`repro.wire`). The format is self-contained and versioned.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.errors import TraceError
 from repro.progmodel.interpreter import Outcome
 from repro.tracing.trace import Observation, Trace
+from repro.wire import (
+    Reader, write_bits, write_string, write_varint, write_zigzag,
+)
 
 __all__ = ["encode_trace", "decode_trace", "encoded_size"]
 
 _FORMAT_VERSION = 1
 _OUTCOMES = [Outcome.OK, Outcome.CRASH, Outcome.ASSERT, Outcome.DEADLOCK,
              Outcome.HANG]
-
-
-# -- primitive writers -------------------------------------------------------
-
-def _write_varint(out: bytearray, value: int) -> None:
-    if 0 <= value < 0x80:          # single-byte fast path (the common case)
-        out.append(value)
-        return
-    if value < 0:
-        raise TraceError(f"varint cannot encode negative value {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-def _write_zigzag(out: bytearray, value: int) -> None:
-    _write_varint(out, (value << 1) ^ (value >> 63) if value >= 0
-                  else ((-value) << 1) - 1)
-
-
-def _write_string(out: bytearray, text: str) -> None:
-    data = text.encode("utf-8")
-    _write_varint(out, len(data))
-    out.extend(data)
-
-
-def _write_bits(out: bytearray, bits: Tuple[bool, ...]) -> None:
-    _write_varint(out, len(bits))
-    byte = 0
-    for index, bit in enumerate(bits):
-        if bit:
-            byte |= 1 << (index % 8)
-        if index % 8 == 7:
-            out.append(byte)
-            byte = 0
-    if len(bits) % 8:
-        out.append(byte)
-
-
-# -- primitive readers -------------------------------------------------------
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self._data = data
-        self._len = len(data)
-        self._pos = 0
-
-    def varint(self) -> int:
-        data = self._data
-        pos = self._pos
-        if pos < self._len:
-            byte = data[pos]
-            if not byte & 0x80:        # single-byte fast path
-                self._pos = pos + 1
-                return byte
-        shift = 0
-        value = 0
-        while True:
-            if pos >= self._len:
-                raise TraceError("truncated varint")
-            byte = data[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                self._pos = pos
-                return value
-            shift += 7
-
-    def zigzag(self) -> int:
-        raw = self.varint()
-        return (raw >> 1) if raw % 2 == 0 else -((raw + 1) >> 1)
-
-    def string(self) -> str:
-        length = self.varint()
-        if self._pos + length > self._len:
-            raise TraceError("truncated string")
-        text = self._data[self._pos:self._pos + length].decode("utf-8")
-        self._pos += length
-        return text
-
-    def bits(self) -> Tuple[bool, ...]:
-        count = self.varint()
-        n_bytes = (count + 7) // 8
-        if self._pos + n_bytes > self._len:
-            raise TraceError("truncated bit vector")
-        chunk = self._data[self._pos:self._pos + n_bytes]
-        self._pos += n_bytes
-        return tuple(
-            bool(chunk[i // 8] >> (i % 8) & 1) for i in range(count))
-
-    def done(self) -> bool:
-        return self._pos == self._len
 
 
 # -- trace encoding -----------------------------------------------------------
@@ -135,37 +41,37 @@ def _encode_prefix(trace: Trace) -> bytes:
     except AttributeError:
         pass
     out = bytearray()
-    _write_varint(out, _FORMAT_VERSION)
-    _write_string(out, trace.program_name)
-    _write_varint(out, trace.program_version)
-    _write_varint(out, _OUTCOMES.index(trace.outcome))
-    _write_bits(out, tuple(trace.branch_bits))
-    _write_varint(out, len(trace.syscall_returns))
+    write_varint(out, _FORMAT_VERSION)
+    write_string(out, trace.program_name)
+    write_varint(out, trace.program_version)
+    write_varint(out, _OUTCOMES.index(trace.outcome))
+    write_bits(out, tuple(trace.branch_bits))
+    write_varint(out, len(trace.syscall_returns))
     for value in trace.syscall_returns:
-        _write_zigzag(out, value)
-    _write_varint(out, len(trace.schedule_rle))
+        write_zigzag(out, value)
+    write_varint(out, len(trace.schedule_rle))
     for thread, length in trace.schedule_rle:
-        _write_varint(out, thread)
-        _write_varint(out, length)
-    _write_varint(out, len(trace.observations))
+        write_varint(out, thread)
+        write_varint(out, length)
+    write_varint(out, len(trace.observations))
     for obs in trace.observations:
         thread, function, block = obs.site
-        _write_varint(out, thread)
-        _write_string(out, function)
-        _write_string(out, block)
-        _write_varint(out, 1 if obs.taken else 0)
-    _write_varint(out, 1 if trace.replayable else 0)
-    _write_varint(out, trace.steps)
-    _write_varint(out, trace.events_recorded)
-    _write_string(out, trace.failure_message or "")
+        write_varint(out, thread)
+        write_string(out, function)
+        write_string(out, block)
+        write_varint(out, 1 if obs.taken else 0)
+    write_varint(out, 1 if trace.replayable else 0)
+    write_varint(out, trace.steps)
+    write_varint(out, trace.events_recorded)
+    write_string(out, trace.failure_message or "")
     if trace.failure_site is None:
-        _write_varint(out, 0)
+        write_varint(out, 0)
     else:
-        _write_varint(out, 1)
+        write_varint(out, 1)
         thread, function, block = trace.failure_site
-        _write_varint(out, thread)
-        _write_string(out, function)
-        _write_string(out, block)
+        write_varint(out, thread)
+        write_string(out, function)
+        write_string(out, block)
     prefix = bytes(out)
     object.__setattr__(trace, "_enc_prefix", prefix)
     return prefix
@@ -179,41 +85,27 @@ def encode_trace(trace: Trace, pod_override: Optional[str] = None) -> bytes:
     the pod id, which must not affect trace identity.
     """
     out = bytearray(_encode_prefix(trace))
-    _write_string(out, trace.pod_id if pod_override is None else pod_override)
-    _write_varint(out, 1 if trace.guided else 0)
+    write_string(out, trace.pod_id if pod_override is None else pod_override)
+    write_varint(out, 1 if trace.guided else 0)
     return bytes(out)
 
 
 def decode_trace(data: bytes) -> Trace:
-    """Inverse of :func:`encode_trace`; raises TraceError on corruption."""
-    try:
-        return _decode_trace(data)
-    except TraceError:
-        raise
-    except (ValueError, OverflowError) as error:
-        # Mangled bytes can fail anywhere inside the decoder (e.g. a
-        # broken UTF-8 string); fold every such failure into the one
-        # error type the docstring promises.
-        raise TraceError(f"malformed trace bytes: {error}")
-
-
-def _decode_trace(data: bytes) -> Trace:
-    reader = _Reader(data)
+    """Inverse of :func:`encode_trace`; raises TraceError on any
+    malformed input, in time proportional to its length."""
+    reader = Reader(data)
     version = reader.varint()
     if version != _FORMAT_VERSION:
         raise TraceError(f"unsupported trace format version {version}")
     program_name = reader.string()
     program_version = reader.varint()
-    outcome_index = reader.varint()
-    if outcome_index >= len(_OUTCOMES):
-        raise TraceError(f"bad outcome index {outcome_index}")
-    outcome = _OUTCOMES[outcome_index]
+    outcome = reader.pick(_OUTCOMES)
     bits = reader.bits()
-    syscall_returns = tuple(reader.zigzag() for _ in range(reader.varint()))
+    syscall_returns = tuple(reader.zigzag() for _ in range(reader.count()))
     schedule_rle = tuple(
-        (reader.varint(), reader.varint()) for _ in range(reader.varint()))
+        (reader.varint(), reader.varint()) for _ in range(reader.count()))
     observations = []
-    for _ in range(reader.varint()):
+    for _ in range(reader.count()):
         thread = reader.varint()
         function = reader.string()
         block = reader.string()

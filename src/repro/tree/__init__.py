@@ -11,7 +11,6 @@ constraint solving happens at merge time.
 
 from repro.tree.exectree import ExecutionTree, MergeStats, TreeNode, path_from_trace
 from repro.tree.coverage import branch_coverage, coverage_report
-from repro.tree.encode import decode_tree, encode_tree, merge_encoded
 from repro.tree.families import (
     family_for_observations,
     family_for_trace,
@@ -22,6 +21,5 @@ from repro.tree.frontier import Gap, enumerate_gaps
 __all__ = [
     "ExecutionTree", "TreeNode", "MergeStats", "path_from_trace",
     "branch_coverage", "coverage_report", "Gap", "enumerate_gaps",
-    "encode_tree", "decode_tree", "merge_encoded",
     "family_for_trace", "family_for_observations", "narrowing_curve",
 ]

@@ -159,8 +159,7 @@ class ExecutionTree:
                 f" {trace.outcome} — trace/program version mismatch?")
         return self.insert_path(decisions, outcome)
 
-    def merge(self, other: "ExecutionTree", *,
-              require_version: bool = True) -> int:
+    def merge(self, other: "ExecutionTree") -> int:
         """Merge another (shard-local) tree into this one.
 
         The merge is keyed by *path*: a path both trees observed maps
@@ -171,28 +170,23 @@ class ExecutionTree:
         associative and commutative over the multiset of insertions:
         shard merge order cannot change observable behaviour.
 
-        Returns the number of distinct terminal paths copied. With
-        ``require_version`` (the default for hive-side shard ingest) a
-        version-skewed tree is rejected outright — merging paths
+        Returns the number of distinct terminal paths copied. A tree of
+        another program or version is rejected outright — merging paths
         replayed against a different CFG would corrupt the aggregate.
         """
         if other.program_name != self.program_name:
             raise TreeError("cannot merge trees of different programs")
-        if require_version and other.program_version != self.program_version:
+        if other.program_version != self.program_version:
             raise TreeError(
                 f"cannot merge tree for version {other.program_version}"
                 f" into version {self.program_version}")
         copied = 0
         for decisions, outcomes in other.iter_terminal_paths():
             for outcome, count in outcomes.items():
-                for _ in range(count):
-                    self.insert_path(decisions, outcome)
+                if count:    # a count-0 heartbeat leaves a zero entry
+                    self.insert_path(decisions, outcome, count=count)
             copied += 1
         return copied
-
-    def merge_tree(self, other: "ExecutionTree") -> int:
-        """Pre-protocol name for :meth:`merge` (no version check)."""
-        return self.merge(other, require_version=False)
 
     def canonical_paths(self) -> Tuple[Tuple[Tuple[Decision, ...],
                                              Tuple[Tuple[Outcome, int],

@@ -561,6 +561,13 @@ def _site(name):
     return (0, "main", name)
 
 
+def _assert_same_tree(a, b):
+    """Same paths, outcome counts, per-decision visit counts and size."""
+    assert a.canonical_paths() == b.canonical_paths()
+    assert a.observed_decisions() == b.observed_decisions()
+    assert (a.node_count, a.path_count) == (b.node_count, b.path_count)
+
+
 def _tree(*paths, version=1):
     tree = ExecutionTree("prog", version)
     for decisions, outcome in paths:
@@ -623,13 +630,12 @@ class TestTreeMerge:
         assert sharded.node_count == direct.node_count
         assert sharded.path_count == direct.path_count
 
-    def test_delta_rows_equal_blob_merge(self):
+    def test_delta_rows_equal_shard_tree_merge(self):
         # The session protocol ships tree EDGE DELTAS (path, outcome,
-        # count) where the old wire shipped encoded partial-tree blobs.
-        # Folding the rows in with counted inserts must reproduce the
-        # blob merge bit for bit — the tree is order-canonical, so the
-        # two spellings are the same algebra.
-        from repro.tree.encode import encode_tree, merge_encoded
+        # count) rather than whole partial trees. Folding the rows in
+        # with counted inserts must reproduce merging the shard's tree
+        # — the tree is order-canonical, so the two spellings are the
+        # same algebra.
         rows = [(self.P1, Outcome.OK, 3), (self.P2, Outcome.CRASH, 2),
                 (self.P3, Outcome.OK, 1)]
 
@@ -638,24 +644,20 @@ class TestTreeMerge:
             for _ in range(count):
                 shard_view.insert_path(decisions, outcome)
 
-        via_blob = _tree()
-        merge_encoded(via_blob, encode_tree(shard_view))
+        via_merge = _tree()
+        via_merge.merge(shard_view)
 
         via_delta = _tree()
         for decisions, outcome, count in rows:
             via_delta.insert_path(decisions, outcome, count=count)
 
-        assert via_delta.canonical_paths() == via_blob.canonical_paths()
-        assert via_delta.outcome_totals() == via_blob.outcome_totals()
-        assert via_delta.node_count == via_blob.node_count
-        assert via_delta.path_count == via_blob.path_count
-        assert encode_tree(via_delta) == encode_tree(via_blob)
+        _assert_same_tree(via_delta, via_merge)
+        assert via_delta.outcome_totals() == via_merge.outcome_totals()
 
     def test_shard_delta_rebuilds_the_shard_tree(self):
         # A real round's ShardResult.tree_delta, applied to a fresh
-        # tree, encodes byte-identically to merging that round's
-        # partial tree — the equivalence the hive's ingest relies on.
-        from repro.tree.encode import encode_tree
+        # tree, rebuilds exactly the tree per-execution inserts of that
+        # round build — the equivalence the hive's ingest relies on.
         demo = make_crash_demo()
         with SerialBackend(_session_pods(demo.program),
                            demo.program) as backend:
@@ -670,7 +672,7 @@ class TestTreeMerge:
         for decisions, outcome, count in result.tree_delta:
             for _ in range(count):
                 direct.insert_path(decisions, outcome)
-        assert encode_tree(rebuilt) == encode_tree(direct)
+        _assert_same_tree(rebuilt, direct)
         assert sum(count for _d, _o, count in result.tree_delta) == 8
 
     def test_version_skew_rejected(self):
@@ -681,8 +683,6 @@ class TestTreeMerge:
         other = ExecutionTree("elsewhere", 1)
         with pytest.raises(TreeError):
             current.merge(other)
-        # The compatibility spelling skips only the version check.
-        assert current.merge_tree(stale) == 1
 
 
 # -- the TraceSink / TraceSource surface ---------------------------------------

@@ -127,7 +127,7 @@ class TestMergeTree:
         a.insert_path([(_site("a"), True)], Outcome.OK)
         b.insert_path([(_site("a"), False)], Outcome.CRASH)
         b.insert_path([(_site("a"), True)], Outcome.OK)
-        copied = a.merge_tree(b)
+        copied = a.merge(b)
         assert copied == 2
         assert a.path_count == 2
         assert a.outcome_totals()[Outcome.OK] == 2
@@ -136,7 +136,7 @@ class TestMergeTree:
         a = ExecutionTree("p")
         b = ExecutionTree("q")
         with pytest.raises(TreeError):
-            a.merge_tree(b)
+            a.merge(b)
 
 
 class TestAdversarialMerge:
@@ -229,6 +229,24 @@ class TestAdversarialMerge:
         assert total.path_count == shard.path_count
         assert total.node_count == shard.node_count
         assert total.insert_count == 5 * shard.insert_count
+        # Counted inserts land exactly where per-execution inserts do.
+        per_execution = self._tree(self.PATHS * 5)
+        assert total.canonical_paths() == per_execution.canonical_paths()
+        assert (total.observed_decisions()
+                == per_execution.observed_decisions())
+
+    def test_zero_count_outcome_adds_nothing(self):
+        # A count-0 heartbeat leaves a zero outcome entry on its path;
+        # merging must not count that path twice.
+        shard = ExecutionTree("p")
+        decisions, _outcome = self.PATHS[0]
+        shard.insert_path(decisions, Outcome.OK, count=0)
+        shard.insert_path(decisions, Outcome.CRASH)
+        total = ExecutionTree("p")
+        assert total.merge(shard) == 1
+        assert total.path_count == 1
+        assert total.canonical_paths() == self._tree(
+            [(decisions, Outcome.CRASH)]).canonical_paths()
 
 
 class TestGapsAndCoverage:
@@ -323,58 +341,3 @@ class TestTreeGrowthProperty:
         assert tree_a.path_count == tree_b.path_count
         assert (dict(tree_a.observed_decisions()) ==
                 dict(tree_b.observed_decisions()))
-
-
-class TestTreeWireExchange:
-    """Hive-node tree exchange (Sec. 4: nodes share what they found)."""
-
-    def _populated_tree(self, seed=3, runs=60):
-        from repro.tracing.capture import FullCapture
-        demo = make_crash_demo()
-        tree = ExecutionTree(demo.program.name, demo.program.version)
-        rng = random.Random(seed)
-        for _ in range(runs):
-            inputs = {"n": rng.randint(0, 9), "mode": rng.randint(0, 3)}
-            result = Interpreter(demo.program).run(inputs)
-            tree.insert_trace(FullCapture().capture(result), demo.program)
-        return tree
-
-    def test_roundtrip_preserves_structure(self):
-        from repro.tree.encode import decode_tree, encode_tree
-        tree = self._populated_tree()
-        decoded = decode_tree(encode_tree(tree))
-        assert decoded.program_name == tree.program_name
-        assert decoded.program_version == tree.program_version
-        assert decoded.path_count == tree.path_count
-        assert decoded.node_count == tree.node_count
-        assert (dict(decoded.outcome_totals())
-                == dict(tree.outcome_totals()))
-        assert (set(p for p, _o in decoded.iter_terminal_paths())
-                == set(p for p, _o in tree.iter_terminal_paths()))
-
-    def test_two_nodes_converge_by_exchange(self):
-        from repro.tree.encode import encode_tree, merge_encoded
-        a = self._populated_tree(seed=1)
-        b = self._populated_tree(seed=2)
-        wire_a, wire_b = encode_tree(a), encode_tree(b)
-        merge_encoded(a, wire_b)
-        merge_encoded(b, wire_a)
-        assert a.path_count == b.path_count
-        assert a.node_count == b.node_count
-        assert (set(p for p, _o in a.iter_terminal_paths())
-                == set(p for p, _o in b.iter_terminal_paths()))
-
-    def test_corruption_detected(self):
-        from repro.tree.encode import decode_tree, encode_tree
-        data = encode_tree(self._populated_tree())
-        with pytest.raises(TraceError):
-            decode_tree(data[:-2])
-        with pytest.raises(TraceError):
-            decode_tree(data + b"\x01")
-
-    def test_empty_tree_roundtrips(self):
-        from repro.tree.encode import decode_tree, encode_tree
-        tree = ExecutionTree("p", 1)
-        decoded = decode_tree(encode_tree(tree))
-        assert decoded.path_count == 0
-        assert decoded.node_count == 1

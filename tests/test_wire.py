@@ -1,0 +1,355 @@
+"""Wire-codec tests: golden bytes, the reader contract, decoder fuzzing.
+
+Traces, trace batches and programs cross the (simulated) network as
+bytes written and read through :mod:`repro.wire`. These tests pin the
+exact bytes each codec emits, check the reader's rules one by one, and
+fuzz every decoder: any byte string, however mangled, must decode to a
+value or raise a :class:`~repro.errors.SoftBorgError` subclass. The fuzz
+payloads are derived from live encodings of the demos and parsed by the
+production decoders, never by a test-side parser.
+"""
+
+import dataclasses
+import functools
+import hashlib
+import random
+import zlib
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.errors import SoftBorgError, TraceError
+from repro.exec.batch import BatchEntry, TraceBatch, decode_batch, encode_batch
+from repro.obs.trace import SpanContext
+from repro.progmodel import corpus
+from repro.progmodel.bugs import BugKind
+from repro.progmodel.builder import ProgramBuilder
+from repro.progmodel.corpus import CorpusConfig, generate_program
+from repro.progmodel.interpreter import Environment, Interpreter, Outcome
+from repro.progmodel.ir import BinOp, Const, Return, c, v
+from repro.progmodel.serialize import decode_program, encode_program
+from repro.sched.scheduler import RandomScheduler
+from repro.tracing.dedup import Heartbeat, trace_digest
+from repro.tracing.encode import decode_trace, encode_trace
+from repro.tracing.sampling import sample_observations
+from repro.tracing.trace import trace_from_result
+from repro.wire import Reader, write_string, write_varint, write_zigzag
+
+DEMOS = ("crash", "deadlock", "shortread", "race", "leak", "prio",
+         "wakeup", "toctou", "provenance")
+GENERATED_KINDS = ((BugKind.CRASH,), (BugKind.ASSERT, BugKind.HANG),
+                   (BugKind.SHORT_READ,), (BugKind.DEADLOCK,),
+                   (BugKind.RACE,))
+
+
+def _demo_program(name):
+    return getattr(corpus, f"make_{name}_demo")().program
+
+
+def _live_runs(program, runs):
+    """Seeded runs with environment faults and random schedules."""
+    for i in range(runs):
+        rng = random.Random(i)
+        inputs = {name: rng.randint(lo, hi)
+                  for name, (lo, hi) in sorted(program.inputs.items())}
+        yield i, Interpreter(program).run(
+            inputs,
+            environment=Environment(rng=random.Random(i), fault_rate=0.2),
+            scheduler=RandomScheduler(seed=i + 1000))
+
+
+def _live_traces(program, runs=15):
+    """Each run as a full capture, then as a sampled (observation-only)
+    capture, so every trace field reaches the wire."""
+    for i, result in _live_runs(program, runs):
+        trace = trace_from_result(result, pod_id=f"pod-{i}",
+                                  guided=bool(i % 2))
+        yield trace
+        yield dataclasses.replace(
+            trace, replayable=False, branch_bits=(), syscall_returns=(),
+            schedule_rle=(),
+            observations=tuple(sample_observations(
+                result, 2, random.Random(i))))
+
+
+def _batches(program, traces):
+    """One batch of payloads and heartbeats, without and with a trace
+    context; indices and counts cross the one-byte varint boundary."""
+    entries = []
+    for index, trace in enumerate(traces):
+        entries.append(BatchEntry(global_index=index * 50,
+                                  payload=encode_trace(trace)))
+        entries.append(BatchEntry(
+            global_index=index * 50 + 1,
+            heartbeat=Heartbeat(program.name, program.version,
+                                trace_digest(trace), count=1 + index * 40)))
+    for context in (None, SpanContext("trace-0a1b", "span-2c3d")):
+        yield TraceBatch(shard_id=3, program_name=program.name,
+                         program_version=program.version, sequence=200,
+                         entries=entries, trace_context=context)
+
+
+#: sha256 of every byte TestGoldenWire encodes, recorded with the
+#: per-codec writers that repro.wire replaced.
+GOLDEN_WIRE = \
+    "76110fd1698fbfc7886edfe1373d0772ed7cec78eecc735c6a20ddc60d9bc221"
+
+
+class TestGoldenWire:
+    """Pins the bytes of encode_program, encode_trace and encode_batch
+    over every demo and twenty generated programs."""
+
+    @staticmethod
+    def _programs():
+        for name in DEMOS:
+            yield _demo_program(name)
+        for seed in range(4):
+            for kinds in GENERATED_KINDS:
+                yield generate_program(f"wire{seed}", CorpusConfig(seed=seed),
+                                       bug_kinds=kinds).program
+
+    def test_encodings_match_the_reference(self):
+        digest = hashlib.sha256()
+        for program in self._programs():
+            digest.update(encode_program(program))
+            traces = list(_live_traces(program))
+            for trace in traces:
+                digest.update(encode_trace(trace))
+            for batch in _batches(program, traces):
+                digest.update(encode_batch(batch))
+        assert digest.hexdigest() == GOLDEN_WIRE
+
+
+class TestZigZag:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers())
+    @example(2 ** 63)
+    @example(-2 ** 63)
+    @example(2 ** 63 - 1)
+    @example(-2 ** 63 - 1)
+    @example(2 ** 64)
+    @example(-2 ** 64)
+    def test_round_trips_unbounded_ints(self, value):
+        out = bytearray()
+        write_zigzag(out, value)
+        reader = Reader(bytes(out))
+        assert reader.zigzag() == value
+        assert reader.done()
+
+    def test_syscall_result_past_int64_replays_like_the_live_run(self):
+        # write(fd, n) returns n, so a program constant reaches the
+        # trace's syscall stream; 2**63 used to decode as -2**63 - 1
+        # and send the replay down the other branch.
+        b = ProgramBuilder("big_write")
+        main = b.function("main")
+        entry = main.block("entry")
+        entry.syscall("r", "write", c(1), c(2 ** 63))
+        entry.branch(v("r") > c(0), "ok", "bad")
+        main.block("ok").halt()
+        bad = main.block("bad")
+        bad.crash("negative write")
+        bad.halt()
+        program = b.build()
+        live = Interpreter(program).run({})
+        assert live.outcome is Outcome.OK
+        trace = decode_trace(encode_trace(trace_from_result(live)))
+        assert trace.syscall_returns == (2 ** 63,)
+        replayed = Interpreter(program).replay(trace.replay_source())
+        assert replayed.outcome is Outcome.OK
+        assert replayed.path_decisions == live.path_decisions
+
+
+class TestReader:
+    def test_truncated_varint(self):
+        with pytest.raises(TraceError, match="truncated varint"):
+            Reader(b"\x80\x80").varint()
+
+    def test_varint_longer_than_the_cap(self):
+        # Each integer's decode cost stays bounded however long the run
+        # of continuation bytes.
+        with pytest.raises(TraceError, match="longer than"):
+            Reader(b"\xff" * 2000 + b"\x01").varint()
+        with pytest.raises(TraceError, match="cannot encode"):
+            write_varint(bytearray(), 1 << (7 * 1024))
+
+    def test_count_larger_than_the_bytes_left(self):
+        out = bytearray()
+        write_varint(out, 1 << 40)
+        with pytest.raises(TraceError, match="exceeds"):
+            Reader(bytes(out) + b"\x00" * 8).count()
+        assert Reader(b"\x02\x00\x00").count() == 2
+
+    def test_pick_out_of_range(self):
+        assert Reader(b"\x01").pick("ab") == "b"
+        with pytest.raises(TraceError, match="out of range"):
+            Reader(b"\x02").pick("ab")
+
+    def test_malformed_utf8(self):
+        with pytest.raises(TraceError, match="UTF-8"):
+            Reader(b"\x02\xff\xfe").string()
+
+    def test_truncated_string_blob_and_bits(self):
+        with pytest.raises(TraceError, match="truncated string"):
+            Reader(b"\x05ab").string()
+        with pytest.raises(TraceError, match="truncated blob"):
+            Reader(b"\x05ab").blob()
+        with pytest.raises(TraceError, match="truncated bit vector"):
+            Reader(b"\x09\x01").bits()
+
+    def test_memoryview_input(self):
+        out = bytearray()
+        write_string(out, "hé")
+        write_string(out, "xyz")
+        reader = Reader(memoryview(bytes(out)))
+        assert reader.string() == "hé"
+        assert reader.blob() == b"xyz"
+        assert reader.done()
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _seed_payloads():
+    """Live encodings of the crash, race and deadlock demos: programs,
+    traces and batches (batches also as CRC-less bodies)."""
+    programs, traces, batches = [], [], []
+    for name in ("crash", "race", "deadlock"):
+        program = _demo_program(name)
+        programs.append(encode_program(program))
+        live = list(_live_traces(program, runs=4))
+        traces.extend(encode_trace(trace) for trace in live)
+        batches.extend(encode_batch(batch)
+                       for batch in _batches(program, live[:3]))
+    return {"program": programs, "trace": traces, "batch": batches,
+            "batch-body": [batch[:-4] for batch in batches]}
+
+
+@st.composite
+def _mangled(draw, kind):
+    """A live payload after one to three byte flips, truncations or
+    insertions, or a run of random bytes."""
+    data = draw(st.sampled_from(_seed_payloads()[kind]))
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(("flip", "truncate", "insert", "random")))
+        if how == "random":
+            data = draw(st.binary(max_size=64))
+            continue
+        if not data:
+            continue
+        pos = draw(st.integers(0, len(data) - 1))
+        if how == "flip":
+            mangled = bytearray(data)
+            mangled[pos] ^= draw(st.integers(1, 255))
+            data = bytes(mangled)
+        elif how == "truncate":
+            data = data[:pos]
+        else:
+            data = data[:pos] + draw(st.binary(min_size=1, max_size=8)) \
+                + data[pos:]
+    return data
+
+
+def _with_crc(body):
+    return body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "big")
+
+
+def _decodes_or_raises_typed(decoder, data):
+    try:
+        decoder(data)
+    except SoftBorgError:
+        pass
+
+
+class TestDecoderFuzz:
+    """Any bytes give a decoded value or a SoftBorgError subclass."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mangled("trace"))
+    def test_decode_trace(self, data):
+        _decodes_or_raises_typed(decode_trace, data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mangled("program"))
+    def test_decode_program(self, data):
+        _decodes_or_raises_typed(decode_program, data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_mangled("batch"))
+    def test_decode_batch(self, data):
+        _decodes_or_raises_typed(decode_batch, data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mangled("batch-body"))
+    def test_decode_batch_with_valid_crc(self, data):
+        # A recomputed CRC gets the mangled body past the checksum and
+        # into the body parser.
+        _decodes_or_raises_typed(decode_batch, _with_crc(data))
+
+    def test_seed_payloads_decode(self):
+        seeds = _seed_payloads()
+        for data in seeds["program"]:
+            decode_program(data)
+        for data in seeds["trace"]:
+            decode_trace(data)
+        for data in seeds["batch"]:
+            decode_batch(data)
+
+
+def _program_with(expr):
+    """The encoding of a one-block program returning ``expr``."""
+    b = ProgramBuilder("pinned")
+    b.function("main").block("entry").ret(expr)
+    return encode_program(b.build())
+
+
+class TestPinnedPayloads:
+    """Payloads that escaped the decoders untyped before the shared
+    reader existed, and the nesting a real program may still use."""
+
+    def test_deeply_nested_expression(self):
+        # 5,000 nested ``neg`` around a constant: 10 KB of recursion.
+        data = _program_with(Const(55))
+        leaf = bytes([0, 110])                  # Const tag, zigzag(55)
+        assert data.count(leaf) == 1
+        nested = bytes([4, 0]) * 5000 + leaf    # UnOp tag, "neg"
+        payload = data.replace(leaf, nested)
+        assert len(payload) > 10_000
+        with pytest.raises(TraceError, match="nested deeper"):
+            decode_program(payload)
+
+    def test_moderate_nesting_still_decodes(self):
+        expr = Const(1)
+        for _ in range(150):
+            expr = BinOp("+", expr, Const(0))
+        data = _program_with(expr)
+        decoded = decode_program(data)
+        assert decoded.functions["main"].blocks["entry"].terminator == \
+            Return(expr)
+        assert encode_program(decoded) == data
+
+    def test_binop_index_out_of_range(self):
+        data = _program_with(BinOp("max", Const(55), Const(56)))
+        site = bytes([3, 14, 0, 110, 0, 112])   # BinOp tag, "max", 55, 56
+        assert data.count(site) == 1
+        payload = data.replace(site, bytes([3, 15]) + site[2:])
+        with pytest.raises(TraceError, match="out of range"):
+            decode_program(payload)
+
+    def test_overlong_varint_field(self):
+        # A 3,000-byte varint is wider than str() prints, so formatting
+        # it into an error message used to raise ValueError.
+        huge = b"\xff" * 3000 + b"\x01"
+        for decoder, payload in ((decode_program, huge),
+                                 (decode_trace, huge),
+                                 (decode_batch, _with_crc(huge))):
+            with pytest.raises(TraceError, match="longer than"):
+                decoder(payload)
+
+    def test_batch_with_valid_crc_and_bad_utf8_name(self):
+        body = encode_batch(TraceBatch(shard_id=0, program_name="abc",
+                                       program_version=1))[:-4]
+        assert body.count(b"abc") == 1
+        payload = _with_crc(body.replace(b"abc", b"\xff\xfe\xfd"))
+        with pytest.raises(TraceError, match="UTF-8"):
+            decode_batch(payload)
