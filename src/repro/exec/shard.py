@@ -196,7 +196,7 @@ class Shard:
                     accumulator.add(entry)
                     if entry.product is not None:
                         self._recycle(entry.product.path_decisions,
-                                      planned.inputs, recorder,
+                                      run.inputs, recorder,
                                       planned.global_index)
         batches = list(accumulator.drain_batches())
         return ShardResult(

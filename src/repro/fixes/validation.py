@@ -15,25 +15,45 @@ generated suite:
 Verdict: a fix is deployable iff it causes **zero regressions** (every
 previously-successful run still succeeds, with the same thread-0
 result) and mitigates at least one previously-failing run.
+
+Validation does each run once per program version (see "The fix loop"
+in docs/PERFORMANCE.md):
+
+* **Skip what a fix cannot reach.** Every run records the blocks it
+  entered, and :func:`changed_blocks` names the blocks a fix rewrote. A
+  case whose run on the original entered none of them executes only
+  unchanged ops on the fixed program, so the same steps and the same
+  scheduler picks give the same result; it is not run again.
+* **Carry results over.** A :class:`ValidationTable` holds each case's
+  result on one program version. Validations of that version look
+  their before-results up in it, and a deployed fix's after-results
+  become the table of the version it creates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
+from repro.errors import ProgramModelError
 from repro.fixes.fix import Fix
 from repro.progmodel.interpreter import (
     Environment, ExecutionLimits, FaultPlan, Interpreter, Outcome,
 )
 from repro.progmodel.ir import Program
+from repro.progmodel.serialize import encode_block
 from repro.rng import make_rng
 from repro.sched.scheduler import RandomScheduler, RoundRobinScheduler
 from repro.symbolic.engine import SymbolicEngine, SymbolicLimits
 
-__all__ = ["ValidationReport", "FixValidator", "make_validation_suite"]
+__all__ = ["ValidationReport", "FixValidator", "ValidationTable",
+           "make_validation_suite", "changed_blocks"]
 
 InputVector = Dict[str, int]
+#: (sorted inputs, schedule seed, fault occurrence): what a run depends on.
+CaseKey = Tuple[Tuple[Tuple[str, int], ...], Optional[int], Optional[int]]
 
 
 @dataclass
@@ -43,6 +63,38 @@ class ValidationCase:
     inputs: InputVector
     schedule_seed: Optional[int] = None   # None = round-robin
     fault_read_occurrence: Optional[int] = None
+
+    @property
+    def key(self) -> CaseKey:
+        return (tuple(sorted(self.inputs.items())), self.schedule_seed,
+                self.fault_read_occurrence)
+
+
+class CaseResult(NamedTuple):
+    """What validation compares of one run (results as sorted items),
+    plus the (function, label) blocks the run entered."""
+
+    outcome: Outcome
+    return_values: Tuple[Tuple[int, Optional[int]], ...]
+    final_globals: Tuple[Tuple[str, Optional[int]], ...]
+    entered: FrozenSet[Tuple[str, str]]
+
+
+class ValidationTable:
+    """Each case's :class:`CaseResult` on one program version, keyed by
+    :attr:`ValidationCase.key`; equal results share one object."""
+
+    def __init__(self):
+        self._results: Dict[CaseKey, CaseResult] = {}
+        self._distinct: Dict[CaseResult, CaseResult] = {}
+
+    def get(self, key: CaseKey) -> Optional[CaseResult]:
+        return self._results.get(key)
+
+    def put(self, key: CaseKey, result: CaseResult) -> CaseResult:
+        result = self._distinct.setdefault(result, result)
+        self._results[key] = result
+        return result
 
 
 @dataclass
@@ -75,6 +127,8 @@ def make_validation_suite(program: Program,
                           sym_limits: Optional[SymbolicLimits] = None,
                           cache=None,
                           stats=None,
+                          example_inputs: Optional[
+                              Sequence[InputVector]] = None,
                           ) -> List[ValidationCase]:
     """Generate the validation scenarios for ``program``.
 
@@ -85,21 +139,26 @@ def make_validation_suite(program: Program,
     :class:`~repro.symbolic.cache.ConstraintCache`, when enabled;
     ``stats`` an optional :class:`~repro.symbolic.solver.SolverStats`
     accumulator the exploration's solver accounting is folded into
-    (the engine itself is transient).
+    (the engine itself is transient). ``example_inputs``, the paths'
+    example inputs in exploration order, skips the exploration when
+    the caller already made it: the hive passes its prover's oracle.
     """
-    engine = SymbolicEngine(
-        program, limits=sym_limits or SymbolicLimits(max_paths=max_paths),
-        cache=cache)
-    paths = engine.explore()
-    if stats is not None:
-        stats.add(engine.solver.stats)
+    if example_inputs is None:
+        engine = SymbolicEngine(
+            program,
+            limits=sym_limits or SymbolicLimits(max_paths=max_paths),
+            cache=cache)
+        paths = engine.explore()
+        if stats is not None:
+            stats.add(engine.solver.stats)
+        example_inputs = [path.example_inputs for path in paths]
     seen = set()
     inputs: List[InputVector] = []
-    for path in paths:
-        key = tuple(sorted(path.example_inputs.items()))
+    for example in example_inputs:
+        key = tuple(sorted(example.items()))
         if key not in seen:
             seen.add(key)
-            inputs.append(dict(path.example_inputs))
+            inputs.append(dict(example))
 
     multithreaded = len(program.threads) > 1
     cases: List[ValidationCase] = []
@@ -116,8 +175,45 @@ def make_validation_suite(program: Program,
     return cases
 
 
+def changed_blocks(old: Program, new: Program,
+                   ) -> Optional[Set[Tuple[str, str]]]:
+    """The (function, label) blocks whose bytes differ between ``old``
+    and ``new``, added and removed blocks included; None when the
+    programs differ outside their blocks (threads, inputs, globals, the
+    functions, a function's params or entry), so every case can change.
+
+    Bytes, not ``==``: an IR expression's ``==`` builds a comparison
+    node, so dataclass equality would ignore expressions.
+    """
+    if (tuple(old.threads) != tuple(new.threads)
+            or old.inputs != new.inputs or old.globals != new.globals
+            or old.functions.keys() != new.functions.keys()):
+        return None
+    changed: Set[Tuple[str, str]] = set()
+    try:
+        for fname, func in old.functions.items():
+            other = new.functions[fname]
+            if (tuple(func.params) != tuple(other.params)
+                    or func.entry != other.entry):
+                return None
+            for label in func.blocks.keys() | other.blocks.keys():
+                mine, theirs = func.blocks.get(label), other.blocks.get(label)
+                if (mine is None or theirs is None
+                        or encode_block(mine) != encode_block(theirs)):
+                    changed.add((fname, label))
+    except ProgramModelError:
+        return None                # a block the codec cannot write
+    return changed
+
+
 class FixValidator:
-    """Runs the suite on original and fixed programs and compares."""
+    """Runs the suite on original and fixed programs and compares.
+
+    ``table`` holds the original program's results; validators of one
+    program version may share it (the hive does). :meth:`validated`
+    hands back the fixed program a validation ran and its results, so
+    deploying the fix neither re-applies it nor re-runs its cases.
+    """
 
     def __init__(self, program: Program,
                  limits: Optional[ExecutionLimits] = None,
@@ -127,13 +223,29 @@ class FixValidator:
         self.limits = limits or ExecutionLimits()
         self.suite = suite if suite is not None else make_validation_suite(
             program, with_faults=with_faults)
+        self.table = ValidationTable()
+        self._validated: Dict[int, Tuple[Fix, Program, ValidationTable]] = {}
+
+    def validated(self, fix: Fix) -> Tuple[Program, ValidationTable]:
+        """The fixed program :meth:`validate` built for ``fix``, and
+        each case's result on it."""
+        _fix, fixed, table = self._validated[id(fix)]
+        return fixed, table
 
     def validate(self, fix: Fix) -> ValidationReport:
         fixed = fix.apply(self.program)
+        changed = changed_blocks(self.program, fixed)
+        results = ValidationTable()
         report = ValidationReport(fix_id=fix.fix_id)
         for case in self.suite:
-            before = self._run(self.program, case)
-            after = self._run(fixed, case)
+            key = case.key
+            before = self.table.get(key)
+            if before is None:
+                before = self.table.put(key, self._run(self.program, case))
+            if changed is not None and changed.isdisjoint(before.entered):
+                after = results.put(key, before)
+            else:
+                after = results.put(key, self._run(fixed, case))
             report.cases_run += 1
             if before.outcome is Outcome.OK:
                 # A previously-successful run must stay successful AND
@@ -155,9 +267,11 @@ class FixValidator:
                     report.mitigated += 1
                 else:
                     report.unmitigated += 1
+        # Keyed by identity; holding the fix keeps its id from reuse.
+        self._validated[id(fix)] = (fix, fixed, results)
         return report
 
-    def _run(self, program: Program, case: ValidationCase):
+    def _run(self, program: Program, case: ValidationCase) -> CaseResult:
         if case.schedule_seed is None:
             scheduler = RoundRobinScheduler()
         else:
@@ -168,5 +282,11 @@ class FixValidator:
             fault_plan = FaultPlan(
                 forced={case.fault_read_occurrence: 0})
         environment = Environment(fault_plan=fault_plan)
-        return Interpreter(program, limits=self.limits).run(
-            case.inputs, environment=environment, scheduler=scheduler)
+        entered: Set[Tuple[str, str]] = set()
+        result = Interpreter(program, limits=self.limits).run(
+            case.inputs, environment=environment, scheduler=scheduler,
+            entered=entered)
+        return CaseResult(result.outcome,
+                          tuple(sorted(result.return_values.items())),
+                          tuple(sorted(result.final_globals.items())),
+                          frozenset(entered))

@@ -18,7 +18,9 @@ from repro.fixes.deadlock_immunity import synthesize_immunity_fix
 from repro.fixes.fix import Fix
 from repro.fixes.patches import synthesize_recovery_fixes
 from repro.fixes.repairlab import RepairLab
-from repro.fixes.validation import FixValidator, make_validation_suite
+from repro.fixes.validation import (
+    FixValidator, ValidationTable, make_validation_suite,
+)
 from repro.guidance.steering import Steering, SteeringDirective
 from repro.progmodel.interpreter import ExecutionLimits, Interpreter, Outcome
 from repro.progmodel.ir import Program, Syscall
@@ -123,6 +125,10 @@ class Hive(Instrumented):
         self._digest_paths: Dict[bytes, Tuple[Tuple, "Outcome"]] = {}
         self._failure_traces: List[Trace] = []
         self._steering: Optional[Steering] = None
+        # Each validation case's result on the current program: every
+        # validation of this version starts from it, and a deployed
+        # fix's results replace it.
+        self._validation_table = ValidationTable()
 
         # Solver work done by engines that have since been discarded
         # (steering resets on deploy) — folded here so solver_stats()
@@ -348,15 +354,21 @@ class Hive(Instrumented):
         candidates = self._candidate_fixes()
         if not candidates:
             return None
-        chosen: Optional[Fix] = None
         if self.validate_fixes:
+            # The prover explored this version when it was installed;
+            # its paths' example inputs are the suite's, so it is not
+            # explored again. Without an oracle the suite explores.
+            oracle = (self.prover.oracle_inputs()
+                      if self.prover is not None else None)
             validator = FixValidator(
                 self.program, limits=self.limits,
                 suite=make_validation_suite(
                     self.program, with_faults=self._fault_validation,
                     sym_limits=self._sym_limits,
                     cache=self.solver_cache,
-                    stats=self._retired_solver_stats))
+                    stats=self._retired_solver_stats,
+                    example_inputs=oracle))
+            validator.table = self._validation_table
             lab = RepairLab(validator)
             ranked = lab.evaluate(candidates)
             winner = next((r for r in ranked if r.auto_approved), None)
@@ -373,10 +385,10 @@ class Hive(Instrumented):
                 self._note_fix_target(entry.fix)
             if winner is None:
                 return None
-            chosen = winner.fix
-        else:
-            chosen = candidates[0]
-        return self._deploy(chosen)
+            return self._deploy(winner.fix,
+                                *validator.validated(winner.fix))
+        chosen = candidates[0]
+        return self._deploy(chosen, chosen.apply(self.program))
 
     def _candidate_fixes(self) -> List[Fix]:
         candidates: List[Fix] = []
@@ -408,9 +420,13 @@ class Hive(Instrumented):
         elif isinstance(fix, LockifyFix):
             self._fixed_race_vars.add(fix.variable)
 
-    def _deploy(self, fix: Fix) -> Program:
-        fixed = fix.apply(self.program)
+    def _deploy(self, fix: Fix, fixed: Program,
+                table: Optional[ValidationTable] = None) -> Program:
+        """Ship ``fixed``, the program ``fix`` made; ``table`` holds the
+        validation results it already has."""
         self.program = fixed
+        self._validation_table = (table if table is not None
+                                  else ValidationTable())
         self.deployed_fixes.append(fix)
         self._note_fix_target(fix)
         self.stats.fixes_deployed += 1

@@ -23,13 +23,15 @@ __all__ = ["Pod", "PodRun"]
 
 @dataclass
 class PodRun:
-    """Everything one pod execution produced."""
+    """Everything one pod execution produced. ``inputs`` are the inputs
+    it ran on: a directive's, clamped to the domains, when it had some."""
 
     result: ExecutionResult
     trace: Trace
     feedback: UserFeedback
     guided: bool
     program_version: int
+    inputs: Dict[str, int]
 
 
 class Pod(Instrumented):
@@ -129,7 +131,8 @@ class Pod(Instrumented):
             self.failures_experienced += 1
             self._obs_failures.inc()
         return PodRun(result=result, trace=trace, feedback=feedback,
-                      guided=guided, program_version=self.program.version)
+                      guided=guided, program_version=self.program.version,
+                      inputs=inputs)
 
     # -- helpers ----------------------------------------------------------------
 

@@ -32,7 +32,7 @@ import sys
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ExecutionError, ProgramModelError, ScheduleError, TraceError
 from repro.progmodel.ir import (
@@ -473,7 +473,7 @@ class _Run:
     recorded nondeterminism instead."""
 
     __slots__ = ("inputs", "replay", "environment", "events", "globals",
-                 "lock_owner", "threads", "max_call_depth")
+                 "lock_owner", "threads", "max_call_depth", "entered")
 
 
 @dataclass
@@ -540,11 +540,19 @@ class Interpreter:
 
     def run(self, inputs: InputVector,
             environment: Optional[Environment] = None,
-            scheduler=None) -> ExecutionResult:
-        """Execute concretely on ``inputs`` (pod side)."""
+            scheduler=None,
+            entered: Optional[Set[Tuple[str, str]]] = None,
+            ) -> ExecutionResult:
+        """Execute concretely on ``inputs`` (pod side).
+
+        ``entered``, when given, gains ``(function, label)`` for each
+        block whose first op runs (fix validation reads it to skip the
+        cases a fix cannot reach); the run then uses a recording copy
+        of the lowered code, so runs without it execute the same ops.
+        """
         self._validate_inputs(inputs)
         return self._execute(dict(inputs), None, environment or Environment(),
-                             scheduler, [])
+                             scheduler, [], entered)
 
     def replay(self, source: ReplaySource) -> ExecutionResult:
         """Reconstruct an execution from a recorded trace (hive side).
@@ -590,12 +598,15 @@ class Interpreter:
     # -- main loop -------------------------------------------------------------
 
     def _execute(self, inputs, replay, environment, scheduler,
-                 events: List[Event]) -> ExecutionResult:
+                 events: List[Event], entered=None) -> ExecutionResult:
         program = self.program
         lowered = _lowered(program)
+        if entered is not None:
+            lowered = lowered.recording()
         run = _Run()
         run.inputs, run.replay, run.environment = inputs, replay, environment
         run.events, run.lock_owner, run.threads = events, {}, []
+        run.entered = entered
         run.globals = {name: (value, False, False)
                        for name, value in program.globals.items()}
         run.max_call_depth = self.limits.max_call_depth
@@ -710,15 +721,27 @@ def _lowered(program: Program) -> "_Lowered":
 
 class _Lowered:
     """One program's lowered code: each block's op list, keyed by
-    (function, label) and lowered on first entry."""
+    (function, label) and lowered on first entry.
 
-    __slots__ = ("program", "blocks")
+    :meth:`recording` is the same program's second copy, whose blocks
+    first add their (function, label) to the run's ``entered`` set.
+    Its jumps and calls link to recording code only, so a run uses one
+    copy throughout; the copy is built on first use, by validation."""
 
-    def __init__(self, program: Program):
+    __slots__ = ("program", "blocks", "records", "_recording")
+
+    def __init__(self, program: Program, records: bool = False):
         key = id(program)
         self.program = weakref.ref(program,
                                    lambda _ref: _LOWERED.pop(key, None))
         self.blocks: Dict[Tuple[str, str], list] = {}
+        self.records = records
+        self._recording: Optional[_Lowered] = None
+
+    def recording(self) -> "_Lowered":
+        if self._recording is None:
+            self._recording = _Lowered(self.program(), records=True)
+        return self._recording
 
     def code(self, fname: str, label: str) -> list:
         """The ops of block ``label`` in ``fname``, lowered on first use;
@@ -726,9 +749,19 @@ class _Lowered:
         code = self.blocks.get((fname, label))
         if code is None:
             block = self.program().function(fname).block(label)
-            code = self.blocks[fname, label] = _lower_block(
-                self, fname, label, block)
+            code = _lower_block(self, fname, label, block)
+            if self.records:
+                code[0] = _entering((fname, label), code[0])
+            self.blocks[fname, label] = code
         return code
+
+
+def _entering(site: Tuple[str, str], first):
+    """``first``, preceded by recording that its block was entered."""
+    def op(run, thread, frame):
+        run.entered.add(site)
+        return first(run, thread, frame)
+    return op
 
 
 def _raiser(error: type, message: str):

@@ -48,7 +48,7 @@ from repro.progmodel.ir import (
 )
 from repro.wire import Reader, write_string, write_varint, write_zigzag
 
-__all__ = ["encode_program", "decode_program"]
+__all__ = ["encode_program", "decode_program", "encode_block"]
 
 _FORMAT_VERSION = 1
 
@@ -253,16 +253,26 @@ def encode_program(program: Program) -> bytes:
         write_string(out, func.entry)
         write_varint(out, len(func.blocks))
         for label in sorted(func.blocks):
-            block = func.blocks[label]
-            write_string(out, block.label)
-            write_varint(out, len(block.instructions))
-            for instr in block.instructions:
-                _write_instruction(out, instr)
-            if block.terminator is None:
-                raise ProgramModelError(
-                    f"block {label!r} has no terminator")
-            _write_terminator(out, block.terminator)
+            _write_block(out, func.blocks[label])
     return bytes(out)
+
+
+def encode_block(block: Block) -> bytes:
+    """One block's bytes, exactly as :func:`encode_program` writes them:
+    equal bytes mean the block runs the same ops."""
+    out = bytearray()
+    _write_block(out, block)
+    return bytes(out)
+
+
+def _write_block(out: bytearray, block: Block) -> None:
+    write_string(out, block.label)
+    write_varint(out, len(block.instructions))
+    for instr in block.instructions:
+        _write_instruction(out, instr)
+    if block.terminator is None:
+        raise ProgramModelError(f"block {block.label!r} has no terminator")
+    _write_terminator(out, block.terminator)
 
 
 def decode_program(data: bytes) -> Program:

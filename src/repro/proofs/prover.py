@@ -160,6 +160,14 @@ class CumulativeProver:
         return sorted(path for path in self._oracle_paths
                       if path not in projected)
 
+    def oracle_inputs(self) -> Optional[List[Dict[str, int]]]:
+        """Every feasible path's example inputs, in exploration order
+        (what fix validation's suite is built from); None without an
+        oracle."""
+        if self._oracle_paths is None:
+            return None
+        return list(self._oracle_examples.values())
+
     def example_inputs_for(self, path: Tuple[Decision, ...],
                            ) -> Optional[Dict[str, int]]:
         """The oracle's satisfying inputs for a feasible path — the

@@ -131,6 +131,26 @@ _DONE = "done"
 _Fork = Tuple[Site, Expr]
 
 
+class _RecycleNode:
+    """One node of the recycle trie: the state reached by forcing one
+    sequence of fork decisions, advanced once to its next fork.
+
+    ``fork`` is None until the first walk arrives, then ``(site, cond)``
+    or :data:`_DONE` when the path ends before another fork. ``banks``
+    are the slices a walk entering this node stores: the ``(key, order,
+    symbols)`` of each slice of the extended condition that holds the
+    new conjunct. ``state`` is dropped once both children exist or the
+    node is terminal."""
+
+    __slots__ = ("state", "fork", "children", "banks")
+
+    def __init__(self, state: "_SymState", banks=()):
+        self.state: Optional[_SymState] = state
+        self.fork = None
+        self.children: List[Optional[_RecycleNode]] = [None, None]
+        self.banks = banks
+
+
 class SymbolicEngine(Instrumented):
     """Feasible-path enumeration for one program."""
 
@@ -150,6 +170,7 @@ class SymbolicEngine(Instrumented):
         self.symbolic_syscalls = symbolic_syscalls
         self._read_size = syscall_read_size
         self._domains: Dict[str, Tuple[int, int]] = dict(program.inputs)
+        self._recycle_root: Optional[_RecycleNode] = None
         self._obs_paths = self.obs_counter("paths_explored")
         self._obs_solver_calls = self.obs_counter("solver_calls")
         self._obs_explore = self.obs_timer("explore")
@@ -248,6 +269,12 @@ class SymbolicEngine(Instrumented):
         each extension step, exactly the slices the guidance layer's
         incremental :meth:`solve_prefix` will probe next round.
 
+        Walks share one trie per engine, keyed by the forced decisions:
+        each node advances to its next fork, extends its condition and
+        slices it once, however many walks pass through it. Each walk
+        still checks every fork against its own inputs and stores its
+        own values, in path order.
+
         Returns False when the walk diverges (fault-driven decisions
         the fault-free model cannot force) — nothing wrong, just no
         recyclable by-product; facts banked before the divergence are
@@ -256,42 +283,79 @@ class SymbolicEngine(Instrumented):
         cache = self.solver.cache
         if cache is None:
             return False
-        from repro.symbolic.cache import condition_slices
-        state = self._initial_state(self.program.threads[0])
-        script = list(decisions)
-        while script:
-            step = self._advance_to_decision(state)
-            if step == _DONE or isinstance(step, SymPath):
+        if self._recycle_root is None:
+            self._recycle_root = _RecycleNode(
+                self._initial_state(self.program.threads[0]))
+        node = self._recycle_root
+        position, end = 0, len(decisions)
+        while position < end:
+            fork = node.fork
+            if fork is None:
+                fork = self._advance_node(node)
+            if fork is _DONE:
                 break
-            site, cond = step
+            site, cond = fork
             # Same skip rule as solve_prefix: concretely-resolved
             # decisions in the recorded path never become fork sites.
-            while script and script[0][0] != site:
-                script.pop(0)
-            if not script:
+            while position < end and decisions[position][0] != site:
+                position += 1
+            if position == end:
                 return False
-            _want_site, taken = script.pop(0)
+            taken = decisions[position][1]
+            position += 1
             try:
                 value = eval_concrete(cond, inputs)
             except (ZeroDivisionError, SymbolicError):
                 return False
             if bool(value) != taken:
                 return False  # trace and fault-free model disagree
-            extended = state.condition.extended(cond, taken)
-            if extended is not state.condition:
-                for piece in condition_slices(extended):
-                    if (piece.symbols
-                            and any(expr is cond and t == taken
-                                    for expr, t in piece.conjuncts)
-                            and all(name in inputs
-                                    for name in piece.symbols)):
-                        cache.store_sat(
-                            piece.key, piece.order,
-                            {name: inputs[name] for name in piece.symbols})
-            state.condition = extended
-            state.decisions.append((site, taken))
-            self._take_branch(state, taken)
-        return not script
+            child = node.children[taken]
+            if child is None:
+                child = self._grow_node(node, site, cond, taken)
+            for key, order, symbols in child.banks:
+                if all(name in inputs for name in symbols):
+                    cache.store_sat(key, order,
+                                    {name: inputs[name] for name in symbols})
+            node = child
+        return position == end
+
+    def _advance_node(self, node: _RecycleNode):
+        """Advance a new trie node to its next fork, once."""
+        try:
+            step = self._advance_to_decision(node.state)
+        except Exception:
+            # The state is half-advanced: start the trie afresh, so the
+            # next walk here raises again, as a walk from the root would.
+            self._recycle_root = None
+            raise
+        if step == _DONE or isinstance(step, SymPath):
+            node.fork, node.state = _DONE, None
+        else:
+            node.fork = step
+        return node.fork
+
+    def _grow_node(self, node: _RecycleNode, site: Site, cond: Expr,
+                   taken: bool) -> _RecycleNode:
+        """The child of ``node`` for direction ``taken``: the slices its
+        extension banks, and the state past the branch (the parent's
+        own state when the other child already has a copy)."""
+        from repro.symbolic.cache import condition_slices
+        state = node.state
+        extended = state.condition.extended(cond, taken)
+        banks = () if extended is state.condition else tuple(
+            (piece.key, piece.order, piece.symbols)
+            for piece in condition_slices(extended)
+            if piece.symbols and any(expr is cond and t == taken
+                                     for expr, t in piece.conjuncts))
+        if node.children[not taken] is None:
+            state = state.clone()
+        else:
+            node.state = None
+        state.condition = extended
+        state.decisions.append((site, taken))
+        self._take_branch(state, taken)
+        child = node.children[taken] = _RecycleNode(state, banks)
+        return child
 
     # -- cooperative-exploration API (paper Sec. 4) ------------------------------
 

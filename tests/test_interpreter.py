@@ -341,7 +341,7 @@ class TestGoldenByProducts:
                      result.events, sorted(result.return_values.items()),
                      sorted(result.final_globals.items()))).encode()
 
-    def test_by_products_match_the_reference(self):
+    def _digest(self, record: bool) -> str:
         digest = hashlib.sha256()
         for program in self._programs():
             for i in range(20):
@@ -352,12 +352,86 @@ class TestGoldenByProducts:
                     inputs,
                     environment=Environment(rng=random.Random(i),
                                             fault_rate=0.2),
-                    scheduler=RandomScheduler(rng=random.Random(i + 1000)))
+                    scheduler=RandomScheduler(rng=random.Random(i + 1000)),
+                    entered=set() if record else None)
                 replayed = Interpreter(program).replay(
                     trace_from_result(live).replay_source())
                 digest.update(self._fingerprint(live))
                 digest.update(self._fingerprint(replayed))
-        assert digest.hexdigest() == GOLDEN_BY_PRODUCTS
+        return digest.hexdigest()
+
+    def test_by_products_match_the_reference(self):
+        assert self._digest(record=False) == GOLDEN_BY_PRODUCTS
+
+    def test_recording_entered_blocks_changes_nothing(self):
+        """Validation runs record the blocks they enter through a second
+        copy of the lowered code; every by-product stays the same."""
+        assert self._digest(record=True) == GOLDEN_BY_PRODUCTS
+
+
+class TestEnteredBlocks:
+    """``run(entered=)`` gains each block whose first op ran."""
+
+    @staticmethod
+    def _entered(program, inputs=None, limits=None):
+        entered = set()
+        result = Interpreter(program, limits=limits).run(
+            inputs or {}, scheduler=RoundRobinScheduler(), entered=entered)
+        return result, entered
+
+    def test_thread_blocked_at_block_entry_entered_it(self):
+        b = ProgramBuilder("locks", threads=("left", "right"))
+        left = b.function("left")
+        left.block("entry").lock("A").jump("take_b")
+        left.block("take_b").lock("B").jump("done")
+        left.block("done").unlock("B").unlock("A").halt()
+        right = b.function("right")
+        right.block("entry").lock("B").jump("take_a")
+        right.block("take_a").lock("A").jump("done")
+        right.block("done").unlock("A").unlock("B").halt()
+        result, entered = self._entered(b.build())
+        # Each thread's lock request at the head of its second block
+        # ran and blocked: those blocks were entered, the next ones not.
+        assert result.outcome is Outcome.DEADLOCK
+        assert entered == {("left", "entry"), ("left", "take_b"),
+                           ("right", "entry"), ("right", "take_a")}
+
+    def test_hang_cut_off_inside_a_block(self):
+        b = ProgramBuilder("spin", threads=("main",))
+        main = b.function("main")
+        main.block("entry").jump("loop")
+        main.block("loop").assign("i", v("i") + 1) \
+            .assign("j", v("j") + 1).jump("loop")
+        main.block("exit").halt()
+        result, entered = self._entered(
+            b.build(), limits=ExecutionLimits(max_steps=5))
+        # Steps: jump, i, j, jump, i -- the budget ends mid-block.
+        assert result.outcome is Outcome.HANG
+        assert entered == {("main", "entry"), ("main", "loop")}
+
+    def test_block_reached_but_not_started_is_not_entered(self):
+        b = ProgramBuilder("cut", threads=("main",))
+        main = b.function("main")
+        main.block("entry").assign("a", 1).jump("next")
+        main.block("next").assign("b", 2).halt()
+        result, entered = self._entered(
+            b.build(), limits=ExecutionLimits(max_steps=2))
+        assert result.outcome is Outcome.HANG
+        assert result.failure.block == "next"
+        assert entered == {("main", "entry")}
+
+    def test_callee_and_branch_targets(self):
+        demo = make_crash_demo()
+        for inputs in ({"n": 1, "mode": 0}, {"n": 7, "mode": 2}):
+            result, entered = self._entered(demo.program, inputs)
+            branches = {(event.function, event.block)
+                        for event in result.branch_events}
+            assert branches <= entered
+            assert all(label in demo.program.functions[fname].blocks
+                       for fname, label in entered)
+        _result, ok = self._entered(demo.program, {"n": 1, "mode": 0})
+        _result, crash = self._entered(demo.program, {"n": 7, "mode": 2})
+        assert ("main", "boom") in crash - ok
 
 
 def _forked_program(bad_block: Block) -> Program:

@@ -3,7 +3,7 @@ tiers, the delta/merge sharing protocol, and witness recycling."""
 
 import pytest
 
-from repro.errors import SolverError
+from repro.errors import SolverError, SymbolicError
 from repro.progmodel.ir import Input
 from repro.symbolic.cache import (
     ConstraintCache, canonical_slice_key, condition_slices,
@@ -328,6 +328,165 @@ class TestWitnessRecycling:
         for path in paths:
             assert SymbolicEngine(program, cache=cache).solve_prefix(
                 path.decisions) is not None
+
+
+def _reference_recycle(engine, decisions, inputs):
+    """The per-path recycle walk the trie replaced: every walk starts
+    again from the root and extends and slices each step itself."""
+    from repro.symbolic.engine import _DONE, SymPath
+    from repro.symbolic.expr import eval_concrete
+    cache = engine.solver.cache
+    state = engine._initial_state(engine.program.threads[0])
+    script = list(decisions)
+    while script:
+        step = engine._advance_to_decision(state)
+        if step == _DONE or isinstance(step, SymPath):
+            break
+        site, cond = step
+        while script and script[0][0] != site:
+            script.pop(0)
+        if not script:
+            return False
+        _want_site, taken = script.pop(0)
+        try:
+            value = eval_concrete(cond, inputs)
+        except (ZeroDivisionError, SymbolicError):
+            return False
+        if bool(value) != taken:
+            return False
+        extended = state.condition.extended(cond, taken)
+        if extended is not state.condition:
+            for piece in condition_slices(extended):
+                if (piece.symbols
+                        and any(expr is cond and t == taken
+                                for expr, t in piece.conjuncts)
+                        and all(name in inputs for name in piece.symbols)):
+                    cache.store_sat(
+                        piece.key, piece.order,
+                        {name: inputs[name] for name in piece.symbols})
+        state.condition = extended
+        state.decisions.append((site, taken))
+        engine._take_branch(state, taken)
+    return not script
+
+
+def _repair_platform(seed):
+    """The repo benchmark's repair workload (perfbench ``_repair``)."""
+    from repro.platform import PlatformConfig, SoftBorgPlatform
+    from repro.progmodel.bugs import BugKind
+    from repro.progmodel.corpus import CorpusConfig, generate_program
+    from repro.workloads.population import UserPopulation
+    from repro.workloads.scenarios import Scenario
+    seeded = generate_program(
+        "repair", CorpusConfig(seed=1, n_segments=8, input_domain=24),
+        (BugKind.CRASH, BugKind.ASSERT))
+    return SoftBorgPlatform(
+        Scenario(seeded=seeded,
+                 population=UserPopulation(seeded.program, 40,
+                                           volatility=0.4, seed=seed),
+                 description="generated crash + assert program"),
+        PlatformConfig(n_pods=8, rounds=12, executions_per_round=25,
+                       guidance=True, enable_proofs=True,
+                       solver_cache="collective", seed=seed,
+                       backend="serial"))
+
+
+class TestRecycleTrie:
+    """The trie walk banks exactly what per-path walks banked."""
+
+    @pytest.fixture(scope="class")
+    def repair_stream(self):
+        """Every recycle walk of the repair workload at seed 1, as
+        (engine, decisions, inputs, returned), in call order."""
+        calls = []
+        original = SymbolicEngine.recycle_witness
+
+        def recording(engine, decisions, inputs):
+            banked = original(engine, decisions, inputs)
+            calls.append((engine, tuple(decisions), dict(inputs), banked))
+            return banked
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SymbolicEngine, "recycle_witness", recording)
+            _repair_platform(seed=1).run()
+        return calls
+
+    def test_guided_walks_recycle_the_inputs_the_pod_ran(self,
+                                                         repair_stream):
+        # The workload has no environment faults, so every recorded
+        # path is one the fault-free model can force.
+        assert len(repair_stream) > 100
+        assert all(banked for *_rest, banked in repair_stream)
+
+    def test_trie_matches_per_path_walks(self, repair_stream):
+        engines = {}
+        for engine, decisions, inputs, _banked in repair_stream:
+            engines.setdefault(id(engine), (engine, []))[1].append(
+                (decisions, inputs))
+        assert len(engines) >= 2          # one per shard and version
+        for engine, walks in engines.values():
+            trie = SymbolicEngine(engine.program, cache=ConstraintCache())
+            reference = SymbolicEngine(engine.program,
+                                       cache=ConstraintCache())
+            for decisions, inputs in walks:
+                assert (trie.recycle_witness(decisions, inputs)
+                        == _reference_recycle(reference, decisions, inputs))
+            mine, theirs = trie.solver.cache, reference.solver.cache
+            assert mine.export_delta() == theirs.export_delta()
+            assert list(mine.entries()) == list(theirs.entries())
+            assert mine.stats.stores == theirs.stats.stores > 0
+
+    def test_mismatching_walks_match_per_path_walks(self):
+        """Diverging walks (flipped decisions, wrong inputs) stop where
+        a per-path walk stops, after banking the same prefix."""
+        from repro.workloads.scenarios import crash_scenario
+        program = crash_scenario().program
+        paths = [path for path in SymbolicEngine(program).explore()
+                 if path.decisions]
+        trie = SymbolicEngine(program, cache=ConstraintCache())
+        reference = SymbolicEngine(program, cache=ConstraintCache())
+        for path in paths + paths[::-1]:
+            for decisions, inputs in (
+                    (path.decisions, path.example_inputs),
+                    (tuple((site, not taken)
+                           for site, taken in path.decisions),
+                     path.example_inputs),
+                    (path.decisions[:-1], path.example_inputs),
+                    (path.decisions + path.decisions, path.example_inputs)):
+                assert (trie.recycle_witness(decisions, inputs)
+                        == _reference_recycle(reference, decisions, inputs))
+        assert (trie.solver.cache.export_delta()
+                == reference.solver.cache.export_delta())
+        assert trie.solver.cache.stats.stores \
+            == reference.solver.cache.stats.stores
+
+
+class TestShardRecycling:
+    def test_input_directive_recycles_the_inputs_the_pod_ran(self,
+                                                            monkeypatch):
+        """A directive's inputs replace the planned ones in the run, so
+        the walk over that run's path must check those inputs."""
+        from repro.exec.plan import PlannedRun
+        from repro.exec.shard import Shard
+        from repro.guidance.steering import SteeringDirective
+        from repro.pod.pod import Pod
+        from repro.progmodel.corpus import make_crash_demo
+        program = make_crash_demo().program
+        walks = []
+        original = SymbolicEngine.recycle_witness
+
+        def recording(engine, decisions, inputs):
+            banked = original(engine, decisions, inputs)
+            walks.append((dict(inputs), banked))
+            return banked
+        monkeypatch.setattr(SymbolicEngine, "recycle_witness", recording)
+        shard = Shard(0, {0: Pod("pod0", program)}, program,
+                      solver_cache=ConstraintCache())
+        steered = {"n": 7, "mode": 2}
+        shard.run_shard([PlannedRun(
+            global_index=0, pod_index=0, inputs={"n": 1, "mode": 0},
+            directive=SteeringDirective(kind="input", inputs=steered))])
+        assert walks == [(steered, True)]
+        assert shard.solver_cache.stats.stores > 0
 
 
 class TestStatsContract:
