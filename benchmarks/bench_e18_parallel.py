@@ -9,11 +9,12 @@ claims under test, post session-protocol redesign:
 
 * the *report is bit-identical across backends* for a fixed seed —
   every leg, unconditionally;
-* the session protocol's per-round delta shipping is cheap enough that
-  one worker process keeps pace with the in-process serial loop
-  (``process-1`` vs ``serial``) — on a 1-core host the two processes
-  time-share a single CPU, so the strict >= 1x assertion is gated on
-  >= 2 cores and a looser floor guards the single-core overhead;
+* the session protocol streams each round in windows (the hive ingests
+  window w while the worker runs w+1), so one worker process keeps pace
+  with the in-process serial loop (``process-1`` vs ``serial``) — on a
+  1-core host the two processes time-share a single CPU, so the strict
+  >= 1x assertion is gated on >= 2 cores and a looser floor guards the
+  single-core overhead;
 * on a >= 4-core host the 4-worker process backend halves the serial
   wall-clock at fleet scale (n_pods >= 40).
 

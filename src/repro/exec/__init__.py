@@ -4,7 +4,8 @@ The coordinator plans each round (all randomness serialized, see
 ``repro.exec.plan``), a backend executes it (serial or process;
 see ``repro.exec.backends``), and sharded collectors ship
 batched traces plus execution-tree edge deltas back for hive ingest
-(``repro.exec.batch``, ``repro.exec.shard``). Coordinator state reaches
+(``repro.exec.batch``, ``repro.exec.shard``), one window of the round
+at a time (``repro.exec.plan.WINDOWS``). Coordinator state reaches
 the shards as epoch-stamped ``publish(SyncDelta)`` calls — the
 session-oriented protocol in ``repro.exec.session``. Reports are
 bit-identical across backends for a fixed seed; see
@@ -16,6 +17,7 @@ from repro.exec.backends import (
     ExecutorBackend,
     ProcessBackend,
     SerialBackend,
+    WindowSink,
     make_backend,
     resolve_backend_name,
     resolve_workers,
@@ -29,26 +31,31 @@ from repro.exec.batch import (
     TraceBatch,
     decode_batch,
     encode_batch,
+    merge_windows,
 )
-from repro.exec.plan import PlannedRun, RoundPlan, partition_runs
+from repro.exec.plan import (
+    WINDOWS, PlannedRun, RoundPlan, partition_runs, partition_windows,
+)
 from repro.exec.session import (
+    ResultPacker,
+    ResultUnpacker,
     SessionLog,
     SyncDelta,
-    pack_result,
     pack_runs,
-    unpack_result,
     unpack_runs,
 )
 from repro.exec.shard import Shard
 
 __all__ = [
-    "BACKEND_NAMES", "ExecutorBackend",
+    "BACKEND_NAMES", "ExecutorBackend", "WindowSink",
     "SerialBackend", "ProcessBackend",
     "make_backend", "resolve_backend_name", "resolve_workers",
     "BatchAccumulator", "BatchEntry", "ReplayProduct", "RunRecord",
     "ShardResult", "TraceBatch", "encode_batch", "decode_batch",
-    "PlannedRun", "RoundPlan", "partition_runs",
-    "SessionLog", "SyncDelta",
-    "pack_runs", "unpack_runs", "pack_result", "unpack_result",
+    "merge_windows",
+    "PlannedRun", "RoundPlan", "WINDOWS", "partition_runs",
+    "partition_windows",
+    "SessionLog", "SyncDelta", "ResultPacker", "ResultUnpacker",
+    "pack_runs", "unpack_runs",
     "Shard",
 ]

@@ -13,6 +13,13 @@ hands the plan to an :class:`ExecutorBackend`, and gets back per-shard
   delta-shaped results back, epoch-stamped ``publish()`` broadcasts in
   between. This is the backend that buys wall-clock.
 
+Both stream a round the same way: ``run_round(plan, sink)`` runs it in
+:data:`~repro.exec.plan.WINDOWS` windows and calls ``sink`` with window
+w from every shard as soon as all of them reported it; the process
+workers are running window w+1 meanwhile, and the serial shard waits
+for the sink. Without a sink nothing consumes a window early, so the
+round runs as a single window.
+
 Every backend is a context manager (``with make_backend(...) as b:``)
 whose exit calls the idempotent :meth:`close`, and every backend feeds
 ``repro.obs``: round execute latency, batch count/size/bytes, per-shard
@@ -32,7 +39,7 @@ Backend choice is config- or environment-driven (``REPRO_BACKEND``);
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 try:  # pragma: no cover
     from typing import Protocol
@@ -40,10 +47,10 @@ except ImportError:  # pragma: no cover
     Protocol = object  # type: ignore[assignment]
 
 from repro.errors import ConfigError
-from repro.exec.batch import ShardResult
-from repro.exec.plan import RoundPlan, partition_runs
+from repro.exec.batch import ShardResult, merge_windows
+from repro.exec.plan import WINDOWS, RoundPlan, partition_windows
 from repro.exec.session import (
-    SessionLog, SyncDelta, pack_runs, pack_result, unpack_result,
+    ResultPacker, ResultUnpacker, SessionLog, SyncDelta, pack_runs,
     unpack_runs,
 )
 from repro.exec.shard import Shard
@@ -54,12 +61,15 @@ from repro.progmodel.interpreter import ExecutionLimits
 from repro.progmodel.ir import Program
 
 __all__ = [
-    "BACKEND_NAMES", "ExecutorBackend", "SyncDelta",
+    "BACKEND_NAMES", "ExecutorBackend", "SyncDelta", "WindowSink",
     "SerialBackend", "ProcessBackend",
     "make_backend", "resolve_backend_name", "resolve_workers",
 ]
 
 BACKEND_NAMES = ("serial", "process")
+
+#: Called with one window's results from every shard, in shard order.
+WindowSink = Callable[[List[ShardResult]], None]
 
 _ENV_BACKEND = "REPRO_BACKEND"
 
@@ -104,8 +114,12 @@ class ExecutorBackend(Protocol):
     workers: int
     epoch: int
 
-    def run_round(self, plan: RoundPlan) -> List[ShardResult]:
-        """Execute the plan; shard results ordered by shard id."""
+    def run_round(self, plan: RoundPlan,
+                  sink: Optional[WindowSink] = None) -> List[ShardResult]:
+        """Execute the plan; shard results ordered by shard id, each
+        holding every record, entry and tree row of its shard. ``sink``
+        (optional) receives each window from every shard as soon as
+        all of them reported it, in window order."""
 
     def publish(self, delta: SyncDelta) -> int:
         """Apply a state delta to every shard; returns the stamped
@@ -178,7 +192,8 @@ class _BackendBase(Instrumented):
 
     # -- rounds ---------------------------------------------------------------
 
-    def run_round(self, plan: RoundPlan) -> List[ShardResult]:
+    def run_round(self, plan: RoundPlan,
+                  sink: Optional[WindowSink] = None) -> List[ShardResult]:
         import time
         started = time.perf_counter()
         # Shards record their spans into per-shard recorders rooted at
@@ -187,7 +202,7 @@ class _BackendBase(Instrumented):
         # graft into one tree here.
         ctx = self._tracer.current_context()
         with self._obs_round_time.time():
-            results = self._run_round(plan, ctx)
+            results = self._run_round(plan, ctx, sink)
         wall = max(time.perf_counter() - started, 1e-9)
         self._obs_rounds.inc()
         for result in results:
@@ -204,7 +219,8 @@ class _BackendBase(Instrumented):
                     sum(len(entry.payload) for entry in batch.entries))
         return results
 
-    def _run_round(self, plan: RoundPlan, ctx=None) -> List[ShardResult]:
+    def _run_round(self, plan: RoundPlan, ctx=None,
+                   sink: Optional[WindowSink] = None) -> List[ShardResult]:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -237,8 +253,16 @@ class SerialBackend(_BackendBase):
                             solver_cache=self._shard_cache(solver_cache),
                             replay_products=replay_products)
 
-    def _run_round(self, plan: RoundPlan, ctx=None) -> List[ShardResult]:
-        return [self._shard.run_shard(plan.runs, ctx)]
+    def _run_round(self, plan: RoundPlan, ctx=None,
+                   sink: Optional[WindowSink] = None) -> List[ShardResult]:
+        windows = []
+        for window in self._shard.run_windows(
+                partition_windows(plan.runs, 1, _window_count(sink))[0],
+                ctx):
+            windows.append(window)
+            if sink is not None:
+                sink([window])
+        return [merge_windows(windows, self._shard.batch_max_traces)]
 
     def _publish(self, delta: SyncDelta) -> None:
         self._shard.apply_sync(delta)
@@ -260,9 +284,11 @@ class ProcessBackend(_BackendBase):
     epoch** — every published program deploy and rollout in order, plus
     the compacted cache facts — before it serves a round. Per round,
     only deltas cross: packed plans out (interned inputs), packed
-    delta-shaped results back (outcome/product tables, tree edge rows,
-    once-encoded trace payloads), and worker counter *deltas* instead
-    of totals.
+    delta-shaped results back one window at a time (round-scoped
+    outcome/product/payload tables, tree edge rows, once-encoded trace
+    payloads), and worker counter *deltas* instead of totals. A worker
+    that dies mid-round is respawned and re-runs only the windows the
+    coordinator has not received.
     """
 
     name = "process"
@@ -392,75 +418,31 @@ class ProcessBackend(_BackendBase):
             raise RuntimeError(f"unexpected probe reply: {reply[0]}")
         return reply[1]
 
-    def _run_round(self, plan: RoundPlan, ctx=None) -> List[ShardResult]:
+    def _run_round(self, plan: RoundPlan, ctx=None,
+                   sink: Optional[WindowSink] = None) -> List[ShardResult]:
         self._start()
-        slices = partition_runs(plan.runs, self.workers)
-        crashed: List[int] = []
-        for shard_id, (pipe, runs) in enumerate(zip(self._pipes, slices)):
-            try:
-                pipe.send(("round", self._epoch, pack_runs(runs), ctx))
-            except (BrokenPipeError, OSError):
-                crashed.append(shard_id)
-        results: List[Optional[ShardResult]] = [None] * self.workers
-        for shard_id, pipe in enumerate(self._pipes):
-            if shard_id in crashed:
-                continue
-            try:
-                reply = pipe.recv()
-            except (EOFError, OSError):
-                crashed.append(shard_id)
-                continue
-            if reply[0] != "ok":
-                self.close()
-                raise RuntimeError(
-                    f"exec worker shard {shard_id} failed:\n{reply[1]}")
-            results[shard_id] = unpack_result(reply[1])
-            self._merge_counters(reply[2])
-        # Crash-tolerant rounds: a dead worker's shard is re-run on a
-        # fresh replacement process — spawned at the current epoch —
-        # with capped backoff between respawns, instead of aborting
-        # the round.
-        for shard_id in crashed:
-            results[shard_id] = self._retry_shard(shard_id,
-                                                  slices[shard_id], ctx)
-        return results  # type: ignore[return-value]
-
-    def _retry_shard(self, shard_id: int, runs, ctx=None) -> ShardResult:
-        import time
-
-        from repro.obs import get_registry
-        registry = get_registry()
-        respawns = registry.counter("exec.worker_respawns")
-        attempts = registry.counter("retry.attempts")
-        backoffs = registry.histogram("retry.backoff_seconds",
-                                      unit="seconds")
-        for attempt in range(1, self._MAX_RESPAWNS + 1):
-            respawns.inc()
-            attempts.inc()
-            backoff = min(self._RESPAWN_BACKOFF_CAP,
-                          self._RESPAWN_BACKOFF_BASE
-                          * (2 ** (attempt - 1)))
-            backoffs.observe(backoff)
-            time.sleep(backoff)
-            self._respawn(shard_id)
-            pipe = self._pipes[shard_id]
-            try:
-                pipe.send(("round", self._epoch, pack_runs(runs), ctx))
-                reply = pipe.recv()
-            except (EOFError, BrokenPipeError, OSError):
-                continue
-            if reply[0] != "ok":
-                self.close()
-                raise RuntimeError(
-                    f"exec worker shard {shard_id} failed after"
-                    f" respawn:\n{reply[1]}")
-            self._merge_counters(reply[2])
-            return unpack_result(reply[1])
-        registry.counter("retry.giveups").inc()
-        self.close()
-        raise RuntimeError(
-            f"exec worker shard {shard_id} kept dying through"
-            f" {self._MAX_RESPAWNS} respawns")
+        count = _window_count(sink)
+        streams = [_RoundStream(self, shard_id, windows, ctx)
+                   for shard_id, windows in enumerate(
+                       partition_windows(plan.runs, self.workers, count))]
+        try:
+            for stream in streams:
+                stream.send()
+            for _window in range(count):
+                parts = [stream.receive() for stream in streams]
+                if sink is not None:
+                    sink(parts)
+            for stream in streams:
+                stream.finish()
+        except BaseException:
+            # A worker error, a respawn budget spent, or a sink that
+            # raised: workers left mid-round would answer the next round
+            # with this one's windows, so drop them all; the next round
+            # starts fresh ones at the current epoch.
+            self.close()
+            raise
+        return [merge_windows(stream.received, self._batch_max_traces)
+                for stream in streams]
 
     def _merge_counters(self, deltas: Dict[str, int]) -> None:
         """Fold worker-side counter *deltas* (pod executions, capture
@@ -487,6 +469,94 @@ class ProcessBackend(_BackendBase):
                 proc.terminate()
         self._procs = []
         self._pipes = []
+
+
+def _window_count(sink: Optional[WindowSink]) -> int:
+    """Stream in :data:`WINDOWS` windows only when a sink consumes them."""
+    return WINDOWS if sink is not None else 1
+
+
+class _RoundStream:
+    """One worker's share of a streamed round, coordinator side.
+
+    Sends the worker its windows, then takes its window results back
+    in order. A worker that dies mid-round (EOF or a broken pipe) is
+    replaced at the current epoch with capped backoff and sent only the
+    windows not yet received: a received window — its records, entries
+    and counter deltas — is kept, and never arrives twice.
+    """
+
+    def __init__(self, backend: ProcessBackend, shard_id: int,
+                 windows: List[list], ctx):
+        self.backend = backend
+        self.shard_id = shard_id
+        self.windows = windows
+        self.ctx = ctx
+        self.received: List[ShardResult] = []
+        self._unpacker = ResultUnpacker()
+        self._sent = False
+        self._respawns = 0
+
+    def send(self) -> None:
+        """Hand the worker every window not yet received."""
+        pending = self.windows[len(self.received):]
+        try:
+            self.backend._pipes[self.shard_id].send((
+                "round", self.backend._epoch,
+                pack_runs([run for window in pending for run in window]),
+                self.ctx, [len(window) for window in pending]))
+            self._sent = True
+        except (BrokenPipeError, OSError):
+            self._sent = False
+
+    def receive(self) -> ShardResult:
+        """The worker's next window result."""
+        message = self._recv("window")
+        result = self._unpacker.unpack(message[1])
+        self.backend._merge_counters(message[2])
+        self.received.append(result)
+        return result
+
+    def finish(self) -> None:
+        """Take the worker's end-of-round reply."""
+        self.backend._merge_counters(self._recv("ok")[1])
+
+    def _recv(self, kind: str) -> tuple:
+        while True:
+            if self._sent:
+                try:
+                    message = self.backend._pipes[self.shard_id].recv()
+                except (EOFError, OSError):
+                    pass                       # died: respawn, resend
+                else:
+                    if message[0] != kind:
+                        raise RuntimeError(
+                            f"exec worker shard {self.shard_id} failed:"
+                            f"\n{message[1]}")
+                    return message
+            self._respawn()
+            self.send()
+
+    def _respawn(self) -> None:
+        import time
+
+        registry = get_registry()
+        if self._respawns == self.backend._MAX_RESPAWNS:
+            registry.counter("retry.giveups").inc()
+            raise RuntimeError(
+                f"exec worker shard {self.shard_id} kept dying through"
+                f" {self._respawns} respawns")
+        self._respawns += 1
+        registry.counter("exec.worker_respawns").inc()
+        registry.counter("retry.attempts").inc()
+        backoff = min(self.backend._RESPAWN_BACKOFF_CAP,
+                      self.backend._RESPAWN_BACKOFF_BASE
+                      * (2 ** (self._respawns - 1)))
+        registry.histogram("retry.backoff_seconds",
+                           unit="seconds").observe(backoff)
+        time.sleep(backoff)
+        self.backend._respawn(self.shard_id)
+        self._unpacker = ResultUnpacker()     # a fresh worker, fresh tables
 
 
 def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
@@ -552,7 +622,7 @@ def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
     last_totals: Dict[str, int] = {}
 
     def counter_deltas() -> Dict[str, int]:
-        totals = get_registry().snapshot()["counters"]
+        totals = get_registry().counters()
         deltas = {name: value - last_totals.get(name, 0)
                   for name, value in totals.items()
                   if value != last_totals.get(name, 0)}
@@ -572,9 +642,19 @@ def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
                     raise RuntimeError(
                         f"shard {shard_id} at epoch {epoch} received a"
                         f" round stamped epoch {message[1]}")
-                ctx = message[3] if len(message) > 3 else None
-                result = shard.run_shard(unpack_runs(message[2]), ctx)
-                conn.send(("ok", pack_result(result), counter_deltas()))
+                _kind, _epoch, packed, ctx, sizes = message
+                runs = unpack_runs(packed)
+                windows, start = [], 0
+                for size in sizes:
+                    windows.append(runs[start:start + size])
+                    start += size
+                # Each window goes down the pipe as soon as it finishes;
+                # the coordinator ingests it while this loop runs on.
+                packer = ResultPacker()
+                for window in shard.run_windows(windows, ctx):
+                    conn.send(("window", packer.pack(window),
+                               counter_deltas()))
+                conn.send(("ok", counter_deltas()))
             elif kind == "publish":
                 epoch, hive_blob, rollout, cache = message[1:5]
                 if hive_blob is not None:

@@ -11,7 +11,9 @@ attributes the analyzers read off an ``ExecutionResult`` (duck-typed:
 ``lock_events``, ``global_events``, ``final_globals``,
 ``return_values``, ``outcome``) — so the hive can skip the replay. The
 round's tree increment rides beside the batches as
-``ShardResult.tree_delta`` ``(path, outcome, count)`` edge rows.
+``ShardResult.tree_delta`` ``(path, outcome, count)`` edge rows. A
+shard reports each window of a round as its own :class:`ShardResult`;
+:func:`merge_windows` rebuilds the round's.
 
 The wire format (``encode_batch``/``decode_batch``) covers only what
 crosses the simulated Internet — indices and trace payloads; products
@@ -33,7 +35,7 @@ from repro.wire import Reader, write_string, write_varint
 
 __all__ = [
     "ReplayProduct", "RunRecord", "BatchEntry", "TraceBatch",
-    "ShardResult", "BatchAccumulator",
+    "ShardResult", "BatchAccumulator", "merge_windows",
     "encode_batch", "decode_batch",
 ]
 
@@ -107,7 +109,8 @@ class TraceBatch:
 
 @dataclass
 class ShardResult:
-    """Everything one shard produced for one round."""
+    """Everything one shard produced for one round, or for one window
+    of it (:func:`merge_windows` folds a round's windows into one)."""
 
     shard_id: int
     records: List[RunRecord] = field(default_factory=list)
@@ -275,3 +278,42 @@ class BatchAccumulator:
             self._roll()
         batches, self._flushed = self._flushed, []
         return batches
+
+
+def merge_windows(windows: Sequence[ShardResult],
+                  max_traces: int = 0) -> ShardResult:
+    """One shard's round result from its window results, in order.
+
+    Records, spans, cache facts and busy time concatenate; tree rows
+    sum per ``(path, outcome)`` in first-seen order; the entries flush
+    through a :class:`BatchAccumulator` capped at ``max_traces``, so the
+    round's batches have the sequences and sizes a single pass over
+    every run would have given them.
+    """
+    first = windows[0]
+    merged = ShardResult(shard_id=first.shard_id,
+                         tree_version=first.tree_version)
+    edges: Dict = {}
+    accumulator = None
+    spans: List = []
+    for window in windows:
+        merged.records.extend(window.records)
+        spans.extend(window.spans)
+        merged.cache_delta.extend(window.cache_delta)
+        merged.busy_seconds += window.busy_seconds
+        for path, outcome, count in window.tree_delta:
+            edges[path, outcome] = edges.get((path, outcome), 0) + count
+        for batch in window.batches:
+            if accumulator is None:
+                accumulator = BatchAccumulator(
+                    first.shard_id, batch.program_name,
+                    batch.program_version, max_traces=max_traces)
+            for entry in batch.entries:
+                accumulator.add(entry)
+    if accumulator is not None:
+        merged.batches = list(accumulator.drain_batches())
+    merged.tree_delta = [(path, outcome, count)
+                         for (path, outcome), count in edges.items()]
+    # No spans: the empty tuple a disabled recorder ships, as before.
+    merged.spans = spans or ()
+    return merged

@@ -16,7 +16,17 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.guidance.steering import SteeringDirective
 
-__all__ = ["PlannedRun", "RoundPlan", "partition_runs"]
+__all__ = ["PlannedRun", "RoundPlan", "WINDOWS", "partition_runs",
+           "partition_windows"]
+
+#: Windows per streamed round. A round whose results a sink ingests as
+#: they arrive runs in this many consecutive slices of the plan,
+#: ``ceil(len(runs) / WINDOWS)`` runs each by position (the last ones
+#: may be short or empty), so the hive ingests window w while the
+#: shards run w+1. A count rather than a size: every window costs each
+#: worker one pipe send, so the per-round overhead stays fixed however
+#: large the round grows (docs/PERFORMANCE.md).
+WINDOWS = 8
 
 
 @dataclass
@@ -61,3 +71,20 @@ def partition_runs(runs: Sequence[PlannedRun],
     for run in runs:
         shards[run.pod_index % n_shards].append(run)
     return shards
+
+
+def partition_windows(runs: Sequence[PlannedRun], n_shards: int,
+                      windows: int = WINDOWS,
+                      ) -> List[List[List[PlannedRun]]]:
+    """Split a plan into per-shard windows, ``[shard][window] -> runs``.
+
+    Window ``w`` holds plan positions ``[w * size, (w + 1) * size)``
+    with ``size = ceil(len(runs) / windows)``, partitioned across
+    shards like :func:`partition_runs`. Every shard gets all
+    ``windows`` windows, empty ones included, so window ``w`` is
+    complete once each shard has reported it.
+    """
+    size = max(1, -(-len(runs) // windows))
+    cuts = [partition_runs(runs[start:start + size], n_shards)
+            for start in range(0, windows * size, size)]
+    return [list(shard) for shard in zip(*cuts)]

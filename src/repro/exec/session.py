@@ -10,20 +10,35 @@ process boundary exactly once — when a worker (re)spawns — and only
   hive program, a staged rollout, and constraint-cache facts. The
   backend keeps the cumulative :class:`SessionLog`; a worker respawned
   after a crash replays the log and rejoins at the current epoch.
-* worker → coordinator: a packed :class:`~repro.exec.batch.ShardResult`
-  (:func:`pack_result` / :func:`unpack_result`): run records as flat
-  rows over an interned outcome table, replay products interned by
-  object identity into a product table (the shard replays each
+* worker → coordinator: a round streams back in windows (see below),
+  each a packed :class:`~repro.exec.batch.ShardResult`
+  (:class:`ResultPacker` / :class:`ResultUnpacker`): run records as
+  flat rows over an interned outcome table, replay products interned
+  by object identity into a product table (the shard replays each
   distinct replay source once per round and shares that one product
-  among its entries, so the table holds one row per distinct replay
-  source — a handful across thousands of runs), execution-tree *edge
-  deltas* ``(path, outcome, count)`` instead of partial-tree blobs,
-  and trace payloads as raw bytes encoded once on the worker.
+  among its entries), trace payloads interned by value into a payload
+  table (encoded once on the worker), and execution-tree *edge
+  deltas* ``(path, outcome, count)`` instead of partial-tree blobs.
+  The three tables are round-scoped: a window ships only the rows no
+  earlier window of the round shipped.
 
-Profiling note (ROADMAP open item 1): on the 40-pod E18 workload the
-per-object pickle of dataclass results cost ~16 ms per round — ~13% of
-the round — while the packed form costs ~1 ms. That difference is the
-whole reason the process backend wins on this host.
+The round messages, in order:
+
+* ``("round", epoch, packed_runs, ctx, sizes)`` — coordinator → worker:
+  the shard's runs in plan order, cut into ``len(sizes)`` windows of
+  ``sizes[w]`` runs each (``repro.exec.plan.partition_windows``).
+* ``("window", packed_result, counter_deltas)`` — worker → coordinator,
+  once per window, empty windows included, sent as soon as the
+  window's runs finish. Records, entries, tree rows, spans, cache facts
+  and the worker's counter deltas all ride with their window, so a
+  window the coordinator has received is complete on its own.
+* ``("ok", counter_deltas)`` — worker → coordinator: the round is done.
+* ``("error", traceback)`` — instead of any reply when the worker
+  raised.
+
+A worker that dies mid-round (EOF on the pipe) is respawned at the
+current epoch and sent only the windows not yet received; see
+docs/CHAOS.md for the real-crash contract.
 """
 
 from __future__ import annotations
@@ -39,8 +54,8 @@ from repro.progmodel.interpreter import Outcome
 from repro.progmodel.ir import Program
 
 __all__ = [
-    "SyncDelta", "SessionLog",
-    "pack_runs", "unpack_runs", "pack_result", "unpack_result",
+    "SyncDelta", "SessionLog", "ResultPacker", "ResultUnpacker",
+    "pack_runs", "unpack_runs",
 ]
 
 
@@ -155,96 +170,133 @@ def unpack_runs(packed: tuple) -> List[PlannedRun]:
 
 # -- result packing ------------------------------------------------------------
 
-def pack_result(result: ShardResult) -> tuple:
-    """Flatten a ShardResult for the coordinator pipe.
+class ResultPacker:
+    """Flattens one round's :class:`ShardResult` windows for the pipe.
 
     Outcomes intern into a value table; replay products intern by
     object identity — the shard's round-scoped replay memo hands every
     entry with the same replay source the same product object, so each
     entry unpacks to exactly the product it carried (path, version and
     outcome alone do not identify a product: a concurrency program's
-    lock and global events vary with the interleaving). Record failure
-    details ship sparsely. Trace payload bytes pass through untouched —
-    they were encoded once on the worker and the coordinator decodes
-    them lazily.
+    lock and global events vary with the interleaving); trace payloads
+    intern by value. The tables live for the round, so each row
+    crosses the pipe once per round: a packed window carries only the
+    rows it added. Record failure details ship sparsely.
     """
-    outcome_index: Dict[str, int] = {}      # value -> slot, in slot order
-    record_rows: List[tuple] = []
-    failures: Dict[int, tuple] = {}
-    for rec in result.records:
-        value = rec.outcome.value
-        slot = outcome_index.get(value)
-        if slot is None:
-            slot = outcome_index[value] = len(outcome_index)
-        flags = (rec.guided | (rec.failed << 1) | (rec.has_failure << 2))
-        record_rows.append((rec.global_index, flags, slot))
-        if rec.failure_message is not None or rec.failure_block is not None:
-            failures[rec.global_index] = (rec.failure_message,
-                                          rec.failure_block)
 
-    products: List[ReplayProduct] = []
-    product_index: Dict[int, int] = {}
-    batch_rows: List[tuple] = []
-    for batch in result.batches:
-        entry_rows: List[tuple] = []
-        for entry in batch.entries:
-            if entry.heartbeat is not None:
-                entry_rows.append((entry.global_index, None,
-                                   entry.heartbeat, -1))
-                continue
-            slot = -1
-            product = entry.product
-            if product is not None:
-                slot = product_index.get(id(product))
-                if slot is None:
-                    slot = product_index[id(product)] = len(products)
-                    products.append(product)
-            entry_rows.append((entry.global_index, entry.payload,
-                               None, slot))
-        batch_rows.append((batch.sequence, batch.program_name,
-                           batch.program_version, batch.trace_context,
-                           entry_rows))
+    def __init__(self) -> None:
+        self._outcomes: Dict[str, int] = {}
+        self._products: Dict[int, int] = {}
+        # Interned products stay referenced, so no id is ever reused.
+        self._held: List[ReplayProduct] = []
+        self._payloads: Dict[bytes, int] = {}
 
-    return (
-        result.shard_id,
-        (list(outcome_index), record_rows, failures),
-        (products, batch_rows),
-        result.tree_version,
-        list(result.tree_delta),
-        result.busy_seconds,
-        result.spans,
-        result.cache_delta,
-    )
+    def pack(self, result: ShardResult) -> tuple:
+        outcomes: List[str] = []
+        record_rows: List[tuple] = []
+        failures: Dict[int, tuple] = {}
+        for rec in result.records:
+            value = rec.outcome.value
+            slot = self._outcomes.get(value)
+            if slot is None:
+                slot = self._outcomes[value] = len(self._outcomes)
+                outcomes.append(value)
+            flags = (rec.guided | (rec.failed << 1)
+                     | (rec.has_failure << 2))
+            record_rows.append((rec.global_index, flags, slot))
+            if (rec.failure_message is not None
+                    or rec.failure_block is not None):
+                failures[rec.global_index] = (rec.failure_message,
+                                              rec.failure_block)
+
+        products: List[ReplayProduct] = []
+        payloads: List[bytes] = []
+        batch_rows: List[tuple] = []
+        for batch in result.batches:
+            entry_rows: List[tuple] = []
+            for entry in batch.entries:
+                if entry.heartbeat is not None:
+                    entry_rows.append((entry.global_index, -1,
+                                       entry.heartbeat, -1))
+                    continue
+                payload = self._payloads.get(entry.payload)
+                if payload is None:
+                    payload = self._payloads[entry.payload] = \
+                        len(self._payloads)
+                    payloads.append(entry.payload)
+                product = -1
+                if entry.product is not None:
+                    product = self._products.get(id(entry.product))
+                    if product is None:
+                        product = self._products[id(entry.product)] = \
+                            len(self._held)
+                        self._held.append(entry.product)
+                        products.append(entry.product)
+                entry_rows.append((entry.global_index, payload, None,
+                                   product))
+            batch_rows.append((batch.sequence, batch.program_name,
+                               batch.program_version, batch.trace_context,
+                               entry_rows))
+
+        return (
+            result.shard_id,
+            (outcomes, record_rows, failures),
+            (products, payloads, batch_rows),
+            result.tree_version,
+            list(result.tree_delta),
+            result.busy_seconds,
+            result.spans,
+            result.cache_delta,
+        )
 
 
 _NO_FAILURE = (None, None)
 
 
-def unpack_result(packed: tuple) -> ShardResult:
-    (shard_id, (outcomes, record_rows, failures),
-     (products, batch_rows), tree_version, tree_delta,
-     busy_seconds, spans, cache_delta) = packed
-    outcome_table = [Outcome(value) for value in outcomes]
-    # Positional fields, as in unpack_runs: (global_index, guided,
-    # failed, outcome, has_failure, failure_message, failure_block) and
-    # (global_index, payload, heartbeat, product).
-    records = [
-        RunRecord(gi, bool(flags & 1), bool(flags & 2), outcome_table[slot],
-                  bool(flags & 4), *failures.get(gi, _NO_FAILURE))
-        for gi, flags, slot in record_rows
-    ]
-    batches: List[TraceBatch] = []
-    for sequence, name, version, context, entry_rows in batch_rows:
-        entries = [
-            BatchEntry(gi, payload or b"", heartbeat,
-                       products[slot] if slot >= 0 else None)
-            for gi, payload, heartbeat, slot in entry_rows
+class ResultUnpacker:
+    """The coordinator's side of one worker's round: the inverse of
+    :class:`ResultPacker`, holding the same round-scoped tables."""
+
+    def __init__(self) -> None:
+        self._outcomes: List[Outcome] = []
+        self._products: List[ReplayProduct] = []
+        self._payloads: List[bytes] = []
+
+    def unpack(self, packed: tuple) -> ShardResult:
+        (shard_id, (outcomes, record_rows, failures),
+         (products, payloads, batch_rows), tree_version, tree_delta,
+         busy_seconds, spans, cache_delta) = packed
+        outcome_table = self._outcomes
+        outcome_table.extend(Outcome(value) for value in outcomes)
+        product_table = self._products
+        product_table.extend(products)
+        payload_table = self._payloads
+        payload_table.extend(payloads)
+        # Positional fields, as in unpack_runs: (global_index, guided,
+        # failed, outcome, has_failure, failure_message, failure_block)
+        # and (global_index, payload, heartbeat, product).
+        records = [
+            RunRecord(gi, bool(flags & 1), bool(flags & 2),
+                      outcome_table[slot], bool(flags & 4),
+                      *failures.get(gi, _NO_FAILURE))
+            for gi, flags, slot in record_rows
         ]
-        batches.append(TraceBatch(
-            shard_id=shard_id, program_name=name, program_version=version,
-            sequence=sequence, entries=entries, trace_context=context))
-    return ShardResult(
-        shard_id=shard_id, records=records, batches=batches,
-        busy_seconds=busy_seconds, spans=spans, cache_delta=cache_delta,
-        tree_version=tree_version, tree_delta=tree_delta,
-    )
+        batches: List[TraceBatch] = []
+        for sequence, name, version, context, entry_rows in batch_rows:
+            entries = [
+                BatchEntry(gi,
+                           payload_table[payload] if payload >= 0 else b"",
+                           heartbeat,
+                           product_table[product] if product >= 0 else None)
+                for gi, payload, heartbeat, product in entry_rows
+            ]
+            batches.append(TraceBatch(
+                shard_id=shard_id, program_name=name,
+                program_version=version, sequence=sequence,
+                entries=entries, trace_context=context))
+        return ShardResult(
+            shard_id=shard_id, records=records, batches=batches,
+            busy_seconds=busy_seconds, spans=spans,
+            cache_delta=cache_delta, tree_version=tree_version,
+            tree_delta=tree_delta,
+        )

@@ -17,21 +17,26 @@ historical serial loop; the replay it performs is the same
 program version.
 
 Round-scoped recycling: many users run the same few paths, so one
-``run_shard`` call encodes each distinct trace once and replays each
-distinct replay source once. Both memos live for that one call, while
-the hive program is fixed, and are keyed by everything their value
-depends on, so every entry carries exactly what recomputing it would
-have produced (see docs/PERFORMANCE.md).
+round (every window of one ``run_windows`` call) encodes each distinct
+trace once and replays each distinct replay source once. Both memos
+live for that one round, while the hive program is fixed, and are keyed
+by everything their value depends on, so every entry carries exactly
+what recomputing it would have produced (see docs/PERFORMANCE.md).
+
+Streaming: the round runs in windows (``repro.exec.plan.WINDOWS``), and
+each window's result is handed over as soon as its runs finish, so the
+hive can ingest one window while the shard runs the next.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import TraceError
 from repro.exec.batch import (
-    BatchAccumulator, BatchEntry, ReplayProduct, RunRecord, ShardResult,
+    BatchEntry, ReplayProduct, RunRecord, ShardResult, TraceBatch,
+    merge_windows,
 )
 from repro.exec.plan import PlannedRun
 from repro.obs.trace import NULL_SPAN, SpanContext, get_tracer
@@ -118,99 +123,121 @@ class Shard:
 
     def run_shard(self, runs: Sequence[PlannedRun],
                   ctx: Optional[SpanContext] = None) -> ShardResult:
-        """Execute this shard's slice of the round plan, in order.
+        """Execute ``runs`` as one window; the round's result."""
+        return merge_windows(list(self.run_windows([runs], ctx)),
+                             self.batch_max_traces)
+
+    def run_windows(self, windows: Sequence[Sequence[PlannedRun]],
+                    ctx: Optional[SpanContext] = None,
+                    ) -> Iterator[ShardResult]:
+        """Execute this shard's slice of the round plan, window by
+        window, in order; yields one :class:`ShardResult` per window.
+
+        A window's result carries exactly its runs' records, entries
+        (one batch, sequence = window index), tree rows, spans and
+        cache facts, so the consumer can ship or ingest it while the
+        next window runs. The round-scoped memos span every window, so
+        each distinct trace is still encoded, and each distinct replay
+        source replayed, once per round. ``busy_seconds`` counts the
+        shard's own time only, not the consumer's between windows.
 
         ``ctx`` is the coordinator's active span context; worker-side
-        spans recorded under it ride back inside the result and are
+        spans recorded under it ride back inside the results and are
         grafted into the coordinator's trace log. Span keys are
         backend-invariant coordinates (the global execution index), so
         the assembled tree is identical on every backend.
         """
-        started = time.perf_counter()
         recorder = self._tracer.recorder(ctx)
         # Lazy span shipping: with tracing off the recorder is the
         # shared no-op and ``tracing`` gates every span call site, so
         # the hot loop allocates no span handles, no kwargs dicts, and
         # the result carries an empty tuple across the worker pipe.
         tracing = recorder.enabled
-        accumulator = BatchAccumulator(
-            self.shard_id, self.hive_program.name,
-            self.hive_program.version, max_traces=self.batch_max_traces)
-        # Tree evidence accumulates as (path, outcome) -> count edge
-        # rows, not as an ExecutionTree: the delta is what crosses the
-        # worker pipe, and counted-insert merging hive-side reproduces
-        # the exact tree the old partial-tree blobs built.
-        edges: Dict = {}
+        program = self.hive_program
         # Round-scoped memos: trace -> payload, replay source -> product.
         payloads: Dict[Trace, bytes] = {}
         replays: Dict[tuple, Optional[ReplayProduct]] = {}
-        records: List[RunRecord] = []
-        for planned in runs:
-            pod = self.pods[planned.pod_index]
-            span = recorder.span("pod.run", key=planned.global_index,
-                                 pod=planned.pod_index,
-                                 guided=planned.guided) \
-                if tracing else NULL_SPAN
-            with span:
-                try:
-                    run = pod.execute(planned.inputs,
-                                      directive=planned.directive)
-                except Exception as error:
-                    # One broken execution must not take the whole shard
-                    # (and, for the process backend, the whole worker)
-                    # down with it: record the crash, ship nothing,
-                    # move on.
-                    from repro.obs import get_registry
-                    get_registry().counter("exec.run_crashes").inc()
+        for index, runs in enumerate(windows):
+            started = time.perf_counter()
+            # Tree evidence accumulates as (path, outcome) -> count edge
+            # rows, not as an ExecutionTree: the delta is what crosses
+            # the worker pipe, and counted-insert merging hive-side
+            # reproduces the exact tree per-run inserts build.
+            edges: Dict = {}
+            records: List[RunRecord] = []
+            entries: List[BatchEntry] = []
+            for planned in runs:
+                pod = self.pods[planned.pod_index]
+                span = recorder.span("pod.run", key=planned.global_index,
+                                     pod=planned.pod_index,
+                                     guided=planned.guided) \
+                    if tracing else NULL_SPAN
+                with span:
+                    try:
+                        run = pod.execute(planned.inputs,
+                                          directive=planned.directive)
+                    except Exception as error:
+                        # One broken execution must not take the whole
+                        # shard (and, for the process backend, the
+                        # whole worker) down with it: record the crash,
+                        # ship nothing, move on.
+                        from repro.obs import get_registry
+                        get_registry().counter("exec.run_crashes").inc()
+                        if tracing:
+                            span.set(outcome="crash", shipped=False)
+                        records.append(RunRecord(
+                            global_index=planned.global_index,
+                            guided=planned.guided,
+                            failed=True,
+                            outcome=Outcome.CRASH,
+                            has_failure=True,
+                            failure_message=f"pod execution raised: {error}",
+                            failure_block=None,
+                        ))
+                        continue
+                    trace = run.trace
+                    failure = run.result.failure
                     if tracing:
-                        span.set(outcome="crash", shipped=False)
+                        span.set(outcome=run.result.outcome.value,
+                                 shipped=planned.ship)
                     records.append(RunRecord(
                         global_index=planned.global_index,
                         guided=planned.guided,
-                        failed=True,
-                        outcome=Outcome.CRASH,
-                        has_failure=True,
-                        failure_message=f"pod execution raised: {error}",
-                        failure_block=None,
+                        failed=run.result.outcome.is_failure,
+                        outcome=run.result.outcome,
+                        has_failure=failure is not None,
+                        failure_message=failure.message if failure else None,
+                        failure_block=failure.block if failure else None,
                     ))
-                    continue
-                trace = run.trace
-                failure = run.result.failure
-                if tracing:
-                    span.set(outcome=run.result.outcome.value,
-                             shipped=planned.ship)
-                records.append(RunRecord(
-                    global_index=planned.global_index,
-                    guided=planned.guided,
-                    failed=run.result.outcome.is_failure,
-                    outcome=run.result.outcome,
-                    has_failure=failure is not None,
-                    failure_message=failure.message if failure else None,
-                    failure_block=failure.block if failure else None,
-                ))
-                if not planned.ship:
-                    continue                   # lost on the wire
-                entry = self._collect(planned.global_index, trace, edges,
-                                      recorder, tracing, payloads, replays)
-                if entry is not None:
-                    accumulator.add(entry)
-                    if entry.product is not None:
-                        self._recycle(entry.product.path_decisions,
-                                      run.inputs, recorder,
-                                      planned.global_index)
-        batches = list(accumulator.drain_batches())
-        return ShardResult(
-            shard_id=self.shard_id,
-            records=records,
-            batches=batches,
-            busy_seconds=time.perf_counter() - started,
-            spans=recorder.take(),
-            cache_delta=(self.solver_cache.export_delta()
-                         if self.solver_cache is not None else []),
-            tree_version=self.hive_program.version,
-            tree_delta=[(path, outcome, count)
-                        for (path, outcome), count in edges.items()],
-        )
+                    if not planned.ship:
+                        continue               # lost on the wire
+                    entry = self._collect(planned.global_index, trace,
+                                          edges, recorder, tracing,
+                                          payloads, replays)
+                    if entry is not None:
+                        entries.append(entry)
+                        if entry.product is not None:
+                            self._recycle(entry.product.path_decisions,
+                                          run.inputs, recorder,
+                                          planned.global_index)
+            batches = []
+            if entries:
+                batches.append(TraceBatch(
+                    shard_id=self.shard_id, program_name=program.name,
+                    program_version=program.version, sequence=index,
+                    entries=entries))
+            yield ShardResult(
+                shard_id=self.shard_id,
+                records=records,
+                batches=batches,
+                busy_seconds=time.perf_counter() - started,
+                spans=recorder.take(),
+                cache_delta=(self.solver_cache.export_delta()
+                             if self.solver_cache is not None else []),
+                tree_version=program.version,
+                tree_delta=[(path, outcome, count)
+                            for (path, outcome), count in edges.items()],
+            )
 
     # -- constraint recycling --------------------------------------------------
 

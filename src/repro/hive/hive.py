@@ -243,13 +243,15 @@ class Hive(Instrumented):
         self._digest_paths[trace_digest(trace)] = (
             tuple(replay.path_decisions), replay.outcome)
 
-    def ingest_batch(self, batches, tree_deltas=None) -> int:
-        """Fold a round's worth of shard :class:`TraceBatch` flushes.
+    def ingest_batch(self, batches, tree_deltas=None,
+                     decoded: Optional[Dict[bytes, Trace]] = None) -> int:
+        """Fold shard :class:`TraceBatch` flushes: a round's worth, or
+        one window of a streamed round.
 
         The :class:`~repro.interfaces.TraceSink` bulk entry point, and
         the heart of sharded ingest. Two deterministic steps:
 
-        1. **Tree merge** — ``tree_deltas`` carries each shard's round
+        1. **Tree merge** — ``tree_deltas`` carries each shard's
            increment as ``(tree_version, rows)`` pairs, rows being
            ``(path_decisions, outcome, count)`` edges; they fold in
            with counted inserts, which reproduces exactly the tree the
@@ -265,14 +267,19 @@ class Hive(Instrumented):
            the exact single-trace path.
 
         Equal payloads decode to equal traces, so each distinct payload
-        is decoded once per call (one ``wire.decode`` span per decode
-        performed) and its entries share that one frozen
-        :class:`Trace`, whose memoized encode prefix turns every later
-        ``trace_digest`` into a concatenation plus a hash.
+        is decoded once (one ``wire.decode`` span per decode performed)
+        and its entries share that one frozen :class:`Trace`, whose
+        memoized encode prefix turns every later ``trace_digest`` into
+        a concatenation plus a hash. ``decoded`` is that payload ->
+        trace memo; pass one dict to every window of a round so a
+        payload is decoded once per round, not once per window (the
+        default is a memo for this call alone).
 
         Returns the number of entries consumed.
         """
         from repro.tracing.encode import decode_trace
+        if decoded is None:
+            decoded = {}
         ordered = sorted(batches, key=lambda b: (b.shard_id, b.sequence))
         entries = sorted(
             (entry for batch in ordered for entry in batch.entries),
@@ -290,7 +297,6 @@ class Hive(Instrumented):
                     for decisions, outcome, count in rows:
                         self.tree.insert_path(decisions, outcome,
                                               count=count)
-            decoded: Dict[bytes, Trace] = {}
             for entry in entries:
                 if entry.is_heartbeat:
                     self.ingest_heartbeat(entry.heartbeat)

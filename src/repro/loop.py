@@ -7,7 +7,9 @@ both carry; :class:`ClosedLoop` builds the substrate (pods, constraint
 cache, hive, backend, fault plan, health plane) and owns the one
 execute step (cache redistribute, run, cache merge), ground-truth
 attribution and the per-family detection SLIs. Each driver keeps its
-plan source, delivery, span names and publish pattern.
+plan source, delivery, span names and publish pattern; ``run``
+delivers through :func:`window_sink`, which ingests each window of a
+round while the shards run the next.
 
 ``NetworkedPlatform`` stays event-driven (no backend, no rounds) and
 shares only :func:`check_solver_cache` and :func:`solver_cache_doc`.
@@ -21,7 +23,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import BaseConfig, check_positive
 from repro.errors import ConfigError
-from repro.exec.backends import SyncDelta, make_backend, resolve_backend_name
+from repro.exec.backends import (
+    SyncDelta, WindowSink, make_backend, resolve_backend_name,
+)
 from repro.exec.batch import BatchEntry, RunRecord, ShardResult
 from repro.exec.plan import RoundPlan
 from repro.hive.hive import Hive
@@ -31,8 +35,23 @@ from repro.pod.pod import Pod
 from repro.progmodel.interpreter import ExecutionLimits
 from repro.workloads.scenarios import Scenario
 
-__all__ = ["LoopConfig", "ClosedLoop", "check_solver_cache",
+__all__ = ["LoopConfig", "ClosedLoop", "window_sink", "check_solver_cache",
            "solver_cache_doc"]
+
+
+def window_sink(hive: Hive) -> WindowSink:
+    """A sink that ingests each window of one round into ``hive``: the
+    window's tree rows, then its entries in global order, with one
+    decode memo for the whole round. Build one per round."""
+    decoded: Dict = {}
+
+    def ingest(results: List[ShardResult]) -> None:
+        hive.ingest_batch(
+            [batch for result in results for batch in result.batches],
+            tree_deltas=[(result.tree_version, result.tree_delta)
+                         for result in results if result.tree_delta],
+            decoded=decoded)
+    return ingest
 
 
 def check_solver_cache(mode: str) -> None:
@@ -171,13 +190,14 @@ class ClosedLoop(Instrumented):
     # -- the execute step -----------------------------------------------------
 
     def _execute(self, plan: RoundPlan, span: str, chaos=None,
-                 ) -> Tuple[List[RunRecord], List[BatchEntry],
-                            Optional[List[ShardResult]]]:
+                 sink: Optional[WindowSink] = None,
+                 ) -> Tuple[List[RunRecord], List[BatchEntry]]:
         """Run ``plan`` under the driver's ``span``, through ``chaos``
-        when given. The collective cache redistributes to every shard
-        before and merges the shards' deltas back after. Returns records
-        and entries in global order, and the shard results (None under
-        chaos, whose delivery re-frames the entries instead)."""
+        when given, else streaming each window to ``sink`` (when
+        given) while the shards run the next. The collective cache
+        redistributes to every shard before and merges the shards'
+        deltas back after. Returns records and entries in global
+        order."""
         key = plan.round_index
         collective = self.config.solver_cache == "collective"
         if collective:
@@ -186,13 +206,12 @@ class ClosedLoop(Instrumented):
                 with self._tracer.span("cache.redistribute", key=key,
                                        entries=len(delta)):
                     self.backend.publish(SyncDelta(cache_entries=delta))
-        results = None
         with self._tracer.span(span, key=key, runs=len(plan.runs)):
             if chaos is not None:
                 records, entries, cache_deltas = chaos.execute_round(
                     self.backend, plan)
             else:
-                results = self.backend.run_round(plan)
+                results = self.backend.run_round(plan, sink)
                 records = [record for result in results
                            for record in result.records]
                 entries = [entry for result in results
@@ -205,7 +224,7 @@ class ClosedLoop(Instrumented):
         if collective and cache_deltas:
             with self._tracer.span("cache.merge", key=key):
                 self.hive.adopt_cache_deltas(cache_deltas)
-        return records, entries, results
+        return records, entries
 
     # -- ground truth (metrics only: the hive never sees it) ------------------
 

@@ -351,11 +351,16 @@ class Registry:
 
     # -- export -------------------------------------------------------------
 
+    def counters(self) -> Dict[str, int]:
+        """Every counter's value, name-sorted (the cheap slice of
+        :meth:`snapshot`: no distribution is summarized)."""
+        return {name: self._counters[name].value
+                for name in sorted(self._counters)}
+
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Every metric, name-sorted, as plain JSON-ready dicts."""
         return {
-            "counters": {name: self._counters[name].value
-                         for name in sorted(self._counters)},
+            "counters": self.counters(),
             "gauges": {name: self._gauges[name].value
                        for name in sorted(self._gauges)},
             "histograms": {name: self._histograms[name].as_dict()

@@ -14,8 +14,9 @@ hive into the paper's feedback cycle, executed in deterministic rounds:
    changes (cache redistributions, fix deploys, staged rollouts) reach
    the shards as epoch-stamped ``publish()`` deltas;
 3. the hive folds the shard tree deltas and ingests the batch entries
-   in global execution order, analyzes, and — when the evidence
-   warrants — synthesizes, validates, and deploys a fix;
+   in global execution order, one window of the round at a time while
+   the shards run the next; at round end it analyzes and — when the
+   evidence warrants — synthesizes, validates, and deploys a fix;
 4. the fixed program rolls out to a staged fraction of pods per round;
 5. metrics record the user-visible failure rate, proof progress, and
    ground-truth bug status.
@@ -37,7 +38,7 @@ from repro.config import (
 from repro.exec.backends import SyncDelta, resolve_workers
 from repro.exec.batch import RunRecord
 from repro.exec.plan import PlannedRun, RoundPlan
-from repro.loop import ClosedLoop, LoopConfig, solver_cache_doc
+from repro.loop import ClosedLoop, LoopConfig, solver_cache_doc, window_sink
 from repro.metrics.bugdensity import BugDensityTracker
 from repro.metrics.series import Series
 from repro.proofs.proof import Proof
@@ -369,17 +370,20 @@ class SoftBorgPlatform(ClosedLoop):
     def _run_round(self, round_index: int) -> None:
         with self._tracer.span("round.plan", key=round_index):
             plan = self._plan_round(round_index)
-        records, entries, shard_results = self._execute(
-            plan, "round.execute", self.chaos)
-        self._fold_round(round_index, plan, records, shard_results, entries)
+        # Direct delivery streams: the hive ingests each window while
+        # the shards run the next. Chaos delivers over its wire after.
+        records, entries = self._execute(
+            plan, "round.execute", self.chaos,
+            sink=None if self.chaos is not None else window_sink(self.hive))
+        self._fold_round(round_index, plan, records, entries)
 
     def _fold_round(self, round_index: int, plan: RoundPlan,
-                    records: List[RunRecord], shard_results,
-                    entries) -> None:
-        """Everything after execution: density folds, delivery into the
-        hive, proofs, fixing, rollout, per-round stats, invariants,
-        health. Pure coordinator-side state — no backend traffic except
-        the fix/rollout publishes."""
+                    records: List[RunRecord], entries) -> None:
+        """Everything after execution: density folds, wire accounting
+        (and, under chaos, delivery into the hive), proofs, fixing,
+        rollout, per-round stats, invariants, health. Pure
+        coordinator-side state — no backend traffic except the
+        fix/rollout publishes."""
         config = self.config
         failures = 0
         guided = 0
@@ -413,18 +417,12 @@ class SoftBorgPlatform(ClosedLoop):
                 self.chaos.deliver(self.hive, entries, round_index,
                                    wire=self._account_wire)
             else:
+                # The hive already ingested these, window by window.
                 from repro.tracing.dedup import Heartbeat
                 for entry in entries:
                     self._account_wire(Heartbeat.WIRE_SIZE
                                        if entry.is_heartbeat
                                        else len(entry.payload))
-                self.hive.ingest_batch(
-                    [batch for result in shard_results
-                     for batch in result.batches],
-                    tree_deltas=[(result.tree_version,
-                                  result.tree_delta)
-                                 for result in shard_results
-                                 if result.tree_delta])
 
         # Snapshot the proof on this round's evidence *before* any fix
         # rewrites the program — a deployed fix invalidates the proof,

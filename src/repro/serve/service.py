@@ -360,7 +360,7 @@ class Service(ClosedLoop):
         failures = 0
         entries: List[BatchEntry] = []
         if admitted_runs:
-            records, entries, _results = self._execute(
+            records, entries = self._execute(
                 RoundPlan(round_index=tick,
                           hive_version=self.hive.program.version,
                           runs=admitted_runs),

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError, TraceError, TreeError
 from repro.exec import (
-    BatchAccumulator, BatchEntry, PlannedRun, SerialBackend, SyncDelta,
-    TraceBatch, decode_batch, encode_batch, pack_result, pack_runs,
-    partition_runs, unpack_result, unpack_runs,
+    BatchAccumulator, BatchEntry, PlannedRun, ResultPacker,
+    ResultUnpacker, SerialBackend, SyncDelta, TraceBatch, decode_batch,
+    encode_batch, pack_runs, partition_runs, partition_windows,
+    unpack_runs,
 )
 from repro.exec.backends import (
     make_backend, resolve_backend_name, resolve_workers,
@@ -369,8 +370,12 @@ class TestSessionProtocol:
         # Workers ship counter deltas that a disabled coordinator
         # registry drops: a worker spawned under a disabled registry
         # records none, like pods built after obs.disable() serially.
+        # Deltas ride with every window message and the final reply.
+        from collections import Counter
+
         from repro.obs import Registry, set_registry
         demo = make_crash_demo()
+        windows = partition_windows(_session_plan(demo.program).runs, 1)[0]
         deltas = {}
         for enabled in (True, False):
             previous = set_registry(Registry(enabled=enabled))
@@ -380,12 +385,19 @@ class TestSessionProtocol:
                     backend._start()
                     pipe = backend._pipes[0]
                     pipe.send(("round", 0, pack_runs(
-                        _session_plan(demo.program).runs), None))
+                        [run for window in windows for run in window]),
+                        None, [len(window) for window in windows]))
+                    counts = Counter()
+                    for _window in windows:
+                        kind, _packed, window_deltas = pipe.recv()
+                        assert kind == "window"
+                        counts.update(window_deltas)
                     reply = pipe.recv()
             finally:
                 set_registry(previous)
             assert reply[0] == "ok"
-            deltas[enabled] = reply[2]
+            counts.update(reply[1])
+            deltas[enabled] = dict(counts)
         assert deltas[True]["pod.executions"] == 4
         assert deltas[False] == {}
 
@@ -432,7 +444,7 @@ class TestSessionWire:
         for program, plan in rounds:
             with SerialBackend(_session_pods(program), program) as backend:
                 result = backend.run_round(plan)[0]
-            clone = unpack_result(pack_result(result))
+            clone = ResultUnpacker().unpack(ResultPacker().pack(result))
             assert clone.shard_id == result.shard_id
             assert clone.records == result.records
             assert clone.tree_version == result.tree_version

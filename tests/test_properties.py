@@ -11,8 +11,10 @@ Each property is checked by hypothesis across random corpus programs,
 inputs, schedules, and environments.
 """
 
+import functools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +23,7 @@ from repro.progmodel.corpus import CorpusConfig, generate_program
 from repro.progmodel.interpreter import (
     Environment, ExecutionLimits, Interpreter, Outcome, ReplaySource,
 )
+from repro.registry.build import build_registry
 from repro.rng import make_rng
 from repro.sched.scheduler import RandomScheduler
 from repro.symbolic.engine import SymbolicEngine, SymbolicLimits
@@ -29,6 +32,17 @@ from repro.tracing.encode import decode_trace, encode_trace
 from repro.tree.exectree import ExecutionTree
 
 LIMITS = ExecutionLimits(max_steps=6000)
+
+#: The single-thread entries of ``build_registry(seed=0)``: the ones
+#: the fault-free symbolic oracle models completely.
+SINGLE_THREAD_REFS = ("crash/CR-1", "crash/CR-2", "leak/RL-1", "leak/RL-2",
+                      "toctou/TT-1", "toctou/TT-2", "prov/PV-1", "prov/PV-2")
+
+
+@functools.lru_cache(maxsize=1)
+def _registry():
+    return {bug.ref: bug for bug in build_registry(seed=0)}
+
 
 program_configs = st.builds(
     CorpusConfig,
@@ -163,6 +177,39 @@ class TestOracleConcreteAgreement:
             program, limits=SymbolicLimits(max_steps=LIMITS.max_steps))
         paths = engine.explore()
         oracle_sites = {site for p in paths for site, _t in p.decisions}
+        for path in paths:
+            result = Interpreter(program, limits=LIMITS).run(
+                path.example_inputs)
+            assert self._project(result.path_decisions,
+                                 oracle_sites) == path.decisions
+            assert result.outcome is path.outcome
+
+    def test_registry_single_thread_entries_are_all_covered(self):
+        assert SINGLE_THREAD_REFS == tuple(
+            ref for ref, bug in _registry().items()
+            if len(bug.program.threads) == 1)
+
+    @pytest.mark.parametrize("ref", SINGLE_THREAD_REFS)
+    def test_registry_entry_agrees_with_its_oracle(self, ref):
+        """Both directions on every single-thread registry entry:
+        fifteen random fault-free vectors plus the entry's own test
+        inputs land on an oracle path with the same outcome, and every
+        path's example inputs replay down that path."""
+        program = _registry()[ref].program
+        paths = SymbolicEngine(
+            program, limits=SymbolicLimits(max_steps=LIMITS.max_steps),
+        ).explore()
+        oracle = {path.decisions: path.outcome for path in paths}
+        oracle_sites = {site for path in oracle for site, _t in path}
+        rng = make_rng(0, "registry-oracle", ref)
+        vectors = [{name: rng.randint(lo, hi)
+                    for name, (lo, hi) in program.inputs.items()}
+                   for _ in range(15)]
+        vectors += [dict(test.inputs) for test in _registry()[ref].tests]
+        for inputs in vectors:
+            result = Interpreter(program, limits=LIMITS).run(inputs)
+            key = self._project(result.path_decisions, oracle_sites)
+            assert oracle.get(key) is result.outcome, inputs
         for path in paths:
             result = Interpreter(program, limits=LIMITS).run(
                 path.example_inputs)

@@ -1,0 +1,321 @@
+"""Streamed rounds: a round runs in ``WINDOWS`` windows, and the hive
+ingests window w while the shards run w+1.
+
+Two contracts are pinned here. Windows are exact: a hive fed window by
+window through ``window_sink`` ends in the same state as a reference
+hive that ingests the round's returned batches and tree rows in one
+``ingest_batch`` call, on every backend. And a real worker crash in
+the middle of a round loses no run and ingests no trace twice: the
+windows already received stay received, and the respawned worker runs
+only the rest (docs/CHAOS.md, "Real crashes").
+"""
+
+import os
+import signal
+import struct
+import threading
+from multiprocessing import Pipe
+
+import pytest
+
+from repro.exec import (
+    WINDOWS, PlannedRun, RoundPlan, SyncDelta, make_backend,
+    partition_windows,
+)
+from repro.hive.hive import Hive
+from repro.loop import window_sink
+from repro.obs import Registry, set_registry
+from repro.pod.pod import Pod
+from repro.progmodel.builder import ProgramBuilder
+from repro.progmodel.corpus import (
+    make_crash_demo, make_deadlock_demo, make_race_demo,
+)
+from repro.progmodel.interpreter import ExecutionLimits
+from repro.progmodel.ir import Input, v
+from repro.rng import make_rng
+
+DEMOS = {"crash": make_crash_demo, "race": make_race_demo,
+         "deadlock": make_deadlock_demo}
+PLAN_SIZES = (0, 1, 7, 401)          # 7: fewer runs than windows
+BACKENDS = (("serial", 1), ("process", 1), ("process", 2), ("process", 4))
+
+
+def _pods(program, count=6, limits=None):
+    return [Pod(f"pod{i}", program, limits=limits, seed=i + 1)
+            for i in range(count)]
+
+
+def _plan(program, n_runs, n_pods=6, seed=0):
+    rng = make_rng(seed, "windows", program.name, n_runs)
+    domains = sorted(program.inputs.items())
+    runs = [PlannedRun(i, rng.randrange(n_pods),
+                       {name: rng.randint(lo, hi) for name, (lo, hi)
+                        in domains})
+            for i in range(n_runs)]
+    return RoundPlan(round_index=0, hive_version=program.version, runs=runs)
+
+
+def _hive(program, limits=None):
+    return Hive(program, limits=limits, validate_fixes=False,
+                enable_proofs=False)
+
+
+def _ingest_returned(hive, results):
+    """The reference: the round's returned batches and tree rows in one
+    call, as ``repro.registry.harness`` ingests them."""
+    hive.ingest_batch(
+        [batch for result in results for batch in result.batches],
+        tree_deltas=[(result.tree_version, result.tree_delta)
+                     for result in results if result.tree_delta])
+
+
+def _state(hive):
+    """Everything the hive's analyses and reports read."""
+    return {
+        "stats": hive.stats.as_dict(),
+        "paths": hive.tree.canonical_paths(),
+        "size": (hive.tree.node_count, hive.tree.path_count,
+                 hive.tree.insert_count),
+        "deadlocks": hive.deadlocks.diagnoses(),
+        "races": hive.races.reports(),
+        "invariants": hive.invariants.invariants(),
+        "buckets": repr(hive.bucketer.buckets()),
+        "digest_paths": dict(hive._digest_paths),
+        "failure_traces": list(hive._failure_traces),
+        "schedules": list(hive._dangerous_schedules),
+    }
+
+
+def _entry_indices(results):
+    return [entry.global_index for result in results
+            for batch in result.batches for entry in batch.entries]
+
+
+class TestWindowGeometry:
+    @pytest.mark.parametrize("n_runs", PLAN_SIZES + (16, 17))
+    @pytest.mark.parametrize("n_shards", (1, 2, 4))
+    def test_windows_cut_the_plan_by_position(self, n_runs, n_shards):
+        runs = [PlannedRun(i, (i * 7) % 5, {}) for i in range(n_runs)]
+        shards = partition_windows(runs, n_shards)
+        assert len(shards) == n_shards
+        assert all(len(windows) == WINDOWS for windows in shards)
+        size = max(1, -(-n_runs // WINDOWS))
+        for shard_id, windows in enumerate(shards):
+            for index, window in enumerate(windows):
+                for run in window:
+                    assert run.pod_index % n_shards == shard_id
+                    assert run.global_index // size == index
+        # Every run lands in exactly one window of one shard.
+        flat = sorted(run.global_index for windows in shards
+                      for window in windows for run in window)
+        assert flat == list(range(n_runs))
+
+
+class TestWindowsAreExact:
+    """Per-window ingest equals the one-call reference, on serial and
+    process with 1, 2 and 4 workers, at every plan size."""
+
+    @pytest.mark.parametrize("dedup", (False, True))
+    @pytest.mark.parametrize("demo", sorted(DEMOS))
+    def test_streamed_hive_equals_the_reference(self, demo, dedup):
+        program = DEMOS[demo]().program
+        states = {}
+        for name, workers in BACKENDS:
+            with make_backend(name, _pods(program), program,
+                              workers=workers, dedup=dedup) as backend:
+                for n_runs in PLAN_SIZES:
+                    plan = _plan(program, n_runs)
+                    streamed = _hive(program)
+                    sink = window_sink(streamed)
+                    calls = []
+
+                    def counting(parts, sink=sink, calls=calls):
+                        calls.append(len(parts))
+                        sink(parts)
+                    results = backend.run_round(plan, counting)
+                    reference = _hive(program)
+                    _ingest_returned(reference, results)
+
+                    assert calls == [backend.workers] * WINDOWS
+                    records = sorted(record.global_index
+                                     for result in results
+                                     for record in result.records)
+                    assert records == list(range(n_runs))
+                    entries = _entry_indices(results)
+                    assert sorted(entries) == list(range(n_runs))
+                    state = _state(streamed)
+                    assert state == _state(reference)
+                    ingested = (streamed.stats.traces_ingested
+                                + streamed.stats.heartbeats_ingested)
+                    assert ingested == len(entries)
+                    states.setdefault(n_runs, {})[(name, workers)] = state
+        # The same windows on every backend: the same hive.
+        for by_backend in states.values():
+            serial = by_backend[("serial", 1)]
+            for state in by_backend.values():
+                assert state == serial
+
+    def test_a_round_without_a_sink_returns_the_same_result(self):
+        # Nothing consumes a window early, so a sink-less round (chaos,
+        # serve, the registry harness) runs as one window; its result
+        # equals the streamed round's, entry for entry.
+        import repro.exec.backends as backends
+        program = make_race_demo().program
+        plan = _plan(program, 101)
+        counts = []
+        real = backends.partition_windows
+
+        def recording(runs, n_shards, windows):
+            counts.append(windows)
+            return real(runs, n_shards, windows)
+        for name, workers in BACKENDS:
+            rounds = []
+            for sink in (lambda parts: None, None):
+                with make_backend(name, _pods(program), program,
+                                  workers=workers,
+                                  batch_max_traces=9) as backend:
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(backends, "partition_windows",
+                                      recording)
+                        results = backend.run_round(plan, sink)
+                rounds.append([
+                    (result.records, result.tree_version,
+                     result.tree_delta,
+                     [(batch.sequence, [(entry.global_index, entry.payload,
+                                         entry.product)
+                                        for entry in batch.entries])
+                      for batch in result.batches])
+                    for result in results])
+            assert rounds[0] == rounds[1]
+        assert counts == [WINDOWS, 1] * len(BACKENDS)
+
+    def test_round_batches_keep_their_flush_sizes(self):
+        # Windows re-flush into the round's batches exactly as one pass
+        # over the shard's runs would: same sequences, same sizes.
+        program = make_crash_demo().program
+        plan = _plan(program, 101)
+        for name, workers in BACKENDS:
+            with make_backend(name, _pods(program), program,
+                              workers=workers,
+                              batch_max_traces=7) as backend:
+                results = backend.run_round(plan)
+            for result in results:
+                count = len(result.records)     # every run ships a trace
+                sizes = [len(batch) for batch in result.batches]
+                expected = [7] * (count // 7) + ([count % 7]
+                                                 if count % 7 else [])
+                assert sizes == expected
+                assert [batch.sequence for batch in result.batches] == \
+                    list(range(len(sizes)))
+
+
+def _slow_program(spins=2000):
+    """About 10 ms per run: a window is still running when the
+    coordinator receives the one before it."""
+    builder = ProgramBuilder("slow_demo", inputs={"n": (0, 3)})
+    main = builder.function("main")
+    entry = main.block("entry")
+    entry.assign("i", 0)
+    entry.jump("head")
+    main.block("head").branch(v("i") < spins, "body", "check")
+    main.block("body").assign("i", v("i") + 1).jump("head")
+    main.block("check").branch(Input("n") == 3, "boom", "end")
+    main.block("boom").crash("bug:crash:slow_demo").halt()
+    main.block("end").halt()
+    return builder.build()
+
+
+@pytest.fixture
+def registry():
+    """A fresh enabled metrics registry, so respawns are counted."""
+    fresh = Registry(enabled=True)
+    previous = set_registry(fresh)
+    try:
+        yield fresh
+    finally:
+        set_registry(previous)
+
+
+def _check_exactly_once(results, ingested, hive, n_runs):
+    records = sorted(record.global_index for result in results
+                     for record in result.records)
+    assert records == list(range(n_runs))
+    entries = _entry_indices(results)
+    assert sorted(entries) == list(range(n_runs))
+    assert len(ingested) == len(set(ingested))
+    assert sorted(ingested) == sorted(entries)
+    assert (hive.stats.traces_ingested
+            + hive.stats.heartbeats_ingested) == len(entries)
+
+
+class TestMidRoundKill:
+    """The real-crash contract: SIGKILL a worker from the sink when the
+    first window arrives. Its pipe may still hold later windows; the
+    coordinator drains them, sees EOF, respawns the worker at the
+    current epoch and sends it only the windows not yet received."""
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_no_run_lost_and_no_trace_ingested_twice(self, workers,
+                                                     registry):
+        program = _slow_program()
+        limits = ExecutionLimits(max_steps=20_000)
+        n_runs = 24
+        plan = RoundPlan(round_index=0, hive_version=program.version,
+                         runs=[PlannedRun(i, i % 4, {"n": i % 4})
+                               for i in range(n_runs)])
+        hive = _hive(program, limits=limits)
+        with make_backend("process", _pods(program, 4, limits), program,
+                          limits=limits, workers=workers) as backend:
+            epoch = backend.publish(SyncDelta(hive_program=program))
+            victim = backend._procs[0]
+            sink = window_sink(hive)
+            ingested = []
+
+            def killing_sink(parts):
+                if not ingested and victim.is_alive():
+                    os.kill(victim.pid, signal.SIGKILL)
+                ingested.extend(_entry_indices(parts))
+                sink(parts)
+            results = backend.run_round(plan, killing_sink)
+            assert not victim.is_alive()
+            assert backend._procs[0] is not victim
+            assert backend.epoch == epoch
+            assert backend.probe(0)["epoch"] == epoch
+        _check_exactly_once(results, ingested, hive, n_runs)
+        assert registry.counter("exec.worker_respawns").value >= 1
+
+    def test_a_torn_window_message_is_rerun(self, registry):
+        # A worker that dies inside a send leaves a message cut short:
+        # a length header promising more bytes than ever arrive. The
+        # coordinator reads it as a death, respawns, and re-runs the
+        # windows it has not received.
+        program = make_crash_demo().program
+        n_runs = 40
+        plan = _plan(program, n_runs)
+        hive = _hive(program)
+        with make_backend("process", _pods(program), program,
+                          workers=1) as backend:
+            backend._procs[0].kill()
+            backend._procs[0].join(timeout=10)
+            backend._pipes[0].close()
+            ours, theirs = Pipe()
+            backend._pipes[0] = ours
+
+            def torn_worker():
+                theirs.recv()                  # the round
+                os.write(theirs.fileno(),
+                         struct.pack("!i", 4096) + b"\x80" * 16)
+                theirs.close()
+            thread = threading.Thread(target=torn_worker)
+            thread.start()
+            sink = window_sink(hive)
+            ingested = []
+
+            def recording_sink(parts):
+                ingested.extend(_entry_indices(parts))
+                sink(parts)
+            results = backend.run_round(plan, recording_sink)
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        _check_exactly_once(results, ingested, hive, n_runs)
+        assert registry.counter("exec.worker_respawns").value == 1
