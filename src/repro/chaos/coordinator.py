@@ -29,10 +29,10 @@ delivered trace itself: the same evidence, recovered the slow way.
 
 Worker death composes with the session protocol: a process-backend
 worker killed mid-round is respawned *at the current epoch* — it
-replays the backend's session log (program deploys, staged rollouts,
-cache facts, in publish order) before serving its retry wave, so the
-evidence it produces is computed against exactly the state its
-predecessor held (see docs/PARALLEL.md).
+applies every payload the backend has published (program deploys,
+staged rollouts, cache facts, in epoch order) before serving its retry
+wave, so the evidence it produces is computed against exactly the
+state its predecessor held (see docs/PARALLEL.md).
 
 Everything is a pure function of the chaos seed: two runs with the
 same (platform seed, profile) see identical faults and produce

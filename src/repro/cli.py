@@ -20,11 +20,12 @@ The common "kick the tires" flows:
 * ``portfolio`` — the 3-solver SAT portfolio on a small instance mix;
 * ``explore`` — cooperative symbolic exploration of a corpus program.
 
-Flags shared by every execution-shaped command (``--backend``,
-``--workers``, ``--batch-traces``, ``--solver-cache``, ``--chaos``)
-are defined **once**, in :func:`common_exec_flags`, and inherited via
-argparse parent parsers — per-command defaults are applied with
-``set_defaults`` so the definitions never fork.
+Flags shared by the execution-shaped commands (``--backend``,
+``--workers``, ``--solver-cache``, ``--chaos``) are defined **once**,
+in :func:`common_exec_flags`, and inherited via argparse parent
+parsers — each command takes only the ones it reads, and per-command
+defaults are applied with ``set_defaults`` so the definitions never
+fork.
 """
 
 from __future__ import annotations
@@ -42,41 +43,42 @@ __all__ = ["main", "build_parser", "common_exec_flags",
 SCENARIOS = ["crash", "deadlock", "shortread", "race"]
 
 
-def common_exec_flags() -> argparse.ArgumentParser:
-    """The execution-substrate flags every loop command inherits.
+def common_exec_flags(*names: str) -> argparse.ArgumentParser:
+    """The execution-substrate flags a command inherits.
 
     One definition, many subcommands: ``parents=[common_exec_flags()]``
-    gives a command ``--backend/--workers/--batch-traces/--solver-cache/
-    --chaos`` with uniform help text and choices. Override a default for
-    one command with ``set_defaults`` (parser-level defaults beat
-    argument-level ones), never by redefining the flag.
+    gives a command ``--backend/--workers/--solver-cache/--chaos`` with
+    uniform help text and choices; a command that reads only some of
+    them names their dests, e.g. ``common_exec_flags("workers",
+    "solver_cache")``, so it never accepts a flag it would ignore.
+    Override a default for one command with ``set_defaults``
+    (parser-level defaults beat argument-level ones), never by
+    redefining the flag.
     """
     from repro.chaos import profile_names
+    flags = {
+        "backend": dict(
+            default="auto", choices=["auto", "serial", "process"],
+            help="execution backend (auto = $REPRO_BACKEND or serial);"
+                 " reports are bit-identical across backends for a"
+                 " fixed seed"),
+        "workers": dict(
+            type=int, default=0,
+            help="worker shards for the process backend (0 = auto: one"
+                 " worker per core, os.cpu_count(), capped at the pod"
+                 " count; same rule on run/chaos/serve)"),
+        "solver_cache": dict(
+            default="none", choices=["none", "local", "collective"],
+            help="constraint recycling: local = per-engine reuse only,"
+                 " collective = shard deltas merge into the hive cache"
+                 " and redistribute each round (see docs/SOLVING.md)"),
+        "chaos": dict(
+            default="none", choices=profile_names(),
+            help="fault profile to inject (see docs/CHAOS.md)"),
+    }
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--backend", default="auto",
-                        choices=["auto", "serial", "process"],
-                        help="execution backend (auto = $REPRO_BACKEND"
-                             " or serial); reports are bit-identical"
-                             " across backends for a fixed seed")
-    parent.add_argument("--workers", type=int, default=0,
-                        help="worker shards for the process backend"
-                             " (0 = auto: one worker per core,"
-                             " os.cpu_count(), capped at the pod"
-                             " count; same rule on run/chaos/serve)")
-    parent.add_argument("--batch-traces", type=int, default=0,
-                        help="max traces per shard batch flush (0 = one"
-                             " flush per round)")
-    parent.add_argument("--solver-cache", default="none",
-                        choices=["none", "local", "collective"],
-                        help="constraint recycling: local = per-engine"
-                             " reuse only, collective = shard deltas"
-                             " merge into the hive cache and"
-                             " redistribute each round (see"
-                             " docs/SOLVING.md)")
-    parent.add_argument("--chaos", default="none",
-                        choices=profile_names(),
-                        help="fault profile to inject (see"
-                             " docs/CHAOS.md)")
+    for name in names or flags:
+        parent.add_argument("--" + name.replace("_", "-"), **flags[name])
     return parent
 
 
@@ -215,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     portfolio.add_argument("--budget", type=int, default=400_000)
 
     explore = sub.add_parser(
-        "explore", parents=[common_exec_flags()],
+        "explore", parents=[common_exec_flags("workers", "solver_cache")],
         help="cooperative symbolic exploration of a corpus program")
     explore.set_defaults(workers=4)
     explore.add_argument("--mode", default="dynamic",
@@ -272,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     from repro.registry.model import FAMILIES
     registry = sub.add_parser(
-        "registry", parents=[common_exec_flags()],
+        "registry", parents=[common_exec_flags("backend", "workers")],
         help="the named bug registry: list curated bugs, run their"
              " triggering tests standalone + as hive workloads, emit"
              " per-family scorecards (see docs/REGISTRY.md)")
@@ -334,7 +336,6 @@ def _run_platform(args, fixing: bool = True, tracing: bool = False):
         seed=args.seed,
         backend=getattr(args, "backend", "auto"),
         workers=getattr(args, "workers", 0),
-        batch_max_traces=getattr(args, "batch_traces", 0),
         chaos_profile=getattr(args, "chaos", "none"),
         check_invariants=getattr(args, "check_invariants", False),
         solver_cache=getattr(args, "solver_cache", "none"),
@@ -415,7 +416,6 @@ def _cmd_serve(args) -> int:
         balance=args.balance,
         backend=args.backend,
         workers=args.workers,
-        batch_max_traces=args.batch_traces,
         chaos_profile=args.chaos,
         solver_cache=args.solver_cache,
         enable_proofs=False,

@@ -3,9 +3,9 @@
 The coordinator plans each round (all randomness serialized, see
 ``repro.exec.plan``), a backend executes it (serial or process;
 see ``repro.exec.backends``), and sharded collectors ship
-batched traces plus execution-tree edge deltas back for hive ingest
-(``repro.exec.batch``, ``repro.exec.shard``), one window of the round
-at a time (``repro.exec.plan.WINDOWS``). Coordinator state reaches
+one trace batch plus execution-tree edge deltas back for hive ingest
+per window of the round (``repro.exec.batch``, ``repro.exec.shard``,
+``repro.exec.plan.WINDOWS``). Coordinator state reaches
 the shards as epoch-stamped ``publish(SyncDelta)`` calls — the
 session-oriented protocol in ``repro.exec.session``. Reports are
 bit-identical across backends for a fixed seed; see
@@ -39,7 +39,6 @@ from repro.exec.plan import (
 from repro.exec.session import (
     ResultPacker,
     ResultUnpacker,
-    SessionLog,
     SyncDelta,
     pack_runs,
     unpack_runs,
@@ -55,7 +54,7 @@ __all__ = [
     "merge_windows",
     "PlannedRun", "RoundPlan", "WINDOWS", "partition_runs",
     "partition_windows",
-    "SessionLog", "SyncDelta", "ResultPacker", "ResultUnpacker",
+    "SyncDelta", "ResultPacker", "ResultUnpacker",
     "pack_runs", "unpack_runs",
     "Shard",
 ]

@@ -50,8 +50,7 @@ from repro.errors import ConfigError
 from repro.exec.batch import ShardResult, merge_windows
 from repro.exec.plan import WINDOWS, RoundPlan, partition_windows
 from repro.exec.session import (
-    ResultPacker, ResultUnpacker, SessionLog, SyncDelta, pack_runs,
-    unpack_runs,
+    ResultPacker, ResultUnpacker, SyncDelta, pack_runs, unpack_runs,
 )
 from repro.exec.shard import Shard
 from repro.obs import Instrumented, get_registry
@@ -116,8 +115,8 @@ class ExecutorBackend(Protocol):
 
     def run_round(self, plan: RoundPlan,
                   sink: Optional[WindowSink] = None) -> List[ShardResult]:
-        """Execute the plan; shard results ordered by shard id, each
-        holding every record, entry and tree row of its shard. ``sink``
+        """Execute the plan; shard results ordered by shard id, each its
+        shard's windows concatenated (:func:`merge_windows`). ``sink``
         (optional) receives each window from every shard as soon as
         all of them reported it, in window order."""
 
@@ -243,13 +242,11 @@ class SerialBackend(_BackendBase):
 
     def __init__(self, pods: Sequence[Pod], hive_program: Program,
                  limits: Optional[ExecutionLimits] = None,
-                 dedup: bool = False, batch_max_traces: int = 0,
-                 solver_cache: bool = False,
+                 dedup: bool = False, solver_cache: bool = False,
                  replay_products: bool = True):
         super().__init__(workers=1)
         self._shard = Shard(0, dict(enumerate(pods)), hive_program,
                             limits=limits, dedup=dedup,
-                            batch_max_traces=batch_max_traces,
                             solver_cache=self._shard_cache(solver_cache),
                             replay_products=replay_products)
 
@@ -262,7 +259,7 @@ class SerialBackend(_BackendBase):
             windows.append(window)
             if sink is not None:
                 sink([window])
-        return [merge_windows(windows, self._shard.batch_max_traces)]
+        return [merge_windows(windows)]
 
     def _publish(self, delta: SyncDelta) -> None:
         self._shard.apply_sync(delta)
@@ -273,22 +270,22 @@ class ProcessBackend(_BackendBase):
 
     Workers start when the session opens (``with``) or on the first
     round, whichever comes first, and reconstruct their pods from
-    picklable specs (pod id + seed + serialized program), so
-    shard state is a pure function of (platform config, session log) —
-    the same guarantee the coordinator's own pods give — under both
+    picklable specs (pod id + seed + serialized program), so shard
+    state is a pure function of (platform config, published payloads)
+    — the same guarantee the coordinator's own pods give — under both
     ``fork`` and ``spawn`` start methods.
 
     State crosses the pipe once: the spawn arguments carry the base
-    program plus the cumulative :class:`~repro.exec.session.SessionLog`
-    snapshot, so a worker respawned after a crash **replays the current
-    epoch** — every published program deploy and rollout in order, plus
-    the compacted cache facts — before it serves a round. Per round,
-    only deltas cross: packed plans out (interned inputs), packed
-    delta-shaped results back one window at a time (round-scoped
-    outcome/product/payload tables, tree edge rows, once-encoded trace
-    payloads), and worker counter *deltas* instead of totals. A worker
-    that dies mid-round is respawned and re-runs only the windows the
-    coordinator has not received.
+    program plus every payload published so far, so a worker respawned
+    after a crash **replays the current epoch** — each published
+    deploy, rollout and cache delta in epoch order, through the same
+    ``Shard.apply_sync`` a live publish takes — before it serves a
+    round. Per round, only deltas cross: packed plans out (interned
+    inputs), packed delta-shaped results back one window at a time
+    (round-scoped outcome/product/payload tables, tree edge rows,
+    once-encoded trace payloads), and worker counter *deltas* instead
+    of totals. A worker that dies mid-round is respawned and re-runs
+    only the windows the coordinator has not received.
     """
 
     name = "process"
@@ -296,7 +293,7 @@ class ProcessBackend(_BackendBase):
     def __init__(self, pod_specs: Sequence[tuple], hive_program: Program,
                  capture, limits: Optional[ExecutionLimits] = None,
                  fault_rate: float = 0.0,
-                 dedup: bool = False, batch_max_traces: int = 0,
+                 dedup: bool = False,
                  workers: int = 2, solver_cache: bool = False,
                  replay_products: bool = True):
         super().__init__(workers=workers)
@@ -307,14 +304,14 @@ class ProcessBackend(_BackendBase):
         self._limits = limits or ExecutionLimits()
         self._fault_rate = fault_rate
         self._dedup = dedup
-        self._batch_max_traces = batch_max_traces
         self._solver_cache = solver_cache
         self._replay_products = replay_products
         self._procs: List = []
         self._pipes: List = []
-        #: Cumulative session state; replayed verbatim by every worker
-        #: that (re)spawns, which is what makes respawn epoch-correct.
-        self._session = SessionLog()
+        #: Every broadcast payload ``(epoch, hive_blob, rollout,
+        #: cache)``, in epoch order; a worker that (re)spawns applies
+        #: them all, which is what makes respawn epoch-correct.
+        self._published: List[tuple] = []
 
     #: Respawn budget per shard per round, with capped backoff between
     #: attempts (real seconds — these are real crashes, not simulated).
@@ -344,13 +341,13 @@ class ProcessBackend(_BackendBase):
             target=_process_worker_main,
             args=(child_conn, shard_id, specs, self._program_blob,
                   self._capture, self._limits, self._fault_rate,
-                  self._dedup, self._batch_max_traces,
+                  self._dedup,
                   # (enabled, clock): enough for the worker to build an
                   # equivalent tracer. The clock must be picklable —
                   # builtins and FixedClock are.
                   self._tracer.spec(),
                   self._solver_cache, self._replay_products,
-                  self._session.snapshot(),
+                  list(self._published),
                   get_registry().enabled),
             daemon=True,
         )
@@ -370,10 +367,10 @@ class ProcessBackend(_BackendBase):
     def _respawn(self, shard_id: int) -> None:
         """Replace a dead worker with a fresh one at the current epoch.
 
-        The replacement replays the session log — the base program,
-        every published deploy and staged rollout in order, and the
-        compacted cache facts — so it rejoins with exactly the state
-        its predecessor had published to it. The one thing a real crash
+        The replacement starts from the base program and applies every
+        published payload in epoch order — deploys, staged rollouts and
+        cache facts — so it rejoins with exactly the state its
+        predecessor had published to it. The one thing a real crash
         cannot restore is pod RNG position: streams restart from the
         pod seed, so a real crash (unlike an injected one) is outside
         the bit-determinism contract; see docs/CHAOS.md."""
@@ -391,20 +388,23 @@ class ProcessBackend(_BackendBase):
 
     def _publish(self, delta: SyncDelta) -> None:
         from repro.progmodel.serialize import encode_program
-        hive_blob = (encode_program(delta.hive_program)
-                     if delta.hive_program is not None else None)
-        rollout_blob = (encode_program(delta.rollout[0])
-                        if delta.rollout is not None else None)
-        payload = self._session.record(delta, hive_blob=hive_blob,
-                                       rollout_blob=rollout_blob)
+        rollout = None
+        if delta.rollout is not None:
+            program, indices = delta.rollout
+            rollout = (encode_program(program), tuple(indices))
+        payload = (delta.epoch,
+                   encode_program(delta.hive_program)
+                   if delta.hive_program is not None else None,
+                   rollout, list(delta.cache_entries))
+        self._published.append(payload)
         for pipe in self._pipes:
             try:
-                pipe.send(("publish",) + payload)
+                pipe.send(("publish", payload))
             except (BrokenPipeError, OSError):
                 # A dead worker misses the broadcast, not the delta: the
-                # session log already holds it, the next round's send to
-                # this pipe fails the same way, and the respawned worker
-                # replays the log before it serves that round.
+                # published list already holds it, the next round's send
+                # to this pipe fails the same way, and the respawned
+                # worker applies the list before it serves that round.
                 pass
 
     def probe(self, shard_id: int = 0) -> Dict[str, object]:
@@ -432,8 +432,6 @@ class ProcessBackend(_BackendBase):
                 parts = [stream.receive() for stream in streams]
                 if sink is not None:
                     sink(parts)
-            for stream in streams:
-                stream.finish()
         except BaseException:
             # A worker error, a respawn budget spent, or a sink that
             # raised: workers left mid-round would answer the next round
@@ -441,8 +439,7 @@ class ProcessBackend(_BackendBase):
             # starts fresh ones at the current epoch.
             self.close()
             raise
-        return [merge_windows(stream.received, self._batch_max_traces)
-                for stream in streams]
+        return [merge_windows(stream.received) for stream in streams]
 
     def _merge_counters(self, deltas: Dict[str, int]) -> None:
         """Fold worker-side counter *deltas* (pod executions, capture
@@ -480,7 +477,8 @@ class _RoundStream:
     """One worker's share of a streamed round, coordinator side.
 
     Sends the worker its windows, then takes its window results back
-    in order. A worker that dies mid-round (EOF or a broken pipe) is
+    in order; the round is done when every window it was sent has
+    arrived. A worker that dies mid-round (EOF or a broken pipe) is
     replaced at the current epoch with capped backoff and sent only the
     windows not yet received: a received window — its records, entries
     and counter deltas — is kept, and never arrives twice.
@@ -511,17 +509,6 @@ class _RoundStream:
 
     def receive(self) -> ShardResult:
         """The worker's next window result."""
-        message = self._recv("window")
-        result = self._unpacker.unpack(message[1])
-        self.backend._merge_counters(message[2])
-        self.received.append(result)
-        return result
-
-    def finish(self) -> None:
-        """Take the worker's end-of-round reply."""
-        self.backend._merge_counters(self._recv("ok")[1])
-
-    def _recv(self, kind: str) -> tuple:
         while True:
             if self._sent:
                 try:
@@ -529,13 +516,17 @@ class _RoundStream:
                 except (EOFError, OSError):
                     pass                       # died: respawn, resend
                 else:
-                    if message[0] != kind:
+                    if message[0] != "window":
                         raise RuntimeError(
                             f"exec worker shard {self.shard_id} failed:"
                             f"\n{message[1]}")
-                    return message
+                    break
             self._respawn()
             self.send()
+        result = self._unpacker.unpack(message[1])
+        self.backend._merge_counters(message[2])
+        self.received.append(result)
+        return result
 
     def _respawn(self) -> None:
         import time
@@ -559,16 +550,32 @@ class _RoundStream:
         self._unpacker = ResultUnpacker()     # a fresh worker, fresh tables
 
 
+def _apply_published(shard: Shard, payload: tuple) -> int:
+    """Apply one published payload ``(epoch, hive_blob, rollout,
+    cache)`` to a worker's shard through :meth:`Shard.apply_sync`, the
+    serial backend's path; returns its epoch. A (re)spawned worker
+    applies every earlier payload this way, a live one each broadcast."""
+    from repro.progmodel.serialize import decode_program
+    epoch, hive_blob, rollout, cache = payload
+    shard.apply_sync(SyncDelta(
+        epoch=epoch,
+        hive_program=(decode_program(hive_blob)
+                      if hive_blob is not None else None),
+        rollout=((decode_program(rollout[0]), rollout[1])
+                 if rollout is not None else None),
+        cache_entries=cache))
+    return epoch
+
+
 def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
                          capture, limits, fault_rate: float,
-                         dedup: bool, batch_max_traces: int,
-                         tracer_spec=(False, None),
+                         dedup: bool, tracer_spec=(False, None),
                          solver_cache: bool = False,
                          replay_products: bool = True,
-                         session=(0, (), ()),
+                         published=(),
                          metrics_enabled: bool = True) -> None:
-    """Worker entry point: rebuild the shard, replay the session log,
-    serve round requests at the session's epoch."""
+    """Worker entry point: rebuild the shard, apply every published
+    payload, serve round requests at the session's epoch."""
     import gc
     import traceback
 
@@ -578,7 +585,7 @@ def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
 
     # A fresh worker-local registry (under fork the default one holds
     # the coordinator's accumulated metrics). Counter deltas ship back
-    # with every round reply; a coordinator whose registry is disabled
+    # with every window; a coordinator whose registry is disabled
     # would drop them, so the worker's is disabled too and its pods pay
     # nothing, as they would in the serial backend.
     set_registry(Registry(enabled=metrics_enabled))
@@ -589,7 +596,7 @@ def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
     set_tracer(Tracer(enabled=enabled, clock=clock))
     if capture is not None:
         capture._obs_handles = None
-    epoch, program_events, cache_items = session
+    epoch = 0
     try:
         program = decode_program(program_blob)
         pods = {
@@ -599,19 +606,14 @@ def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
             for global_index, pod_id, seed in specs
         }
         shard = Shard(shard_id, pods, program, limits=limits,
-                      dedup=dedup, batch_max_traces=batch_max_traces,
+                      dedup=dedup,
                       solver_cache=_BackendBase._shard_cache(solver_cache),
                       replay_products=replay_products)
         # Epoch replay: everything published since the session opened,
-        # in publish order, so this worker's pod/program/cache state is
+        # in epoch order, so this worker's pod/program/cache state is
         # exactly what a survivor's would be.
-        for event in program_events:
-            if event[0] == "hive":
-                shard.set_hive_program(decode_program(event[1]))
-            else:
-                shard.apply_update(decode_program(event[1]), event[2])
-        if cache_items:
-            shard.merge_cache(list(cache_items))
+        for payload in published:
+            epoch = _apply_published(shard, payload)
     except Exception:  # pragma: no cover - construction is config-pure
         conn.send(("error", traceback.format_exc()))
         return
@@ -654,16 +656,8 @@ def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
                 for window in shard.run_windows(windows, ctx):
                     conn.send(("window", packer.pack(window),
                                counter_deltas()))
-                conn.send(("ok", counter_deltas()))
             elif kind == "publish":
-                epoch, hive_blob, rollout, cache = message[1:5]
-                if hive_blob is not None:
-                    shard.set_hive_program(decode_program(hive_blob))
-                if rollout is not None:
-                    shard.apply_update(decode_program(rollout[0]),
-                                       rollout[1])
-                if cache:
-                    shard.merge_cache(cache)
+                epoch = _apply_published(shard, message[1])
             elif kind == "probe":
                 conn.send(("state", {
                     "epoch": epoch,
@@ -683,7 +677,6 @@ def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
 def make_backend(name: str, pods: Sequence[Pod], hive_program: Program,
                  *, capture=None, limits: Optional[ExecutionLimits] = None,
                  fault_rate: float = 0.0, dedup: bool = False,
-                 batch_max_traces: int = 0,
                  workers: int = 0,
                  solver_cache: str = "none",
                  replay_products: bool = True) -> ExecutorBackend:
@@ -702,7 +695,6 @@ def make_backend(name: str, pods: Sequence[Pod], hive_program: Program,
     if name == "serial":
         return SerialBackend(pods, hive_program, limits=limits,
                              dedup=dedup,
-                             batch_max_traces=batch_max_traces,
                              solver_cache=recycle,
                              replay_products=replay_products)
     if name == "process":
@@ -711,7 +703,6 @@ def make_backend(name: str, pods: Sequence[Pod], hive_program: Program,
         return ProcessBackend(specs, hive_program, capture,
                               limits=limits, fault_rate=fault_rate,
                               dedup=dedup,
-                              batch_max_traces=batch_max_traces,
                               workers=workers, solver_cache=recycle,
                               replay_products=replay_products)
     raise ConfigError(f"unknown backend {name!r}")

@@ -1,24 +1,25 @@
 """Batched trace shipping: what shards hand the hive each round.
 
 Pods historically shipped one trace per execution. At fleet scale the
-per-message overhead dominates, so the executor accumulates traces into
-:class:`TraceBatch` objects — each entry a ``tracing.encode`` payload
-tagged with its global execution index — and flushes per round (or
-every ``batch_max_traces``). Each entry may carry a shard-side
-:class:`ReplayProduct` — the decision path and analysis by-products the
-shard already reconstructed by replaying the trace, exposing the same
-attributes the analyzers read off an ``ExecutionResult`` (duck-typed:
-``lock_events``, ``global_events``, ``final_globals``,
-``return_values``, ``outcome``) — so the hive can skip the replay. The
-round's tree increment rides beside the batches as
+per-message overhead dominates, so a shard packs each window of a round
+(``repro.exec.plan.WINDOWS``) into one :class:`TraceBatch` — each entry
+a ``tracing.encode`` payload tagged with its global execution index,
+the batch's ``sequence`` the window index. Each entry may carry a
+shard-side :class:`ReplayProduct` — the decision path and analysis
+by-products the shard already reconstructed by replaying the trace,
+exposing the same attributes the analyzers read off an
+``ExecutionResult`` (duck-typed: ``lock_events``, ``global_events``,
+``final_globals``, ``return_values``, ``outcome``) — so the hive can
+skip the replay. The window's tree increment rides beside its batch as
 ``ShardResult.tree_delta`` ``(path, outcome, count)`` edge rows. A
-shard reports each window of a round as its own :class:`ShardResult`;
-:func:`merge_windows` rebuilds the round's.
+shard reports each window as its own :class:`ShardResult`;
+:func:`merge_windows` concatenates a round's.
 
 The wire format (``encode_batch``/``decode_batch``) covers only what
 crosses the simulated Internet — indices and trace payloads; products
 and tree deltas ride the coordinator/worker channel, which models a
-hive-side shard, not a pod uplink.
+hive-side shard, not a pod uplink. :class:`BatchAccumulator` batches
+the networked uplink (``NetworkedConfig.batch_max_traces``).
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class TraceBatch:
     shard_id: int
     program_name: str
     program_version: int              # hive version shards replayed on
-    sequence: int = 0                 # flush number within the round
+    sequence: int = 0                 # window index within the round
     entries: List[BatchEntry] = field(default_factory=list)
     #: Sender-side trace context (rides the wire in format v3) so the
     #: receiver's ingest span can parent under the sender's span.
@@ -109,8 +110,8 @@ class TraceBatch:
 
 @dataclass
 class ShardResult:
-    """Everything one shard produced for one round, or for one window
-    of it (:func:`merge_windows` folds a round's windows into one)."""
+    """Everything one shard produced for one window of a round, or for
+    the whole round (:func:`merge_windows` concatenates its windows)."""
 
     shard_id: int
     records: List[RunRecord] = field(default_factory=list)
@@ -130,10 +131,11 @@ class ShardResult:
     #: hive applies ``tree_delta`` only when it still matches.
     tree_version: int = -1
     #: Incremental execution-tree edges: ``(path_decisions, outcome,
-    #: count)`` rows aggregated over the round's replays, in first-seen
-    #: order. Replaces the per-round partial-tree blob on the
-    #: coordinator channel — the hive folds the rows with counted
-    #: inserts, which is both smaller on the pipe and cheaper to merge.
+    #: count)`` rows aggregated over the window's replays, in first-seen
+    #: order (a round's rows may repeat a path across windows). Replaces
+    #: the partial-tree blob on the coordinator channel — the hive folds
+    #: the rows with counted inserts, which sum, so it is both smaller on
+    #: the pipe and cheaper to merge.
     tree_delta: List[Tuple] = field(default_factory=list)
 
 
@@ -235,8 +237,8 @@ class BatchAccumulator:
     releases :class:`TraceBatch` flushes.
 
     ``max_traces`` caps entries per batch (0 = unbounded, one batch per
-    drain); used by networked pods to trade uplink messages for
-    ingestion latency and by shard collectors for intra-round flushes.
+    drain); networked pods use it to trade uplink messages for
+    ingestion latency.
     """
 
     def __init__(self, shard_id: int, program_name: str,
@@ -280,40 +282,21 @@ class BatchAccumulator:
         return batches
 
 
-def merge_windows(windows: Sequence[ShardResult],
-                  max_traces: int = 0) -> ShardResult:
-    """One shard's round result from its window results, in order.
-
-    Records, spans, cache facts and busy time concatenate; tree rows
-    sum per ``(path, outcome)`` in first-seen order; the entries flush
-    through a :class:`BatchAccumulator` capped at ``max_traces``, so the
-    round's batches have the sequences and sizes a single pass over
-    every run would have given them.
-    """
+def merge_windows(windows: Sequence[ShardResult]) -> ShardResult:
+    """One shard's round result: its window results concatenated in
+    window order — records, window batches, tree rows, spans, cache
+    facts — with the busy time summed."""
     first = windows[0]
     merged = ShardResult(shard_id=first.shard_id,
                          tree_version=first.tree_version)
-    edges: Dict = {}
-    accumulator = None
     spans: List = []
     for window in windows:
         merged.records.extend(window.records)
+        merged.batches.extend(window.batches)
+        merged.tree_delta.extend(window.tree_delta)
         spans.extend(window.spans)
         merged.cache_delta.extend(window.cache_delta)
         merged.busy_seconds += window.busy_seconds
-        for path, outcome, count in window.tree_delta:
-            edges[path, outcome] = edges.get((path, outcome), 0) + count
-        for batch in window.batches:
-            if accumulator is None:
-                accumulator = BatchAccumulator(
-                    first.shard_id, batch.program_name,
-                    batch.program_version, max_traces=max_traces)
-            for entry in batch.entries:
-                accumulator.add(entry)
-    if accumulator is not None:
-        merged.batches = list(accumulator.drain_batches())
-    merged.tree_delta = [(path, outcome, count)
-                         for (path, outcome), count in edges.items()]
-    # No spans: the empty tuple a disabled recorder ships, as before.
+    # No spans: the empty tuple a disabled recorder ships.
     merged.spans = spans or ()
     return merged

@@ -8,8 +8,10 @@ process boundary exactly once — when a worker (re)spawns — and only
 * coordinator → worker: :class:`SyncDelta`, stamped with a monotonic
   **epoch** by ``publish()``. A delta carries any combination of a new
   hive program, a staged rollout, and constraint-cache facts. The
-  backend keeps the cumulative :class:`SessionLog`; a worker respawned
-  after a crash replays the log and rejoins at the current epoch.
+  process backend keeps every payload it broadcast, in epoch order; a
+  worker (re)spawned after a crash applies them all, through the same
+  ``Shard.apply_sync`` a live publish takes, and rejoins at the
+  current epoch.
 * worker → coordinator: a round streams back in windows (see below),
   each a packed :class:`~repro.exec.batch.ShardResult`
   (:class:`ResultPacker` / :class:`ResultUnpacker`): run records as
@@ -22,8 +24,10 @@ process boundary exactly once — when a worker (re)spawns — and only
   The three tables are round-scoped: a window ships only the rows no
   earlier window of the round shipped.
 
-The round messages, in order:
+The messages, in order:
 
+* ``("publish", (epoch, hive_blob, rollout, cache))`` — coordinator →
+  worker, between rounds: one stamped delta, its programs encoded.
 * ``("round", epoch, packed_runs, ctx, sizes)`` — coordinator → worker:
   the shard's runs in plan order, cut into ``len(sizes)`` windows of
   ``sizes[w]`` runs each (``repro.exec.plan.partition_windows``).
@@ -31,10 +35,10 @@ The round messages, in order:
   once per window, empty windows included, sent as soon as the
   window's runs finish. Records, entries, tree rows, spans, cache facts
   and the worker's counter deltas all ride with their window, so a
-  window the coordinator has received is complete on its own.
-* ``("ok", counter_deltas)`` — worker → coordinator: the round is done.
-* ``("error", traceback)`` — instead of any reply when the worker
-  raised.
+  window the coordinator has received is complete on its own, and the
+  round is done when the last of the ``len(sizes)`` windows arrives.
+* ``("error", traceback)`` — instead of the next window when the
+  worker raised.
 
 A worker that dies mid-round (EOF on the pipe) is respawned at the
 current epoch and sent only the windows not yet received; see
@@ -54,7 +58,7 @@ from repro.progmodel.interpreter import Outcome
 from repro.progmodel.ir import Program
 
 __all__ = [
-    "SyncDelta", "SessionLog", "ResultPacker", "ResultUnpacker",
+    "SyncDelta", "ResultPacker", "ResultUnpacker",
     "pack_runs", "unpack_runs",
 ]
 
@@ -83,52 +87,6 @@ class SyncDelta:
     def is_empty(self) -> bool:
         return (self.hive_program is None and self.rollout is None
                 and not self.cache_entries)
-
-
-class SessionLog:
-    """The cumulative session state a fresh worker must replay.
-
-    Program events (hive deploys, staged rollouts) are kept as an
-    ordered log — replaying them reproduces every pod's exact program
-    version, not just the hive's current one. Cache facts are
-    content-keyed and first-writer-wins, so they compact into one dict
-    instead of growing with the log.
-    """
-
-    def __init__(self) -> None:
-        self.epoch = 0
-        #: Ordered program events: ("hive", blob) | ("rollout", blob,
-        #: indices). Encoded once at publish; replayed verbatim on
-        #: (re)spawn.
-        self.program_events: List[tuple] = []
-        #: Compacted cache facts: key -> entry, first writer wins
-        #: (mirrors ConstraintCache.merge semantics).
-        self.cache_entries: Dict = {}
-
-    def record(self, delta: SyncDelta, *,
-               hive_blob: Optional[bytes] = None,
-               rollout_blob: Optional[bytes] = None) -> tuple:
-        """Fold a stamped delta into the log; returns the packed
-        broadcast message payload ``(epoch, hive_blob, rollout, cache)``
-        the process backend sends to live workers."""
-        self.epoch = delta.epoch
-        rollout = None
-        if delta.hive_program is not None:
-            self.program_events.append(("hive", hive_blob))
-        if delta.rollout is not None:
-            _program, indices = delta.rollout
-            rollout = (rollout_blob, tuple(indices))
-            self.program_events.append(("rollout",) + rollout)
-        cache = list(delta.cache_entries)
-        for key, entry in cache:
-            self.cache_entries.setdefault(key, entry)
-        return (delta.epoch, hive_blob, rollout, cache)
-
-    def snapshot(self) -> tuple:
-        """Everything a (re)spawning worker needs to rejoin at the
-        current epoch: ``(epoch, program_events, cache_items)``."""
-        return (self.epoch, list(self.program_events),
-                list(self.cache_entries.items()))
 
 
 # -- plan packing --------------------------------------------------------------

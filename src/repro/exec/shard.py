@@ -4,8 +4,8 @@ One :class:`Shard` owns a fixed subset of pods and mirrors, locally,
 the hive-side work that used to be serial: it executes its planned
 runs, deduplicates per pod, replays replayable version-current traces
 into execution-tree *edge deltas* (``(path, outcome, count)`` rows in
-``ShardResult.tree_delta``), and packages everything into
-:class:`TraceBatch` flushes with per-entry :class:`ReplayProduct`
+``ShardResult.tree_delta``), and packages each window's entries into
+one :class:`TraceBatch` with per-entry :class:`ReplayProduct`
 aggregates. The same class backs both executor backends — inline
 (serial) and one-per-worker-process — which is what makes backend
 choice invisible to results.
@@ -36,7 +36,6 @@ from typing import Dict, Iterator, List, Optional, Sequence
 from repro.errors import TraceError
 from repro.exec.batch import (
     BatchEntry, ReplayProduct, RunRecord, ShardResult, TraceBatch,
-    merge_windows,
 )
 from repro.exec.plan import PlannedRun
 from repro.obs.trace import NULL_SPAN, SpanContext, get_tracer
@@ -57,14 +56,12 @@ class Shard:
                  hive_program: Program,
                  limits: Optional[ExecutionLimits] = None,
                  dedup: bool = False,
-                 batch_max_traces: int = 0,
                  solver_cache=None,
                  replay_products: bool = True):
         self.shard_id = shard_id
         self.pods = pods                       # global pod index -> Pod
         self.hive_program = hive_program       # what the hive replays on
         self.limits = limits or ExecutionLimits()
-        self.batch_max_traces = batch_max_traces
         # Service mode turns shard-side replay off: products never
         # survive the pump's re-framed wire, so building them is pure
         # waste there — unless collective recycling mines them.
@@ -87,17 +84,6 @@ class Shard:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def set_hive_program(self, program: Program) -> None:
-        """The hive deployed a fix: future replays target ``program``."""
-        self.hive_program = program
-        self._recycle_engine = None
-        self._recycled_paths.clear()
-
-    def merge_cache(self, delta) -> None:
-        """Adopt hive-redistributed cache facts (round start)."""
-        if self.solver_cache is not None:
-            self.solver_cache.merge(delta)
-
     def apply_update(self, program: Program,
                      pod_indices: Sequence[int]) -> None:
         """Staged rollout: install ``program`` on the named pods."""
@@ -109,23 +95,20 @@ class Shard:
     def apply_sync(self, delta) -> None:
         """Apply one epoch-stamped :class:`~repro.exec.session.SyncDelta`
         — the session protocol's single state-change entry point. Order
-        matters: a combined publish deploys the hive program before the
-        rollout that targets it."""
+        matters: a combined publish deploys the hive program (future
+        replays target it) before the rollout that targets it, then
+        adopts the hive-redistributed cache facts."""
         if delta.hive_program is not None:
-            self.set_hive_program(delta.hive_program)
+            self.hive_program = delta.hive_program
+            self._recycle_engine = None
+            self._recycled_paths.clear()
         if delta.rollout is not None:
             program, indices = delta.rollout
             self.apply_update(program, indices)
-        if delta.cache_entries:
-            self.merge_cache(list(delta.cache_entries))
+        if delta.cache_entries and self.solver_cache is not None:
+            self.solver_cache.merge(list(delta.cache_entries))
 
     # -- the round ------------------------------------------------------------
-
-    def run_shard(self, runs: Sequence[PlannedRun],
-                  ctx: Optional[SpanContext] = None) -> ShardResult:
-        """Execute ``runs`` as one window; the round's result."""
-        return merge_windows(list(self.run_windows([runs], ctx)),
-                             self.batch_max_traces)
 
     def run_windows(self, windows: Sequence[Sequence[PlannedRun]],
                     ctx: Optional[SpanContext] = None,

@@ -143,7 +143,6 @@ class Fleet(Instrumented):
             "execution": {
                 "backend": self.config.resolved_backend(),
                 "workers": self.config.resolved_workers(),
-                "batch_max_traces": self.config.batch_max_traces,
             },
             "report": self.report.as_dict() if self.report else None,
             "obs": self.obs.snapshot(),

@@ -273,7 +273,9 @@ class Hive(Instrumented):
         a concatenation plus a hash. ``decoded`` is that payload ->
         trace memo; pass one dict to every window of a round so a
         payload is decoded once per round, not once per window (the
-        default is a memo for this call alone).
+        default is a memo for this call alone). A payload that does not
+        decode counts as an arrival whose replay failed, and the rest
+        of the batches still ingest.
 
         Returns the number of entries consumed.
         """
@@ -303,10 +305,20 @@ class Hive(Instrumented):
                     continue
                 trace = decoded.get(entry.payload)
                 if trace is None:
-                    with self._tracer.span("wire.decode",
-                                           key=entry.global_index,
-                                           bytes=len(entry.payload)):
-                        trace = decode_trace(entry.payload)
+                    try:
+                        with self._tracer.span("wire.decode",
+                                               key=entry.global_index,
+                                               bytes=len(entry.payload)):
+                            trace = decode_trace(entry.payload)
+                    except TraceError:
+                        # The frame's CRC vouches for the bytes in
+                        # transit, not for the sender: an entry that
+                        # does not decode arrived and cannot replay.
+                        self.stats.traces_ingested += 1
+                        self._obs_ingested.inc()
+                        self.stats.replay_failures += 1
+                        self._obs_replay_failures.inc()
+                        continue
                     decoded[entry.payload] = trace
                 product = entry.product
                 if (product is not None

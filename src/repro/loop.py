@@ -80,7 +80,6 @@ class LoopConfig(BaseConfig):
     seed: int = 0
     backend: str = "auto"            # serial | process | auto
     workers: int = 0                 # 0 = auto (one worker per core)
-    batch_max_traces: int = 0        # 0 = one flush per shard per round
     chaos_profile: object = "none"   # profile name or FaultProfile
     solver_cache: str = "none"       # none | local | collective
     dedup: bool = False              # pod-side heartbeats for repeats
@@ -100,9 +99,6 @@ class LoopConfig(BaseConfig):
         resolve_backend_name(self.backend)   # raises on unknown names
         if self.workers < 0:
             raise ConfigError("workers must be >= 0 (0 = auto)")
-        if self.batch_max_traces < 0:
-            raise ConfigError(
-                "batch_max_traces must be >= 0 (0 = one flush per round)")
         check_solver_cache(self.solver_cache)
         self.resolved_chaos_profile()        # raises on unknown/bad
 
@@ -162,7 +158,6 @@ class ClosedLoop(Instrumented):
             capture=capture, limits=limits,
             fault_rate=scenario.fault_rate,
             dedup=config.dedup,
-            batch_max_traces=config.batch_max_traces,
             workers=config.workers,
             solver_cache=config.solver_cache,
             replay_products=replay_products)

@@ -281,7 +281,6 @@ class SoftBorgPlatform(ClosedLoop):
                 # coordinator published. A pure function of the plan,
                 # so backend-invariant (additive key, still schema v3).
                 "epoch": self.backend.epoch,
-                "batch_max_traces": self.config.batch_max_traces,
             },
             "report": self.report.as_dict(),
             "hive": self.hive.stats.as_dict(),

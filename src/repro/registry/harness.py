@@ -7,9 +7,10 @@ Two execution modes per bug, both deterministic at a fixed seed:
    *triggering-test reproduction rate*.
 2. **Hive workload** — the same tests become
    :class:`~repro.guidance.steering.SteeringDirective` replay runs mixed
-   with seeded background executions, shipped through an executor
+   with seeded background executions, streamed through an executor
    backend (serial/process) into a per-bug
-   :class:`~repro.hive.hive.Hive`; this measures *detection* (did any
+   :class:`~repro.hive.hive.Hive` one window at a time
+   (:func:`repro.loop.window_sink`); this measures *detection* (did any
    shipped run manifest the bug?) and *localization* (Ochiai rank of the
    true defect site in the merged tree).
 
@@ -36,6 +37,7 @@ from repro.fixes.repairlab import RepairLab
 from repro.fixes.validation import FixValidator, make_validation_suite
 from repro.guidance.steering import SteeringDirective
 from repro.hive.hive import Hive
+from repro.loop import window_sink
 from repro.pod.pod import Pod
 from repro.progmodel.interpreter import ExecutionLimits, FaultPlan
 from repro.registry.model import BugRegistry, RegisteredBug, TriggeringTest
@@ -129,6 +131,30 @@ def _directive_for(bug: RegisteredBug,
         reason=f"registry {test.test_id}")
 
 
+def _bug_workload(bug: RegisteredBug, config: RegistryRunConfig,
+                  limits: ExecutionLimits) -> Tuple[List[Pod], RoundPlan]:
+    """The bug's hive workload: its pods, and one round of every test
+    as a replay directive followed by the seeded background runs."""
+    pods = [Pod(f"reg-{bug.ref.replace('/', '-')}-p{i}", bug.program,
+                capture=FullCapture(), limits=limits, fault_rate=0.0,
+                seed=config.seed + i)
+            for i in range(max(1, config.pods))]
+    runs: List[PlannedRun] = []
+    for test in bug.tests:
+        runs.append(PlannedRun(
+            global_index=len(runs), pod_index=len(runs) % len(pods),
+            inputs=dict(test.inputs), directive=_directive_for(bug, test)))
+    rng = make_rng(config.seed, "registry", bug.ref)
+    domains = sorted(bug.program.inputs.items())
+    for _ in range(config.background_runs):
+        vector = {name: rng.randint(lo, hi) for name, (lo, hi) in domains}
+        runs.append(PlannedRun(
+            global_index=len(runs), pod_index=len(runs) % len(pods),
+            inputs=vector))
+    return pods, RoundPlan(round_index=0, hive_version=bug.program.version,
+                           runs=runs)
+
+
 def run_bug(bug: RegisteredBug, config: RegistryRunConfig,
             invariants: Optional[Invariants] = None) -> BugRunResult:
     """Evaluate one registered bug standalone and as a hive workload."""
@@ -146,29 +172,15 @@ def run_bug(bug: RegisteredBug, config: RegistryRunConfig,
             if test.passes(bug.program):
                 out.regression_passed += 1
 
-    # 2. Hive workload: directives + seeded background runs.
-    pods = [Pod(f"reg-{bug.ref.replace('/', '-')}-p{i}", bug.program,
-                capture=FullCapture(), limits=limits, fault_rate=0.0,
-                seed=config.seed + i)
-            for i in range(max(1, config.pods))]
-    runs: List[PlannedRun] = []
-    for test in bug.tests:
-        runs.append(PlannedRun(
-            global_index=len(runs), pod_index=len(runs) % len(pods),
-            inputs=dict(test.inputs), directive=_directive_for(bug, test)))
-    rng = make_rng(config.seed, "registry", bug.ref)
-    domains = sorted(bug.program.inputs.items())
-    for _ in range(config.background_runs):
-        vector = {name: rng.randint(lo, hi) for name, (lo, hi) in domains}
-        runs.append(PlannedRun(
-            global_index=len(runs), pod_index=len(runs) % len(pods),
-            inputs=vector))
-    plan = RoundPlan(round_index=0, hive_version=bug.program.version,
-                     runs=runs)
+    # 2. Hive workload: directives + seeded background runs, each
+    # window ingested as it arrives.
+    pods, plan = _bug_workload(bug, config, limits)
+    hive = Hive(bug.program, limits=limits, validate_fixes=False,
+                enable_proofs=False)
     with make_backend(config.backend, pods, bug.program,
                       capture=FullCapture(), limits=limits,
                       workers=config.workers) as backend:
-        shard_results = backend.run_round(plan)
+        shard_results = backend.run_round(plan, window_sink(hive))
 
     spec = bug.spec
     records = [record for shard in shard_results for record in shard.records]
@@ -179,12 +191,6 @@ def run_bug(bug: RegisteredBug, config: RegistryRunConfig,
         for r in records)
 
     # 3. Localization against the merged collective tree.
-    hive = Hive(bug.program, limits=limits, validate_fixes=False,
-                enable_proofs=False)
-    hive.ingest_batch(
-        [batch for shard in shard_results for batch in shard.batches],
-        tree_deltas=[(shard.tree_version, shard.tree_delta)
-                     for shard in shard_results if shard.tree_delta])
     out.localization_rank = rank_of_block(
         localize_from_tree(hive.tree), *spec.defect_site)
     out.invariants_ok = (invariants or Invariants()).check(hive).ok

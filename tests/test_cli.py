@@ -50,14 +50,22 @@ class TestParser:
         # subparser gets a fresh instance).
         for command, extra in [("run", []), ("stats", []),
                                ("chaos", []), ("serve", []),
-                               ("trace", ["--out", "/dev/null"]),
-                               ("explore", [])]:
+                               ("trace", ["--out", "/dev/null"])]:
             args = build_parser().parse_args([command] + extra)
             assert args.backend == "auto", command
-            assert args.batch_traces == 0, command
             assert args.solver_cache == "none", command
             assert hasattr(args, "workers"), command
             assert hasattr(args, "chaos"), command
+            assert not hasattr(args, "batch_traces"), command
+        # A command takes only the shared flags it reads.
+        explore = build_parser().parse_args(["explore"])
+        assert (explore.workers, explore.solver_cache) == (4, "none")
+        registry = build_parser().parse_args(["registry", "run"])
+        assert (registry.backend, registry.workers) == ("auto", 0)
+        for args, absent in ((explore, ("backend", "chaos")),
+                             (registry, ("solver_cache", "chaos"))):
+            for name in absent:
+                assert not hasattr(args, name), name
         # Per-command defaults stay per-command.
         assert build_parser().parse_args(["run"]).chaos == "none"
         assert build_parser().parse_args(["run"]).rounds == 15
@@ -66,6 +74,18 @@ class TestParser:
         assert build_parser().parse_args(["chaos"]).rounds == 8
         assert build_parser().parse_args(["serve"]).chaos == "none"
         assert build_parser().parse_args(["explore"]).workers == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["explore", "--chaos", "lossy-workers"],
+        ["explore", "--backend", "process"],
+        ["registry", "run", "--solver-cache", "collective"],
+        ["registry", "run", "--chaos", "lossy-workers"],
+        ["run", "--batch-traces", "3"],
+    ])
+    def test_flags_a_command_would_ignore_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
 
     def test_readme_documents_every_flag(self):
         # Every option of every subcommand appears in README.md as a
@@ -119,7 +139,7 @@ class TestCommands:
         assert doc["config"]["rounds"] == 5
         assert doc["execution"]["backend"] in ("serial", "process")
         assert doc["execution"]["workers"] >= 1
-        assert doc["execution"]["batch_max_traces"] == 0
+        assert "batch_max_traces" not in doc["config"]
         assert doc["hive"]["traces_ingested"] == doc["obs"]["counters"][
             "hive.traces_ingested"]
         assert doc["report"]["total_executions"] == 200
@@ -137,7 +157,7 @@ class TestCommands:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["execution"] == {"backend": "process", "workers": 2,
-                                    "epoch": 0, "batch_max_traces": 0}
+                                    "epoch": 0}
         assert doc["obs"]["counters"]["exec.rounds"] == 3
         assert "exec.worker_busy" in doc["obs"]["timers"]
 

@@ -232,8 +232,6 @@ class TestBackendResolution:
         assert resolve_workers(0, "process", 100) == (os.cpu_count() or 1)
         with pytest.raises(ConfigError):
             PlatformConfig(workers=-1).validate()
-        with pytest.raises(ConfigError):
-            PlatformConfig(batch_max_traces=-1).validate()
 
     def test_auto_workers_is_one_per_core(self, monkeypatch):
         # 0 = auto: one worker per core, still capped at the pod count,
@@ -271,7 +269,7 @@ def _population_plan(program, population, n_runs, n_pods=4):
 
 class TestSessionProtocol:
     """publish() epochs, context-manager lifecycle, and worker respawn
-    replaying the session log."""
+    applying every published payload."""
 
     def test_publish_stamps_monotonic_epochs(self):
         demo = make_crash_demo()
@@ -349,8 +347,8 @@ class TestSessionProtocol:
     def test_publish_after_worker_death_reaches_the_respawn(self):
         # A worker killed between rounds misses the publish broadcast,
         # not the delta: publish must not raise on the dead pipe, the
-        # next round respawns the worker, and the replacement replays
-        # the session log up to the current epoch.
+        # next round respawns the worker, and the replacement applies
+        # every published payload up to the current epoch.
         demo = make_crash_demo()
         v2 = dataclasses.replace(demo.program, version=2)
         with make_backend("process", _session_pods(demo.program),
@@ -370,7 +368,8 @@ class TestSessionProtocol:
         # Workers ship counter deltas that a disabled coordinator
         # registry drops: a worker spawned under a disabled registry
         # records none, like pods built after obs.disable() serially.
-        # Deltas ride with every window message and the final reply.
+        # Deltas ride with every window message; the round ends with
+        # its last window.
         from collections import Counter
 
         from repro.obs import Registry, set_registry
@@ -392,11 +391,9 @@ class TestSessionProtocol:
                         kind, _packed, window_deltas = pipe.recv()
                         assert kind == "window"
                         counts.update(window_deltas)
-                    reply = pipe.recv()
+                    assert not pipe.poll(0.2)
             finally:
                 set_registry(previous)
-            assert reply[0] == "ok"
-            counts.update(reply[1])
             deltas[enabled] = dict(counts)
         assert deltas[True]["pod.executions"] == 4
         assert deltas[False] == {}
@@ -483,9 +480,9 @@ def _reference_product(program, trace):
 
 
 class TestRoundRecycling:
-    """One run_shard call encodes each distinct trace and replays each
-    distinct replay source once, and every entry still carries exactly
-    what recomputing it would produce."""
+    """One round encodes each distinct trace and replays each distinct
+    replay source once, and every entry still carries exactly what
+    recomputing it would produce."""
 
     def _check(self, program, n_runs=24):
         # Three users over four pods: inputs repeat. Pods 0 and 1 run a
@@ -517,7 +514,7 @@ class TestRoundRecycling:
             patch.setattr(Interpreter, "replay",
                           lambda self, source: replays.append(source)
                           or replay(self, source))
-            result = shard.run_shard(plan.runs)
+            result, = shard.run_windows([plan.runs])
 
         entries = [entry for batch in result.batches
                    for entry in batch.entries]

@@ -87,6 +87,26 @@ class TestHiveIngestion:
         assert peak < 10 * 2 ** 20
 
 
+    def test_an_entry_that_does_not_decode_is_counted(self):
+        # A frame's CRC vouches for the bytes in transit, not for the
+        # sender: an entry that does not decode is an arrival whose
+        # replay failed, and the rest of the frame still ingests.
+        from repro.exec.batch import BatchEntry, TraceBatch
+        demo = make_crash_demo()
+        good = encode_trace(_trace(demo.program, {"n": 1, "mode": 2}))
+        batch = TraceBatch(
+            shard_id=0, program_name=demo.program.name,
+            program_version=demo.program.version,
+            entries=[BatchEntry(0, payload=good),
+                     BatchEntry(1, payload=b"\x07\xff\xff"),
+                     BatchEntry(2, payload=good)])
+        hive = Hive(demo.program, validate_fixes=False, enable_proofs=False)
+        assert hive.ingest_batch([batch]) == 3
+        assert hive.stats.traces_ingested == 3
+        assert hive.stats.replay_failures == 1
+        assert hive.tree.path_count == 1
+
+
 class TestHiveFixing:
     def test_crash_gets_fixed_and_version_bumps(self):
         demo = make_crash_demo()

@@ -25,7 +25,6 @@ class TestLoopConfig:
     @pytest.mark.parametrize("knob, value", [
         ("max_steps", 0),
         ("workers", -1),
-        ("batch_max_traces", -1),
         ("solver_cache", "bogus"),
         ("backend", "bogus"),
         ("chaos_profile", "bogus"),
@@ -40,7 +39,7 @@ class TestLoopConfig:
 
     def test_both_drivers_carry_every_shared_knob(self):
         shared = set(LoopConfig().as_dict())
-        assert len(shared) == 14
+        assert len(shared) == 13
         assert shared <= set(PlatformConfig().as_dict())
         assert shared <= set(ServiceConfig().as_dict())
 

@@ -134,7 +134,7 @@ class TestDisabledFastPath:
             shard = Shard(0, pods, demo.program)
             plan = [PlannedRun(0, 0, {name: lo for name, (lo, _hi)
                                       in demo.program.inputs.items()})]
-            result = shard.run_shard(plan)
+            result, = shard.run_windows([plan])
             assert result.spans == ()
         finally:
             set_tracer(previous_tracer)

@@ -277,6 +277,33 @@ class TestIngestPump:
         assert pump.depth_entries == 0
         assert pump.frames_discarded == 1
 
+    def test_an_entry_that_does_not_decode_is_drained_and_counted(self):
+        # The frame's CRC holds, so the pump hands it on whole; the hive
+        # counts the bad entry as a failed replay instead of raising
+        # mid-frame, and the drain accounts every entry it took.
+        from repro.exec.batch import BatchEntry
+        from repro.hive.hive import Hive
+        from repro.progmodel.corpus import make_crash_demo
+        from repro.progmodel.interpreter import Interpreter
+        from repro.tracing.encode import encode_trace
+        from repro.tracing.trace import trace_from_result
+
+        program = make_crash_demo().program
+        good = encode_trace(trace_from_result(
+            Interpreter(program).run({"n": 1, "mode": 2})))
+        pump = IngestPump(capacity_frames=8, frame_max_entries=4)
+        frame, = pump.frame_entries(
+            [BatchEntry(0, payload=good),
+             BatchEntry(1, payload=b"\x07\xff\xff"),
+             BatchEntry(2, payload=good)], program.name, program.version)
+        assert pump.offer(frame, tick=0)
+        hive = Hive(program, validate_fixes=False, enable_proofs=False)
+        assert pump.drain(hive, budget_entries=100) == 3
+        assert pump.entries_drained == 3
+        assert pump.frames_discarded == 0
+        assert hive.stats.traces_ingested == 3
+        assert hive.stats.replay_failures == 1
+
     def test_lag_is_depth_over_drain_rate(self):
         pump = IngestPump(capacity_frames=8, frame_max_entries=5)
         for frame in pump.frame_entries(self.make_entries(10), "p", 1):

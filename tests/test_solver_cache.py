@@ -482,9 +482,9 @@ class TestShardRecycling:
         shard = Shard(0, {0: Pod("pod0", program)}, program,
                       solver_cache=ConstraintCache())
         steered = {"n": 7, "mode": 2}
-        shard.run_shard([PlannedRun(
+        list(shard.run_windows([[PlannedRun(
             global_index=0, pod_index=0, inputs={"n": 1, "mode": 0},
-            directive=SteeringDirective(kind="input", inputs=steered))])
+            directive=SteeringDirective(kind="input", inputs=steered))]]))
         assert walks == [(steered, True)]
         assert shard.solver_cache.stats.stores > 0
 

@@ -3,11 +3,13 @@ ingests window w while the shards run w+1.
 
 Two contracts are pinned here. Windows are exact: a hive fed window by
 window through ``window_sink`` ends in the same state as a reference
-hive that ingests the round's returned batches and tree rows in one
-``ingest_batch`` call, on every backend. And a real worker crash in
-the middle of a round loses no run and ingests no trace twice: the
-windows already received stay received, and the respawned worker runs
-only the rest (docs/CHAOS.md, "Real crashes").
+hive that ingests the round's returned windows — their batches and
+tree rows, concatenated — in one ``ingest_batch`` call, on every
+backend, for the demos and for every registry bug. And a real worker
+crash in the middle of a round, or right after its last window, loses
+no run and ingests no trace twice: the windows already received stay
+received, and the respawned worker runs only the rest (docs/CHAOS.md,
+"Real crashes").
 """
 
 import os
@@ -18,6 +20,7 @@ from multiprocessing import Pipe
 
 import pytest
 
+from repro.analysis.localize import localize_from_tree, rank_of_block
 from repro.exec import (
     WINDOWS, PlannedRun, RoundPlan, SyncDelta, make_backend,
     partition_windows,
@@ -32,7 +35,10 @@ from repro.progmodel.corpus import (
 )
 from repro.progmodel.interpreter import ExecutionLimits
 from repro.progmodel.ir import Input, v
+from repro.registry import RegistryRunConfig, build_registry
+from repro.registry.harness import _bug_workload
 from repro.rng import make_rng
+from repro.tracing.capture import FullCapture
 
 DEMOS = {"crash": make_crash_demo, "race": make_race_demo,
          "deadlock": make_deadlock_demo}
@@ -61,8 +67,8 @@ def _hive(program, limits=None):
 
 
 def _ingest_returned(hive, results):
-    """The reference: the round's returned batches and tree rows in one
-    call, as ``repro.registry.harness`` ingests them."""
+    """The reference: the round's returned batches and tree rows (its
+    windows concatenated) in one call."""
     hive.ingest_batch(
         [batch for result in results for batch in result.batches],
         tree_deltas=[(result.tree_version, result.tree_delta)
@@ -84,6 +90,15 @@ def _state(hive):
         "failure_traces": list(hive._failure_traces),
         "schedules": list(hive._dangerous_schedules),
     }
+
+
+def _summed_rows(rows):
+    """Tree rows summed per ``(path, outcome)``: what counted inserts
+    make of them."""
+    summed = {}
+    for path, outcome, count in rows:
+        summed[path, outcome] = summed.get((path, outcome), 0) + count
+    return summed
 
 
 def _entry_indices(results):
@@ -113,7 +128,8 @@ class TestWindowGeometry:
 
 class TestWindowsAreExact:
     """Per-window ingest equals the one-call reference, on serial and
-    process with 1, 2 and 4 workers, at every plan size."""
+    process with 1, 2 and 4 workers, at every plan size, and for every
+    registry bug."""
 
     @pytest.mark.parametrize("dedup", (False, True))
     @pytest.mark.parametrize("demo", sorted(DEMOS))
@@ -157,8 +173,8 @@ class TestWindowsAreExact:
 
     def test_a_round_without_a_sink_returns_the_same_result(self):
         # Nothing consumes a window early, so a sink-less round (chaos,
-        # serve, the registry harness) runs as one window; its result
-        # equals the streamed round's, entry for entry.
+        # serve) runs as one window; its records, its entries in global
+        # order and its summed tree rows equal the streamed round's.
         import repro.exec.backends as backends
         program = make_race_demo().program
         plan = _plan(program, 101)
@@ -172,41 +188,60 @@ class TestWindowsAreExact:
             rounds = []
             for sink in (lambda parts: None, None):
                 with make_backend(name, _pods(program), program,
-                                  workers=workers,
-                                  batch_max_traces=9) as backend:
+                                  workers=workers) as backend:
                     with pytest.MonkeyPatch.context() as patch:
                         patch.setattr(backends, "partition_windows",
                                       recording)
                         results = backend.run_round(plan, sink)
                 rounds.append([
                     (result.records, result.tree_version,
-                     result.tree_delta,
-                     [(batch.sequence, [(entry.global_index, entry.payload,
-                                         entry.product)
-                                        for entry in batch.entries])
-                      for batch in result.batches])
+                     _summed_rows(result.tree_delta),
+                     sorted(((entry.global_index, entry.payload,
+                              entry.product)
+                             for batch in result.batches
+                             for entry in batch.entries),
+                            key=lambda item: item[0]))
                     for result in results])
             assert rounds[0] == rounds[1]
         assert counts == [WINDOWS, 1] * len(BACKENDS)
 
-    def test_round_batches_keep_their_flush_sizes(self):
-        # Windows re-flush into the round's batches exactly as one pass
-        # over the shard's runs would: same sequences, same sizes.
-        program = make_crash_demo().program
-        plan = _plan(program, 101)
-        for name, workers in BACKENDS:
-            with make_backend(name, _pods(program), program,
-                              workers=workers,
-                              batch_max_traces=7) as backend:
-                results = backend.run_round(plan)
-            for result in results:
-                count = len(result.records)     # every run ships a trace
-                sizes = [len(batch) for batch in result.batches]
-                expected = [7] * (count // 7) + ([count % 7]
-                                                 if count % 7 else [])
-                assert sizes == expected
-                assert [batch.sequence for batch in result.batches] == \
-                    list(range(len(sizes)))
+    def test_every_registry_bug_streams_exactly(self):
+        # The registry harness streams each bug's round into its hive:
+        # per-window ingest equals the one-call reference for every
+        # registry bug, planned as run_bug plans it, on serial and
+        # process with 1 and 2 workers.
+        config = RegistryRunConfig(seed=0)
+        limits = ExecutionLimits(max_steps=config.max_steps)
+
+        def outputs(hive, bug):
+            return {
+                "stats": hive.stats.as_dict(),
+                "paths": hive.tree.canonical_paths(),
+                "deadlocks": hive.deadlocks.diagnoses(),
+                "races": hive.races.reports(),
+                "invariants": hive.invariants.invariants(),
+                "rank": rank_of_block(localize_from_tree(hive.tree),
+                                      *bug.spec.defect_site),
+            }
+        for bug in build_registry(seed=0).bugs("all"):
+            by_backend = {}
+            for name, workers in BACKENDS[:3]:
+                pods, plan = _bug_workload(bug, config, limits)
+                streamed = _hive(bug.program, limits=limits)
+                with make_backend(name, pods, bug.program,
+                                  capture=FullCapture(), limits=limits,
+                                  workers=workers) as backend:
+                    results = backend.run_round(plan, window_sink(streamed))
+                reference = _hive(bug.program, limits=limits)
+                _ingest_returned(reference, results)
+                state = outputs(streamed, bug)
+                assert state == outputs(reference, bug), (bug.ref, name,
+                                                          workers)
+                assert streamed.stats.traces_ingested == len(plan.runs)
+                by_backend[name, workers] = state
+            serial = by_backend["serial", 1]
+            assert all(state == serial for state in by_backend.values()), \
+                bug.ref
 
 
 def _slow_program(spins=2000):
@@ -252,7 +287,9 @@ class TestMidRoundKill:
     """The real-crash contract: SIGKILL a worker from the sink when the
     first window arrives. Its pipe may still hold later windows; the
     coordinator drains them, sees EOF, respawns the worker at the
-    current epoch and sends it only the windows not yet received."""
+    current epoch and sends it only the windows not yet received. A
+    worker killed after its last window has already finished the
+    round; the next round respawns it."""
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_no_run_lost_and_no_trace_ingested_twice(self, workers,
@@ -283,6 +320,50 @@ class TestMidRoundKill:
             assert backend.probe(0)["epoch"] == epoch
         _check_exactly_once(results, ingested, hive, n_runs)
         assert registry.counter("exec.worker_respawns").value >= 1
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_a_kill_after_the_last_window_loses_nothing(self, workers,
+                                                        registry):
+        # The worker has sent every window when it dies: the round is
+        # already complete and keeps every record, and the next round
+        # respawns the worker at the current epoch.
+        program = _slow_program(spins=200)
+        limits = ExecutionLimits(max_steps=20_000)
+        n_runs = 24
+
+        def plan(round_index):
+            return RoundPlan(round_index=round_index,
+                             hive_version=program.version,
+                             runs=[PlannedRun(i, i % 4, {"n": i % 4})
+                                   for i in range(n_runs)])
+        with make_backend("process", _pods(program, 4, limits), program,
+                          limits=limits, workers=workers) as backend:
+            epoch = backend.publish(SyncDelta(hive_program=program))
+            victim = backend._procs[0]
+            for round_index in (0, 1):
+                hive = _hive(program, limits=limits)
+                sink = window_sink(hive)
+                ingested = []
+                windows = []
+
+                def killing_sink(parts, sink=sink, ingested=ingested,
+                                 windows=windows):
+                    windows.append(parts)
+                    ingested.extend(_entry_indices(parts))
+                    sink(parts)
+                    if len(windows) == WINDOWS and victim.is_alive():
+                        os.kill(victim.pid, signal.SIGKILL)
+                        victim.join(timeout=10)
+                results = backend.run_round(plan(round_index),
+                                            killing_sink)
+                _check_exactly_once(results, ingested, hive, n_runs)
+                respawns = registry.counter("exec.worker_respawns").value
+                assert respawns == round_index
+            assert not victim.is_alive()
+            assert backend._procs[0] is not victim
+            assert backend.epoch == epoch
+            for shard_id in range(workers):
+                assert backend.probe(shard_id)["epoch"] == epoch
 
     def test_a_torn_window_message_is_rerun(self, registry):
         # A worker that dies inside a send leaves a message cut short:

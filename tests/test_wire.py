@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SoftBorgError, TraceError
 from repro.exec.batch import BatchEntry, TraceBatch, decode_batch, encode_batch
+from repro.hive.hive import Hive
 from repro.obs.trace import SpanContext
 from repro.progmodel import corpus
 from repro.progmodel.bugs import BugKind
@@ -250,6 +251,15 @@ def _mangled(draw, kind):
     return data
 
 
+@functools.lru_cache(maxsize=None)
+def _fuzz_programs():
+    """The seed batches' programs by name, for the hive a decoded
+    batch ingests into."""
+    programs = (_demo_program(name) for name in ("crash", "race",
+                                                  "deadlock"))
+    return {program.name: program for program in programs}
+
+
 def _with_crc(body):
     return body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "big")
 
@@ -283,8 +293,18 @@ class TestDecoderFuzz:
     @given(_mangled("batch-body"))
     def test_decode_batch_with_valid_crc(self, data):
         # A recomputed CRC gets the mangled body past the checksum and
-        # into the body parser.
-        _decodes_or_raises_typed(decode_batch, _with_crc(data))
+        # into the body parser. A batch that decodes must also ingest:
+        # every entry is taken or counted, and nothing raises.
+        try:
+            batch = decode_batch(_with_crc(data))
+        except SoftBorgError:
+            return
+        program = _fuzz_programs().get(batch.program_name,
+                                       _fuzz_programs()["crash_demo"])
+        hive = Hive(program, validate_fixes=False, enable_proofs=False)
+        assert hive.ingest_batch([batch]) == len(batch.entries)
+        assert (hive.stats.traces_ingested
+                + hive.stats.heartbeats_ingested) == len(batch.entries)
 
     def test_seed_payloads_decode(self):
         seeds = _seed_payloads()
