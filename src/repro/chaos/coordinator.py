@@ -23,9 +23,10 @@ order into fixed-size wire frames, encoded through the real
 dropped, corrupted, duplicated, and reordered per the plan. Corrupt
 frames fail the checksum on decode and are discarded — never ingested
 — and each surviving frame is ingested with its own capped retry loop
-against injected transient hive failures. The wire strips shard
-aggregates (products, tree edge deltas), so the hive replays every
-delivered trace itself: the same evidence, recovered the slow way.
+against injected transient hive failures. The hive replays the
+delivered traces as it does on the direct path: one memo per round,
+so each distinct replay source replays once however many frames,
+duplicates included, carry it.
 
 Worker death composes with the session protocol: a process-backend
 worker killed mid-round is respawned *at the current epoch* — it
@@ -42,7 +43,7 @@ bit-identical reports on every backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.chaos.plan import FaultPlan
 from repro.config import BaseReport
@@ -224,10 +225,11 @@ class ChaosCoordinator(Instrumented):
 
         Entries are re-framed in global order, encoded through the real
         checksummed wire format, faulted per the plan, and ingested
-        frame by frame with capped retries. ``wire`` (when given) is
-        called with the byte size of every transmission, duplicates
-        included — dropped frames still burned uplink. Returns the
-        number of entries the hive ingested.
+        frame by frame with capped retries, all sharing one decode and
+        replay memo, as the windows of a direct round do. ``wire``
+        (when given) is called with the byte size of every
+        transmission, duplicates included — dropped frames still burned
+        uplink. Returns the number of entries the hive ingested.
         """
         stats = self._current
         assert stats is not None, "deliver() before execute_round()"
@@ -240,8 +242,6 @@ class ChaosCoordinator(Instrumented):
         version = hive.program.version
         deliveries: List[bytes] = []
         for frame_index, chunk in enumerate(frames):
-            # encode_batch strips products/tree blobs: the hive replays
-            # every delivered trace itself, like it would a pod uplink.
             # The frame span's context rides inside the frame (wire
             # format v3) so the receive-side ingest span parents here.
             with self._tracer.span("wire.frame",
@@ -283,6 +283,7 @@ class ChaosCoordinator(Instrumented):
             stats.reordered = True
             self._tracer.event("chaos.reordered", round=round_index)
         delivered = 0
+        memo: Dict = {}
         for delivery_index, position in enumerate(order):
             try:
                 # Zero-copy decode: the frame was encoded once above;
@@ -305,13 +306,14 @@ class ChaosCoordinator(Instrumented):
                                       key=(round_index, delivery_index),
                                       delivery=delivery_index):
                 if self._ingest_with_retry(hive, batch, round_index,
-                                           delivery_index):
+                                           delivery_index, memo):
                     delivered += len(batch.entries)
         stats.entries_delivered = delivered
         return delivered
 
     def _ingest_with_retry(self, hive, batch: TraceBatch,
-                           round_index: int, delivery_index: int) -> bool:
+                           round_index: int, delivery_index: int,
+                           memo: Dict) -> bool:
         """Ingest one frame against injected transient hive failures.
 
         A failure fires *before* any hive mutation (the transactional
@@ -338,7 +340,7 @@ class ChaosCoordinator(Instrumented):
             backoff = self.plan.backoff(attempt)
             stats.backoff_seconds += backoff
             self._retry_backoff.observe(backoff)
-        hive.ingest_batch([batch])
+        hive.ingest_batch([batch], memo)
         return True
 
     # -- round bookkeeping ----------------------------------------------------

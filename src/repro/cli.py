@@ -49,8 +49,8 @@ def common_exec_flags(*names: str) -> argparse.ArgumentParser:
     One definition, many subcommands: ``parents=[common_exec_flags()]``
     gives a command ``--backend/--workers/--solver-cache/--chaos`` with
     uniform help text and choices; a command that reads only some of
-    them names their dests, e.g. ``common_exec_flags("workers",
-    "solver_cache")``, so it never accepts a flag it would ignore.
+    them names their dests, e.g. ``common_exec_flags("backend",
+    "workers")``, so it never accepts a flag it would ignore.
     Override a default for one command with ``set_defaults``
     (parser-level defaults beat argument-level ones), never by
     redefining the flag.
@@ -80,6 +80,15 @@ def common_exec_flags(*names: str) -> argparse.ArgumentParser:
     for name in names or flags:
         parent.add_argument("--" + name.replace("_", "-"), **flags[name])
     return parent
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text}")
+    return value
 
 
 def common_loop_flags() -> argparse.ArgumentParser:
@@ -217,9 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     portfolio.add_argument("--budget", type=int, default=400_000)
 
     explore = sub.add_parser(
-        "explore", parents=[common_exec_flags("workers", "solver_cache")],
+        "explore", parents=[common_exec_flags("solver_cache")],
         help="cooperative symbolic exploration of a corpus program")
-    explore.set_defaults(workers=4)
+    explore.add_argument("--workers", type=_positive_int, default=4,
+                         help="simulated worker nodes")
     explore.add_argument("--mode", default="dynamic",
                          choices=["dynamic", "static"])
     explore.add_argument("--loss", type=float, default=0.0)

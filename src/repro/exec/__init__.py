@@ -2,9 +2,9 @@
 
 The coordinator plans each round (all randomness serialized, see
 ``repro.exec.plan``), a backend executes it (serial or process;
-see ``repro.exec.backends``), and sharded collectors ship
-one trace batch plus execution-tree edge deltas back for hive ingest
-per window of the round (``repro.exec.batch``, ``repro.exec.shard``,
+see ``repro.exec.backends``), and sharded collectors ship one trace
+batch back per window of the round for the hive to replay and ingest
+(``repro.exec.batch``, ``repro.exec.shard``,
 ``repro.exec.plan.WINDOWS``). Coordinator state reaches
 the shards as epoch-stamped ``publish(SyncDelta)`` calls — the
 session-oriented protocol in ``repro.exec.session``. Reports are
@@ -25,7 +25,6 @@ from repro.exec.backends import (
 from repro.exec.batch import (
     BatchAccumulator,
     BatchEntry,
-    ReplayProduct,
     RunRecord,
     ShardResult,
     TraceBatch,
@@ -49,7 +48,7 @@ __all__ = [
     "BACKEND_NAMES", "ExecutorBackend", "WindowSink",
     "SerialBackend", "ProcessBackend",
     "make_backend", "resolve_backend_name", "resolve_workers",
-    "BatchAccumulator", "BatchEntry", "ReplayProduct", "RunRecord",
+    "BatchAccumulator", "BatchEntry", "RunRecord",
     "ShardResult", "TraceBatch", "encode_batch", "decode_batch",
     "merge_windows",
     "PlannedRun", "RoundPlan", "WINDOWS", "partition_runs",

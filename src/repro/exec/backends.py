@@ -241,14 +241,11 @@ class SerialBackend(_BackendBase):
     name = "serial"
 
     def __init__(self, pods: Sequence[Pod], hive_program: Program,
-                 limits: Optional[ExecutionLimits] = None,
-                 dedup: bool = False, solver_cache: bool = False,
-                 replay_products: bool = True):
+                 dedup: bool = False, solver_cache: bool = False):
         super().__init__(workers=1)
         self._shard = Shard(0, dict(enumerate(pods)), hive_program,
-                            limits=limits, dedup=dedup,
-                            solver_cache=self._shard_cache(solver_cache),
-                            replay_products=replay_products)
+                            dedup=dedup,
+                            solver_cache=self._shard_cache(solver_cache))
 
     def _run_round(self, plan: RoundPlan, ctx=None,
                    sink: Optional[WindowSink] = None) -> List[ShardResult]:
@@ -282,10 +279,10 @@ class ProcessBackend(_BackendBase):
     ``Shard.apply_sync`` a live publish takes — before it serves a
     round. Per round, only deltas cross: packed plans out (interned
     inputs), packed delta-shaped results back one window at a time
-    (round-scoped outcome/product/payload tables, tree edge rows,
-    once-encoded trace payloads), and worker counter *deltas* instead
-    of totals. A worker that dies mid-round is respawned and re-runs
-    only the windows the coordinator has not received.
+    (round-scoped outcome and payload tables, each trace payload
+    encoded once), and worker counter *deltas* instead of totals. A
+    worker that dies mid-round is respawned and re-runs only the
+    windows the coordinator has not received.
     """
 
     name = "process"
@@ -294,8 +291,7 @@ class ProcessBackend(_BackendBase):
                  capture, limits: Optional[ExecutionLimits] = None,
                  fault_rate: float = 0.0,
                  dedup: bool = False,
-                 workers: int = 2, solver_cache: bool = False,
-                 replay_products: bool = True):
+                 workers: int = 2, solver_cache: bool = False):
         super().__init__(workers=workers)
         from repro.progmodel.serialize import encode_program
         self._pod_specs = list(pod_specs)   # (global_index, pod_id, seed)
@@ -305,7 +301,6 @@ class ProcessBackend(_BackendBase):
         self._fault_rate = fault_rate
         self._dedup = dedup
         self._solver_cache = solver_cache
-        self._replay_products = replay_products
         self._procs: List = []
         self._pipes: List = []
         #: Every broadcast payload ``(epoch, hive_blob, rollout,
@@ -346,7 +341,7 @@ class ProcessBackend(_BackendBase):
                   # equivalent tracer. The clock must be picklable —
                   # builtins and FixedClock are.
                   self._tracer.spec(),
-                  self._solver_cache, self._replay_products,
+                  self._solver_cache,
                   list(self._published),
                   get_registry().enabled),
             daemon=True,
@@ -571,7 +566,6 @@ def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
                          capture, limits, fault_rate: float,
                          dedup: bool, tracer_spec=(False, None),
                          solver_cache: bool = False,
-                         replay_products: bool = True,
                          published=(),
                          metrics_enabled: bool = True) -> None:
     """Worker entry point: rebuild the shard, apply every published
@@ -605,10 +599,8 @@ def _process_worker_main(conn, shard_id: int, specs, program_blob: bytes,
                               fault_rate=fault_rate, seed=seed)
             for global_index, pod_id, seed in specs
         }
-        shard = Shard(shard_id, pods, program, limits=limits,
-                      dedup=dedup,
-                      solver_cache=_BackendBase._shard_cache(solver_cache),
-                      replay_products=replay_products)
+        shard = Shard(shard_id, pods, program, dedup=dedup,
+                      solver_cache=_BackendBase._shard_cache(solver_cache))
         # Epoch replay: everything published since the session opened,
         # in epoch order, so this worker's pod/program/cache state is
         # exactly what a survivor's would be.
@@ -678,31 +670,24 @@ def make_backend(name: str, pods: Sequence[Pod], hive_program: Program,
                  *, capture=None, limits: Optional[ExecutionLimits] = None,
                  fault_rate: float = 0.0, dedup: bool = False,
                  workers: int = 0,
-                 solver_cache: str = "none",
-                 replay_products: bool = True) -> ExecutorBackend:
+                 solver_cache: str = "none") -> ExecutorBackend:
     """Build the backend named by ``name`` (already resolved).
 
     ``solver_cache="collective"`` equips every shard with a private
-    :class:`~repro.symbolic.cache.ConstraintCache` that recycles replayed
-    traces into solver facts; ``"local"`` and ``"none"`` leave shards
+    :class:`~repro.symbolic.cache.ConstraintCache` that recycles its
+    runs into solver facts; ``"local"`` and ``"none"`` leave shards
     cache-free (a local cache lives hive-side only).
-    ``replay_products=False`` turns shard-side replay off entirely —
-    service mode does this when its wire re-framing would discard the
-    products anyway.
     """
     workers = resolve_workers(workers, name, len(pods))
     recycle = solver_cache == "collective"
     if name == "serial":
-        return SerialBackend(pods, hive_program, limits=limits,
-                             dedup=dedup,
-                             solver_cache=recycle,
-                             replay_products=replay_products)
+        return SerialBackend(pods, hive_program, dedup=dedup,
+                             solver_cache=recycle)
     if name == "process":
         specs = [(index, pod.pod_id, pod.seed)
                  for index, pod in enumerate(pods)]
         return ProcessBackend(specs, hive_program, capture,
                               limits=limits, fault_rate=fault_rate,
                               dedup=dedup,
-                              workers=workers, solver_cache=recycle,
-                              replay_products=replay_products)
+                              workers=workers, solver_cache=recycle)
     raise ConfigError(f"unknown backend {name!r}")

@@ -3,30 +3,24 @@
 Pods historically shipped one trace per execution. At fleet scale the
 per-message overhead dominates, so a shard packs each window of a round
 (``repro.exec.plan.WINDOWS``) into one :class:`TraceBatch` — each entry
-a ``tracing.encode`` payload tagged with its global execution index,
-the batch's ``sequence`` the window index. Each entry may carry a
-shard-side :class:`ReplayProduct` — the decision path and analysis
-by-products the shard already reconstructed by replaying the trace,
-exposing the same attributes the analyzers read off an
-``ExecutionResult`` (duck-typed: ``lock_events``, ``global_events``,
-``final_globals``, ``return_values``, ``outcome``) — so the hive can
-skip the replay. The window's tree increment rides beside its batch as
-``ShardResult.tree_delta`` ``(path, outcome, count)`` edge rows. A
-shard reports each window as its own :class:`ShardResult`;
-:func:`merge_windows` concatenates a round's.
+a ``tracing.encode`` payload (or a dedup heartbeat) tagged with its
+global execution index, the batch's ``sequence`` the window index. The
+hive replays every shipped payload itself, as the paper prescribes, so
+a batch carries nothing a pod did not ship. A shard reports each window
+as its own :class:`ShardResult`; :func:`merge_windows` concatenates a
+round's.
 
-The wire format (``encode_batch``/``decode_batch``) covers only what
-crosses the simulated Internet — indices and trace payloads; products
-and tree deltas ride the coordinator/worker channel, which models a
-hive-side shard, not a pod uplink. :class:`BatchAccumulator` batches
-the networked uplink (``NetworkedConfig.batch_max_traces``).
+The wire format (``encode_batch``/``decode_batch``) covers what crosses
+the simulated Internet — indices, trace payloads and heartbeats.
+:class:`BatchAccumulator` batches the networked uplink
+(``NetworkedConfig.batch_max_traces``).
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import TraceError
 from repro.obs.trace import SpanContext
@@ -35,7 +29,7 @@ from repro.tracing.dedup import Heartbeat
 from repro.wire import Reader, write_string, write_varint
 
 __all__ = [
-    "ReplayProduct", "RunRecord", "BatchEntry", "TraceBatch",
+    "RunRecord", "BatchEntry", "TraceBatch",
     "ShardResult", "BatchAccumulator", "merge_windows",
     "encode_batch", "decode_batch",
 ]
@@ -48,20 +42,6 @@ __all__ = [
 # writes v3, and decode accepts v3 only.
 _BATCH_FORMAT_VERSION = 3
 _CHECKSUM_BYTES = 4
-
-
-@dataclass
-class ReplayProduct:
-    """Shard-side replay by-products, shaped like an ExecutionResult
-    for the hive's analyzers (attribute-compatible subset)."""
-
-    program_version: int
-    outcome: Outcome
-    path_decisions: Tuple = ()
-    lock_events: Tuple = ()
-    global_events: Tuple = ()
-    final_globals: Dict[str, Optional[int]] = field(default_factory=dict)
-    return_values: Dict[int, Optional[int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -84,7 +64,6 @@ class BatchEntry:
     global_index: int
     payload: bytes = b""
     heartbeat: Optional[Heartbeat] = None
-    product: Optional[ReplayProduct] = None
 
     @property
     def is_heartbeat(self) -> bool:
@@ -97,7 +76,7 @@ class TraceBatch:
 
     shard_id: int
     program_name: str
-    program_version: int              # hive version shards replayed on
+    program_version: int              # hive program version at flush
     sequence: int = 0                 # window index within the round
     entries: List[BatchEntry] = field(default_factory=list)
     #: Sender-side trace context (rides the wire in format v3) so the
@@ -127,24 +106,13 @@ class ShardResult:
     #: coordinator channel like spans/counters — the pod uplink wire
     #: format is untouched.
     cache_delta: List = field(default_factory=list)
-    #: Hive program version the shard replayed against this round; the
-    #: hive applies ``tree_delta`` only when it still matches.
-    tree_version: int = -1
-    #: Incremental execution-tree edges: ``(path_decisions, outcome,
-    #: count)`` rows aggregated over the window's replays, in first-seen
-    #: order (a round's rows may repeat a path across windows). Replaces
-    #: the partial-tree blob on the coordinator channel — the hive folds
-    #: the rows with counted inserts, which sum, so it is both smaller on
-    #: the pipe and cheaper to merge.
-    tree_delta: List[Tuple] = field(default_factory=list)
 
 
 # -- wire encoding ------------------------------------------------------------
 
 def encode_batch(batch: TraceBatch) -> bytes:
-    """Serialize the wire-visible part of a batch (indices + trace
-    payloads + heartbeat digests); shard aggregates stay off the pod
-    uplink. The frame ends with a CRC32 of everything before it.
+    """Serialize a batch (indices + trace payloads + heartbeat
+    digests). The frame ends with a CRC32 of everything before it.
 
     Single pass into one ``bytearray``: varints are emitted directly
     (one-byte fast path) and each payload is appended in place.
@@ -182,8 +150,7 @@ def encode_batch(batch: TraceBatch) -> bytes:
 
 
 def decode_batch(data) -> TraceBatch:
-    """Inverse of :func:`encode_batch` (replay products do not survive
-    the wire — the receiver replays, as the paper prescribes).
+    """Inverse of :func:`encode_batch`.
 
     Accepts ``bytes`` or a ``memoryview``: receivers decode frames
     zero-copy over the buffer they arrived in, materializing only the
@@ -284,16 +251,13 @@ class BatchAccumulator:
 
 def merge_windows(windows: Sequence[ShardResult]) -> ShardResult:
     """One shard's round result: its window results concatenated in
-    window order — records, window batches, tree rows, spans, cache
-    facts — with the busy time summed."""
-    first = windows[0]
-    merged = ShardResult(shard_id=first.shard_id,
-                         tree_version=first.tree_version)
+    window order — records, window batches, spans, cache facts — with
+    the busy time summed."""
+    merged = ShardResult(shard_id=windows[0].shard_id)
     spans: List = []
     for window in windows:
         merged.records.extend(window.records)
         merged.batches.extend(window.batches)
-        merged.tree_delta.extend(window.tree_delta)
         spans.extend(window.spans)
         merged.cache_delta.extend(window.cache_delta)
         merged.busy_seconds += window.busy_seconds

@@ -15,14 +15,11 @@ process boundary exactly once — when a worker (re)spawns — and only
 * worker → coordinator: a round streams back in windows (see below),
   each a packed :class:`~repro.exec.batch.ShardResult`
   (:class:`ResultPacker` / :class:`ResultUnpacker`): run records as
-  flat rows over an interned outcome table, replay products interned
-  by object identity into a product table (the shard replays each
-  distinct replay source once per round and shares that one product
-  among its entries), trace payloads interned by value into a payload
-  table (encoded once on the worker), and execution-tree *edge
-  deltas* ``(path, outcome, count)`` instead of partial-tree blobs.
-  The three tables are round-scoped: a window ships only the rows no
-  earlier window of the round shipped.
+  flat rows over an interned outcome table, and trace payloads
+  interned by value into a payload table (encoded once on the
+  worker). Both tables are round-scoped: a window ships only the rows
+  no earlier window of the round shipped. Nothing replayed crosses the
+  pipe: the hive replays every shipped payload itself.
 
 The messages, in order:
 
@@ -33,8 +30,8 @@ The messages, in order:
   ``sizes[w]`` runs each (``repro.exec.plan.partition_windows``).
 * ``("window", packed_result, counter_deltas)`` — worker → coordinator,
   once per window, empty windows included, sent as soon as the
-  window's runs finish. Records, entries, tree rows, spans, cache facts
-  and the worker's counter deltas all ride with their window, so a
+  window's runs finish. Records, entries, spans, cache facts and the
+  worker's counter deltas all ride with their window, so a
   window the coordinator has received is complete on its own, and the
   round is done when the last of the ``len(sizes)`` windows arrives.
 * ``("error", traceback)`` — instead of the next window when the
@@ -50,9 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.exec.batch import (
-    BatchEntry, ReplayProduct, RunRecord, ShardResult, TraceBatch,
-)
+from repro.exec.batch import BatchEntry, RunRecord, ShardResult, TraceBatch
 from repro.exec.plan import PlannedRun
 from repro.progmodel.interpreter import Outcome
 from repro.progmodel.ir import Program
@@ -71,8 +66,8 @@ class SyncDelta:
     session's next epoch before applying/broadcasting. Fields are
     orthogonal and may be combined in one publish (one epoch):
 
-    * ``hive_program`` — the hive deployed a fix; shards replay future
-      traces against it.
+    * ``hive_program`` — the hive deployed a fix; shards stamp their
+      batches with its version and recycle runs against it.
     * ``rollout`` — ``(program, pod_indices)``: staged rollout onto the
       named pods (version-guarded at the pod, like always).
     * ``cache_entries`` — content-keyed constraint-cache facts
@@ -131,22 +126,14 @@ def unpack_runs(packed: tuple) -> List[PlannedRun]:
 class ResultPacker:
     """Flattens one round's :class:`ShardResult` windows for the pipe.
 
-    Outcomes intern into a value table; replay products intern by
-    object identity — the shard's round-scoped replay memo hands every
-    entry with the same replay source the same product object, so each
-    entry unpacks to exactly the product it carried (path, version and
-    outcome alone do not identify a product: a concurrency program's
-    lock and global events vary with the interleaving); trace payloads
-    intern by value. The tables live for the round, so each row
-    crosses the pipe once per round: a packed window carries only the
-    rows it added. Record failure details ship sparsely.
+    Outcomes intern into a value table and trace payloads by value into
+    a payload table. The tables live for the round, so each row crosses
+    the pipe once per round: a packed window carries only the rows it
+    added. Record failure details ship sparsely.
     """
 
     def __init__(self) -> None:
         self._outcomes: Dict[str, int] = {}
-        self._products: Dict[int, int] = {}
-        # Interned products stay referenced, so no id is ever reused.
-        self._held: List[ReplayProduct] = []
         self._payloads: Dict[bytes, int] = {}
 
     def pack(self, result: ShardResult) -> tuple:
@@ -167,7 +154,6 @@ class ResultPacker:
                 failures[rec.global_index] = (rec.failure_message,
                                               rec.failure_block)
 
-        products: List[ReplayProduct] = []
         payloads: List[bytes] = []
         batch_rows: List[tuple] = []
         for batch in result.batches:
@@ -175,23 +161,14 @@ class ResultPacker:
             for entry in batch.entries:
                 if entry.heartbeat is not None:
                     entry_rows.append((entry.global_index, -1,
-                                       entry.heartbeat, -1))
+                                       entry.heartbeat))
                     continue
                 payload = self._payloads.get(entry.payload)
                 if payload is None:
                     payload = self._payloads[entry.payload] = \
                         len(self._payloads)
                     payloads.append(entry.payload)
-                product = -1
-                if entry.product is not None:
-                    product = self._products.get(id(entry.product))
-                    if product is None:
-                        product = self._products[id(entry.product)] = \
-                            len(self._held)
-                        self._held.append(entry.product)
-                        products.append(entry.product)
-                entry_rows.append((entry.global_index, payload, None,
-                                   product))
+                entry_rows.append((entry.global_index, payload, None))
             batch_rows.append((batch.sequence, batch.program_name,
                                batch.program_version, batch.trace_context,
                                entry_rows))
@@ -199,9 +176,7 @@ class ResultPacker:
         return (
             result.shard_id,
             (outcomes, record_rows, failures),
-            (products, payloads, batch_rows),
-            result.tree_version,
-            list(result.tree_delta),
+            (payloads, batch_rows),
             result.busy_seconds,
             result.spans,
             result.cache_delta,
@@ -217,22 +192,18 @@ class ResultUnpacker:
 
     def __init__(self) -> None:
         self._outcomes: List[Outcome] = []
-        self._products: List[ReplayProduct] = []
         self._payloads: List[bytes] = []
 
     def unpack(self, packed: tuple) -> ShardResult:
         (shard_id, (outcomes, record_rows, failures),
-         (products, payloads, batch_rows), tree_version, tree_delta,
-         busy_seconds, spans, cache_delta) = packed
+         (payloads, batch_rows), busy_seconds, spans, cache_delta) = packed
         outcome_table = self._outcomes
         outcome_table.extend(Outcome(value) for value in outcomes)
-        product_table = self._products
-        product_table.extend(products)
         payload_table = self._payloads
         payload_table.extend(payloads)
         # Positional fields, as in unpack_runs: (global_index, guided,
         # failed, outcome, has_failure, failure_message, failure_block)
-        # and (global_index, payload, heartbeat, product).
+        # and (global_index, payload, heartbeat).
         records = [
             RunRecord(gi, bool(flags & 1), bool(flags & 2),
                       outcome_table[slot], bool(flags & 4),
@@ -244,9 +215,8 @@ class ResultUnpacker:
             entries = [
                 BatchEntry(gi,
                            payload_table[payload] if payload >= 0 else b"",
-                           heartbeat,
-                           product_table[product] if product >= 0 else None)
-                for gi, payload, heartbeat, product in entry_rows
+                           heartbeat)
+                for gi, payload, heartbeat in entry_rows
             ]
             batches.append(TraceBatch(
                 shard_id=shard_id, program_name=name,
@@ -255,6 +225,5 @@ class ResultUnpacker:
         return ShardResult(
             shard_id=shard_id, records=records, batches=batches,
             busy_seconds=busy_seconds, spans=spans,
-            cache_delta=cache_delta, tree_version=tree_version,
-            tree_delta=tree_delta,
+            cache_delta=cache_delta,
         )

@@ -1,27 +1,28 @@
-"""The shard: a slice of the fleet plus its local hive-side collector.
+"""The shard: a slice of the fleet plus its local trace collector.
 
-One :class:`Shard` owns a fixed subset of pods and mirrors, locally,
-the hive-side work that used to be serial: it executes its planned
-runs, deduplicates per pod, replays replayable version-current traces
-into execution-tree *edge deltas* (``(path, outcome, count)`` rows in
-``ShardResult.tree_delta``), and packages each window's entries into
-one :class:`TraceBatch` with per-entry :class:`ReplayProduct`
-aggregates. The same class backs both executor backends — inline
-(serial) and one-per-worker-process — which is what makes backend
-choice invisible to results.
+One :class:`Shard` owns a fixed subset of pods: it executes its planned
+runs, deduplicates per pod, encodes each shipped trace, and packages
+each window's entries into one :class:`TraceBatch`. It replays nothing:
+the hive rebuilds every by-product by replaying what the shard shipped
+(``Hive.ingest_batch``). The same class backs both executor backends —
+inline (serial) and one-per-worker-process — which is what makes
+backend choice invisible to results.
 
 Determinism contract: a shard processes its runs in global-index order,
 so each pod's RNG stream and dedup state advance exactly as under the
-historical serial loop; the replay it performs is the same
-``Interpreter.replay`` the hive would have run, against the same
-program version.
+historical serial loop.
 
-Round-scoped recycling: many users run the same few paths, so one
-round (every window of one ``run_windows`` call) encodes each distinct
-trace once and replays each distinct replay source once. Both memos
-live for that one round, while the hive program is fixed, and are keyed
-by everything their value depends on, so every entry carries exactly
-what recomputing it would have produced (see docs/PERFORMANCE.md).
+Round-scoped encoding: many users run the same few paths, so one round
+(every window of one ``run_windows`` call) encodes each distinct trace
+once. The memo lives for that one round and is keyed by the frozen
+trace, whose bytes are a function of its fields (see
+docs/PERFORMANCE.md).
+
+Collective recycling: with a private constraint cache, the shard walks
+the path of each run the hive will replay — a shipped, replayable trace
+at the shard's hive version — with the inputs the pod ran, which the
+wire never carries. The hive's replay of such a trace reproduces the
+run's own path, so the walk is the one the replay would feed.
 
 Streaming: the round runs in windows (``repro.exec.plan.WINDOWS``), and
 each window's result is handed over as soon as its runs finish, so the
@@ -33,14 +34,11 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.errors import TraceError
-from repro.exec.batch import (
-    BatchEntry, ReplayProduct, RunRecord, ShardResult, TraceBatch,
-)
+from repro.exec.batch import BatchEntry, RunRecord, ShardResult, TraceBatch
 from repro.exec.plan import PlannedRun
 from repro.obs.trace import NULL_SPAN, SpanContext, get_tracer
 from repro.pod.pod import Pod
-from repro.progmodel.interpreter import ExecutionLimits, Interpreter, Outcome
+from repro.progmodel.interpreter import Outcome
 from repro.progmodel.ir import Program
 from repro.tracing.dedup import PodDeduplicator
 from repro.tracing.encode import encode_trace
@@ -54,21 +52,14 @@ class Shard:
 
     def __init__(self, shard_id: int, pods: Dict[int, Pod],
                  hive_program: Program,
-                 limits: Optional[ExecutionLimits] = None,
                  dedup: bool = False,
-                 solver_cache=None,
-                 replay_products: bool = True):
+                 solver_cache=None):
         self.shard_id = shard_id
         self.pods = pods                       # global pod index -> Pod
         self.hive_program = hive_program       # what the hive replays on
-        self.limits = limits or ExecutionLimits()
-        # Service mode turns shard-side replay off: products never
-        # survive the pump's re-framed wire, so building them is pure
-        # waste there — unless collective recycling mines them.
-        self.replay_products = replay_products
         # Collective constraint recycling: a private ConstraintCache the
-        # shard fills with SAT facts mined from its replayed traces (a
-        # concrete run *is* a model of its own path condition). Private
+        # shard fills with SAT facts mined from its runs (a concrete
+        # run *is* a model of its own path condition). Private
         # per shard — no cross-thread mutation — with the round delta
         # shipped back in ShardResult for the hive's canonical merge.
         self.solver_cache = solver_cache
@@ -96,8 +87,8 @@ class Shard:
         """Apply one epoch-stamped :class:`~repro.exec.session.SyncDelta`
         — the session protocol's single state-change entry point. Order
         matters: a combined publish deploys the hive program (future
-        replays target it) before the rollout that targets it, then
-        adopts the hive-redistributed cache facts."""
+        batches and recycling target it) before the rollout that
+        targets it, then adopts the hive-redistributed cache facts."""
         if delta.hive_program is not None:
             self.hive_program = delta.hive_program
             self._recycle_engine = None
@@ -117,12 +108,12 @@ class Shard:
         window, in order; yields one :class:`ShardResult` per window.
 
         A window's result carries exactly its runs' records, entries
-        (one batch, sequence = window index), tree rows, spans and
-        cache facts, so the consumer can ship or ingest it while the
-        next window runs. The round-scoped memos span every window, so
-        each distinct trace is still encoded, and each distinct replay
-        source replayed, once per round. ``busy_seconds`` counts the
-        shard's own time only, not the consumer's between windows.
+        (one batch, sequence = window index), spans and cache facts, so
+        the consumer can ship or ingest it while the next window runs.
+        The round-scoped encode memo spans every window, so each
+        distinct trace is still encoded once per round.
+        ``busy_seconds`` counts the shard's own time only, not the
+        consumer's between windows.
 
         ``ctx`` is the coordinator's active span context; worker-side
         spans recorded under it ride back inside the results and are
@@ -137,16 +128,11 @@ class Shard:
         # the result carries an empty tuple across the worker pipe.
         tracing = recorder.enabled
         program = self.hive_program
-        # Round-scoped memos: trace -> payload, replay source -> product.
+        recycling = self.solver_cache is not None
+        # Round-scoped memo: trace -> payload.
         payloads: Dict[Trace, bytes] = {}
-        replays: Dict[tuple, Optional[ReplayProduct]] = {}
         for index, runs in enumerate(windows):
             started = time.perf_counter()
-            # Tree evidence accumulates as (path, outcome) -> count edge
-            # rows, not as an ExecutionTree: the delta is what crosses
-            # the worker pipe, and counted-insert merging hive-side
-            # reproduces the exact tree per-run inserts build.
-            edges: Dict = {}
             records: List[RunRecord] = []
             entries: List[BatchEntry] = []
             for planned in runs:
@@ -195,14 +181,14 @@ class Shard:
                     if not planned.ship:
                         continue               # lost on the wire
                     entry = self._collect(planned.global_index, trace,
-                                          edges, recorder, tracing,
-                                          payloads, replays)
-                    if entry is not None:
-                        entries.append(entry)
-                        if entry.product is not None:
-                            self._recycle(entry.product.path_decisions,
-                                          run.inputs, recorder,
-                                          planned.global_index)
+                                          recorder, tracing, payloads)
+                    entries.append(entry)
+                    if (recycling and not entry.is_heartbeat
+                            and trace.replayable
+                            and trace.program_version == program.version):
+                        self._recycle(tuple(run.result.path_decisions),
+                                      run.inputs, recorder,
+                                      planned.global_index)
             batches = []
             if entries:
                 batches.append(TraceBatch(
@@ -216,23 +202,20 @@ class Shard:
                 busy_seconds=time.perf_counter() - started,
                 spans=recorder.take(),
                 cache_delta=(self.solver_cache.export_delta()
-                             if self.solver_cache is not None else []),
-                tree_version=program.version,
-                tree_delta=[(path, outcome, count)
-                            for (path, outcome), count in edges.items()],
+                             if recycling else []),
             )
 
     # -- constraint recycling --------------------------------------------------
 
     def _recycle(self, decisions, inputs, recorder, global_index) -> None:
-        """Mine a replayed run for solver facts (no solving happens).
+        """Mine a run for solver facts (no solving happens).
 
         Each distinct decision path is walked once per program version;
         repeats — the common case inside a round — are skipped by the
         seen-set, so recycling cost is bounded by path diversity, not
         run count.
         """
-        if self.solver_cache is None or not decisions:
+        if not decisions:
             return
         if decisions in self._recycled_paths:
             return
@@ -247,11 +230,9 @@ class Shard:
 
     # -- collection -----------------------------------------------------------
 
-    def _collect(self, global_index: int, trace: Trace,
-                 edges: Dict, recorder, tracing: bool,
-                 payloads: Dict[Trace, bytes],
-                 replays: Dict[tuple, Optional[ReplayProduct]],
-                 ) -> Optional[BatchEntry]:
+    def _collect(self, global_index: int, trace: Trace, recorder,
+                 tracing: bool, payloads: Dict[Trace, bytes],
+                 ) -> BatchEntry:
         if self._dedup:
             shipped, heartbeat = self._dedup[trace.pod_id].submit(trace)
             if shipped is None:
@@ -270,58 +251,4 @@ class Shard:
             else:
                 payload = encode_trace(trace)
             payloads[trace] = payload
-        entry = BatchEntry(global_index=global_index, payload=payload)
-        if self.replay_products:
-            entry.product = self._replay(trace, edges, replays)
-        return entry
-
-    def _replay(self, trace: Trace, edges: Dict,
-                replays: Dict[tuple, Optional[ReplayProduct]],
-                ) -> Optional[ReplayProduct]:
-        """The hive's replay, done shard-locally, once per distinct
-        replay source in ``replays``; every run still counts one edge.
-
-        The product depends only on the (fixed) hive program and the
-        trace's version, replayability and recorded nondeterminism, so
-        that tuple is the memo key, and ``None`` results (stale,
-        unreplayable, corrupt) are remembered like any other.
-        """
-        source = (trace.program_version, trace.replayable,
-                  trace.branch_bits, trace.syscall_returns,
-                  trace.schedule_rle)
-        try:
-            product = replays[source]
-        except KeyError:
-            product = replays[source] = self._replay_source(trace)
-        if product is not None:
-            key = (product.path_decisions, product.outcome)
-            edges[key] = edges.get(key, 0) + 1
-        return product
-
-    def _replay_source(self, trace: Trace) -> Optional[ReplayProduct]:
-        """Replay one trace against the hive program.
-
-        Only replayable traces for the hive's current version qualify;
-        everything else (stale, sampled, truncated, corrupt) returns
-        ``None`` and the hive handles the entry itself on the fallback
-        path — same code, same order, any backend.
-        """
-        if not trace.replayable:
-            return None
-        if trace.program_version != self.hive_program.version:
-            return None                        # stale: hive just counts it
-        try:
-            result = Interpreter(
-                self.hive_program, limits=self.limits).replay(
-                trace.replay_source())
-        except TraceError:
-            return None                        # hive will count the failure
-        return ReplayProduct(
-            program_version=trace.program_version,
-            outcome=result.outcome,
-            path_decisions=tuple(result.path_decisions),
-            lock_events=tuple(result.lock_events),
-            global_events=tuple(result.global_events),
-            final_globals=dict(result.final_globals),
-            return_values=dict(result.return_values),
-        )
+        return BatchEntry(global_index=global_index, payload=payload)

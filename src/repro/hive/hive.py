@@ -1,9 +1,18 @@
-"""The sequential hive core."""
+"""The sequential hive core.
+
+The hive is the only place a shipped trace is replayed (paper Sec. 3.1,
+Fig. 2): pods ship bit-vectors, and every by-product the analyses read
+— decision path, lock and global events, final globals, return values —
+is rebuilt here by replaying the trace against the hive's program.
+:meth:`Hive.ingest_batch` replays each distinct replay source once per
+memo (one per round on the round-driven loop) and folds every entry
+through the same admit-and-fold path as :meth:`Hive.ingest_trace`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.analysis.cbi import CbiAnalyzer
 from repro.analysis.crashes import CrashBucketer
@@ -31,6 +40,19 @@ from repro.tracing.trace import Trace
 from repro.tree.exectree import ExecutionTree
 
 __all__ = ["Hive", "HiveStats"]
+
+
+class _Replay(NamedTuple):
+    """One replay's by-products, read like an ``ExecutionResult``. The
+    sequences are tuples, so every entry that shares the replay folds
+    it without a copy."""
+
+    outcome: Outcome
+    path_decisions: Tuple
+    lock_events: Tuple
+    global_events: Tuple
+    final_globals: Dict[str, Optional[int]]
+    return_values: Dict[int, Optional[int]]
 
 
 @dataclass
@@ -90,7 +112,6 @@ class Hive(Instrumented):
         self._obs_heartbeats = self.obs_counter("heartbeats_ingested")
         self._obs_fixes = self.obs_counter("fixes_deployed")
         self._obs_phase_replay = self.obs_timer("phase.replay")
-        self._obs_phase_merge = self.obs_timer("phase.merge")
         self._obs_phase_analysis = self.obs_timer("phase.analysis")
         self._obs_phase_repair = self.obs_timer("phase.repair")
         self._obs_phase_proof = self.obs_timer("phase.proof")
@@ -159,44 +180,75 @@ class Hive(Instrumented):
 
     def ingest_trace(self, trace: Trace) -> None:
         """Fold one trace into the collective state."""
+        self._ingest(trace, None)
+
+    def _ingest(self, trace: Trace, memo: Optional[Dict]) -> None:
         with self._tracer.span("hive.ingest_trace", key=self._next_seq(),
                                outcome=trace.outcome.value):
-            self._ingest_trace(trace)
+            if not self._admit(trace):
+                return
+            if not trace.replayable:
+                if trace.branch_bits:
+                    # Privacy-truncated trace: the retained bit prefix
+                    # still reconstructs a path *prefix*, merged as
+                    # partial evidence (Sec. 3.1's privacy/utility
+                    # middle ground).
+                    try:
+                        with self._obs_phase_replay.time():
+                            prefix = Interpreter(
+                                self.program,
+                                limits=self.limits).replay_prefix(
+                                trace.replay_source())
+                    except TraceError:
+                        self._replay_failed(trace)
+                        return
+                    self.tree.insert_path(prefix, trace.outcome)
+                else:
+                    self.cbi.add_trace(trace)
+                self.bucketer.add(trace)
+                return
+            replay = self._replay(trace, memo)
+            if replay is None:
+                self._replay_failed(trace)
+                return
+            self._fold(trace, replay)
 
-    def _ingest_trace(self, trace: Trace) -> None:
-        if not self._admit(trace):
-            return
-        if not trace.replayable:
-            if trace.branch_bits:
-                # Privacy-truncated trace: the retained bit prefix still
-                # reconstructs a path *prefix*, merged as partial
-                # evidence (Sec. 3.1's privacy/utility middle ground).
-                try:
-                    with self._obs_phase_replay.time():
-                        prefix = Interpreter(
-                            self.program, limits=self.limits).replay_prefix(
-                            trace.replay_source())
-                except TraceError:
-                    self.stats.replay_failures += 1
-                    self._obs_replay_failures.inc()
-                    self.bucketer.add(trace)
-                    return
-                self.tree.insert_path(prefix, trace.outcome)
-            else:
-                self.cbi.add_trace(trace)
-            self.bucketer.add(trace)
-            return
+    def _replay(self, trace: Trace,
+                memo: Optional[Dict]) -> Optional[_Replay]:
+        """Replay an admitted trace against the hive program, once per
+        distinct replay source in ``memo`` when there is one; None when
+        it does not replay.
+
+        A replay is a function of the program and the recorded
+        nondeterminism alone, so that is the memo key, and a failure is
+        remembered like a result.
+        """
+        if memo is None:
+            return self._replay_source(trace)
+        source = (self.program.version, trace.branch_bits,
+                  trace.syscall_returns, trace.schedule_rle)
+        try:
+            return memo[source]
+        except KeyError:
+            replay = memo[source] = self._replay_source(trace)
+            return replay
+
+    def _replay_source(self, trace: Trace) -> Optional[_Replay]:
         try:
             with self._obs_phase_replay.time():
-                result = Interpreter(
-                    self.program, limits=self.limits).replay(
+                result = Interpreter(self.program, limits=self.limits).replay(
                     trace.replay_source())
         except TraceError:
-            self.stats.replay_failures += 1
-            self._obs_replay_failures.inc()
-            self.bucketer.add(trace)
-            return
-        self._fold(trace, result, insert=True)
+            return None
+        return _Replay(
+            result.outcome, tuple(result.path_decisions),
+            tuple(result.lock_events), tuple(result.global_events),
+            result.final_globals, result.return_values)
+
+    def _replay_failed(self, trace: Trace) -> None:
+        self.stats.replay_failures += 1
+        self._obs_replay_failures.inc()
+        self.bucketer.add(trace)
 
     def _admit(self, trace: Trace) -> bool:
         """Count an arriving trace; False when it is stale. A failing
@@ -219,17 +271,13 @@ class Hive(Instrumented):
                 self._dangerous_schedules.append(trace.schedule_picks())
         return True
 
-    def _fold(self, trace: Trace, replay, insert: bool) -> None:
-        """Feed an admitted trace's replay — the hive's interpreter
-        result or a shard's product, same by-products — to the
-        analyzers. ``insert`` adds the path to the tree; a product's
-        path arrived as a counted edge row in its shard's tree delta."""
+    def _fold(self, trace: Trace, replay: _Replay) -> None:
+        """Feed an admitted trace's replay to the tree and analyzers."""
         with self._obs_phase_analysis.time():
             # Replayable failure dumps carry their full decision path —
             # feed it to the bucketer for WER-style bucket splitting.
             self.bucketer.add(trace, path=replay.path_decisions)
-            if insert:
-                self.tree.insert_path(replay.path_decisions, replay.outcome)
+            self.tree.insert_path(replay.path_decisions, replay.outcome)
             self.deadlocks.add_execution(replay)
             self.races.add_execution(replay)
             if replay.outcome is Outcome.OK:
@@ -241,47 +289,37 @@ class Hive(Instrumented):
         # without re-shipping the trace.
         from repro.tracing.dedup import trace_digest
         self._digest_paths[trace_digest(trace)] = (
-            tuple(replay.path_decisions), replay.outcome)
+            replay.path_decisions, replay.outcome)
 
-    def ingest_batch(self, batches, tree_deltas=None,
-                     decoded: Optional[Dict[bytes, Trace]] = None) -> int:
+    def ingest_batch(self, batches, memo: Optional[Dict] = None) -> int:
         """Fold shard :class:`TraceBatch` flushes: a round's worth, or
         one window of a streamed round.
 
-        The :class:`~repro.interfaces.TraceSink` bulk entry point, and
-        the heart of sharded ingest. Two deterministic steps:
+        The :class:`~repro.interfaces.TraceSink` bulk entry point. All
+        entries across all batches are ingested in global execution
+        order, exactly the sequence the historical serial loop would
+        have ingested them in, each through the single-trace path:
+        heartbeats bump known paths, and every shipped trace is
+        replayed here, against the hive program.
 
-        1. **Tree merge** — ``tree_deltas`` carries each shard's
-           increment as ``(tree_version, rows)`` pairs, rows being
-           ``(path_decisions, outcome, count)`` edges; they fold in
-           with counted inserts, which reproduces exactly the tree the
-           old partial-tree blobs built (the tree is order-canonical —
-           see ``docs/PARALLEL.md``).
-        2. **Entry replay** — all entries across all batches are
-           processed in global execution order, exactly the sequence
-           the historical serial loop would have ingested them in.
-           Entries with a shard-side :class:`ReplayProduct` take the
-           fast path (:meth:`_ingest_product`: no re-replay, no tree
-           insert); heartbeats and everything the shard could not
-           replay (stale, sampled, truncated, corrupt) fall back to
-           the exact single-trace path.
-
-        Equal payloads decode to equal traces, so each distinct payload
-        is decoded once (one ``wire.decode`` span per decode performed)
-        and its entries share that one frozen :class:`Trace`, whose
-        memoized encode prefix turns every later ``trace_digest`` into
-        a concatenation plus a hash. ``decoded`` is that payload ->
-        trace memo; pass one dict to every window of a round so a
-        payload is decoded once per round, not once per window (the
-        default is a memo for this call alone). A payload that does not
-        decode counts as an arrival whose replay failed, and the rest
-        of the batches still ingest.
+        ``memo`` maps each payload to its decoded :class:`Trace` and
+        each replay source to its replay, so a distinct payload is
+        decoded once (one ``wire.decode`` span per decode performed)
+        and a distinct replay source replayed once per memo. Entries
+        share that one frozen trace, whose memoized encode prefix turns
+        every later ``trace_digest`` into a concatenation plus a hash.
+        Pass one dict to every window (or chaos wire frame) of a round,
+        where many entries share a replay source. Without one, payloads
+        decode once per call and every trace replays: serve's pump
+        frames repeat no source, and a memo would hold each frame's
+        replays for nothing, which costs the collector. A payload that
+        does not decode counts as an arrival whose replay failed, and
+        the rest of the batches still ingest.
 
         Returns the number of entries consumed.
         """
         from repro.tracing.encode import decode_trace
-        if decoded is None:
-            decoded = {}
+        decoded = {} if memo is None else memo
         ordered = sorted(batches, key=lambda b: (b.shard_id, b.sequence))
         entries = sorted(
             (entry for batch in ordered for entry in batch.entries),
@@ -289,16 +327,6 @@ class Hive(Instrumented):
         with self._tracer.span("hive.ingest_batch",
                                key=self._next_seq(),
                                entries=len(entries)):
-            with self._obs_phase_merge.time(), \
-                    self._tracer.span("hive.merge"):
-                for tree_version, rows in (tree_deltas or ()):
-                    if tree_version != self.program.version:
-                        # Stale delta: the shard replayed against a
-                        # version a fix has since replaced.
-                        continue
-                    for decisions, outcome, count in rows:
-                        self.tree.insert_path(decisions, outcome,
-                                              count=count)
             for entry in entries:
                 if entry.is_heartbeat:
                     self.ingest_heartbeat(entry.heartbeat)
@@ -320,28 +348,8 @@ class Hive(Instrumented):
                         self._obs_replay_failures.inc()
                         continue
                     decoded[entry.payload] = trace
-                product = entry.product
-                if (product is not None
-                        and product.program_version
-                        == self.program.version):
-                    self._ingest_product(trace, product)
-                else:
-                    self.ingest_trace(trace)
+                self._ingest(trace, memo)
         return len(entries)
-
-    def _ingest_product(self, trace: Trace, product) -> None:
-        """Ingest a trace whose replay the shard already performed.
-
-        Mirrors :meth:`ingest_trace` minus the two pieces of work the
-        shard did locally: the replay itself (the product carries its
-        by-products) and the tree insert (the path arrived as a counted
-        edge row in the shard's ``tree_delta``).
-        """
-        with self._tracer.span("hive.ingest_product",
-                               key=self._next_seq(),
-                               outcome=product.outcome.value):
-            if self._admit(trace):
-                self._fold(trace, product, insert=False)
 
     def ingest_heartbeat(self, heartbeat) -> None:
         """Account a deduplicated repeat of an already-known trace."""

@@ -40,17 +40,15 @@ __all__ = ["LoopConfig", "ClosedLoop", "window_sink", "check_solver_cache",
 
 
 def window_sink(hive: Hive) -> WindowSink:
-    """A sink that ingests each window of one round into ``hive``: the
-    window's tree rows, then its entries in global order, with one
-    decode memo for the whole round. Build one per round."""
-    decoded: Dict = {}
+    """A sink that ingests each window of one round into ``hive``, its
+    entries in global order, with one decode and replay memo for the
+    whole round. Build one per round."""
+    memo: Dict = {}
 
     def ingest(results: List[ShardResult]) -> None:
         hive.ingest_batch(
             [batch for result in results for batch in result.batches],
-            tree_deltas=[(result.tree_version, result.tree_delta)
-                         for result in results if result.tree_delta],
-            decoded=decoded)
+            memo)
     return ingest
 
 
@@ -117,8 +115,7 @@ class ClosedLoop(Instrumented):
 
     def __init__(self, scenario: Scenario, config: LoopConfig, *,
                  trace_labels: Sequence[object], n_pods: int, capture,
-                 slos: Callable[[], list],
-                 replay_products: bool = True):
+                 slos: Callable[[], list]):
         config.validate()
         self.config = config
         self.scenario = scenario
@@ -159,8 +156,7 @@ class ClosedLoop(Instrumented):
             fault_rate=scenario.fault_rate,
             dedup=config.dedup,
             workers=config.workers,
-            solver_cache=config.solver_cache,
-            replay_products=replay_products)
+            solver_cache=config.solver_cache)
         # Chaos: the stateless seeded fault oracle (None for the
         # default no-op profile — one ``is None`` per use site).
         profile = config.resolved_chaos_profile()

@@ -19,9 +19,21 @@ Everything stays deterministic: values in, values out, no clocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Series"]
+__all__ = ["Series", "bounded_mean"]
+
+
+def bounded_mean(values: Sequence[float]) -> float:
+    """``sum / len`` clamped into ``[min, max]``, 0.0 when empty.
+
+    The true mean always lies there, but the float sum may round one
+    ulp past it; clamping keeps a constant window's mean exactly its
+    constant, so an alert bound cannot flap on a steady signal.
+    """
+    if not values:
+        return 0.0
+    return min(max(sum(values) / len(values), min(values)), max(values))
 
 
 @dataclass
@@ -94,8 +106,7 @@ class Series:
         return list(self.points[-last_n:])
 
     def window_mean(self, last_n: int) -> float:
-        ys = self.window(last_n)
-        return sum(ys) / len(ys) if ys else 0.0
+        return bounded_mean(self.window(last_n))
 
     def window_sum(self, last_n: int) -> float:
         return sum(self.window(last_n))

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.metrics.series import Series
+from repro.metrics.series import Series, bounded_mean
 
 __all__ = [
     "HEALTH_SCHEMA_VERSION", "ALERT_OK", "ALERT_FIRING",
@@ -90,7 +90,7 @@ def burn_rate(values: Sequence[float], budget: float) -> float:
     """
     if not values:
         return 0.0
-    mean = sum(values) / len(values)
+    mean = bounded_mean(values)
     if budget <= 0.0:
         return float("inf") if mean > 0.0 else 0.0
     return mean / budget

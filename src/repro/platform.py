@@ -10,13 +10,13 @@ hive into the paper's feedback cycle, executed in deterministic rounds:
 2. an :class:`~repro.exec.backends.ExecutorBackend` executes the plan
    (``--backend {serial,process}``) through the execute step
    :mod:`repro.loop` shares with ``repro serve``, and ships batched
-   traces plus execution-tree edge deltas back; coordinator-side state
-   changes (cache redistributions, fix deploys, staged rollouts) reach
-   the shards as epoch-stamped ``publish()`` deltas;
-3. the hive folds the shard tree deltas and ingests the batch entries
-   in global execution order, one window of the round at a time while
-   the shards run the next; at round end it analyzes and — when the
-   evidence warrants — synthesizes, validates, and deploys a fix;
+   traces back; coordinator-side state changes (cache
+   redistributions, fix deploys, staged rollouts) reach the shards as
+   epoch-stamped ``publish()`` deltas;
+3. the hive replays and ingests the batch entries in global execution
+   order, one window of the round at a time while the shards run the
+   next; at round end it analyzes and — when the evidence warrants —
+   synthesizes, validates, and deploys a fix;
 4. the fixed program rolls out to a staged fraction of pods per round;
 5. metrics record the user-visible failure rate, proof progress, and
    ground-truth bug status.

@@ -227,16 +227,11 @@ class Service(ClosedLoop):
     def __init__(self, scenario: Scenario,
                  config: Optional[ServiceConfig] = None):
         config = config or ServiceConfig()
-        # Shard-side replay products never survive the service wire
-        # (the pump re-frames through encode_batch, which models the
-        # pod uplink), so shards skip that work — unless collective
-        # recycling needs the replay to mine solver facts.
         super().__init__(
             scenario, config,
             trace_labels=("serve", scenario.program.name, config.seed),
             n_pods=config.max_pods, capture=FullCapture(),
-            slos=lambda: default_serve_slos(config),
-            replay_products=config.solver_cache == "collective")
+            slos=lambda: default_serve_slos(config))
         self._obs_tick = self.obs_timer("tick")
         self._obs_arrivals = self.obs_counter("arrivals")
         self._obs_admitted = self.obs_counter("admitted")

@@ -260,7 +260,7 @@ class SymbolicEngine(Instrumented):
                         inputs: Mapping[str, int]) -> bool:
         """Recycle one concrete execution's by-products into the cache.
 
-        ``decisions``/``inputs`` come from a replayed trace: the inputs
+        ``decisions``/``inputs`` come from one concrete run: the inputs
         *provably* drove execution along those decisions, so every
         prefix of the path condition is SAT with the inputs as witness —
         a free solver fact. This walks the program forcing the script

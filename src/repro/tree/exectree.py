@@ -118,9 +118,8 @@ class ExecutionTree:
 
         ``count`` folds that many identical executions in one walk —
         equivalent to calling this ``count`` times (every visit and
-        outcome counter advances by ``count``), which is how shard
-        ``tree_delta`` edge rows and dedup heartbeats merge without
-        re-walking the path per repeat.
+        outcome counter advances by ``count``), which is how dedup
+        heartbeats merge without re-walking the path per repeat.
         """
         node = self.root
         node.visit_count += count

@@ -246,6 +246,69 @@ class TestCrashTolerantRounds:
         assert platform.hive.stats.traces_ingested == 80
 
 
+# -- one replay memo per delivered round ---------------------------------------
+
+class TestDeliveryReplayMemo:
+    """A round's frames share one replay memo: each distinct replay
+    source replays once per round, however many frames (duplicates
+    included) carry it, and the hive ends where frame-by-frame ingest
+    without a memo leaves it."""
+
+    def _run(self, profile, memo):
+        from repro.chaos.coordinator import ChaosCoordinator
+        from repro.hive.hive import Hive
+        rounds, sources = [], []
+        deliver = ChaosCoordinator.deliver
+        replay_source = Hive._replay_source
+        ingest_batch = Hive.ingest_batch
+
+        def tracked_deliver(self, hive, entries, round_index, wire=None):
+            rounds.append(round_index)
+            return deliver(self, hive, entries, round_index, wire)
+
+        def tracked_replay(self, trace):
+            sources.append((rounds[-1], self.program.version,
+                            trace.branch_bits, trace.syscall_returns,
+                            trace.schedule_rle))
+            return replay_source(self, trace)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ChaosCoordinator, "deliver", tracked_deliver)
+            patch.setattr(Hive, "_replay_source", tracked_replay)
+            if not memo:
+                patch.setattr(Hive, "ingest_batch",
+                              lambda self, batches, memo=None:
+                              ingest_batch(self, batches))
+            platform = _platform(profile, rounds=4, executions=30, seed=3)
+            report = platform.run()
+        hive = platform.hive
+        state = {
+            "report": report.as_dict(),
+            "chaos": platform.chaos.summary(),
+            "stats": hive.stats.as_dict(),
+            "paths": hive.tree.canonical_paths(),
+            "size": (hive.tree.node_count, hive.tree.path_count,
+                     hive.tree.insert_count),
+            "invariants": hive.invariants.invariants(),
+            "buckets": repr(hive.bucketer.buckets()),
+            "digest_paths": dict(hive._digest_paths),
+        }
+        return sources, state
+
+    @pytest.mark.parametrize("profile", [
+        "lossy-workers",
+        FaultProfile(name="doubled", frame_duplicate_rate=1.0,
+                     reorder=True),
+    ], ids=["lossy-workers", "doubled"])
+    def test_each_source_replays_once_per_round(self, profile):
+        memo_sources, memo_state = self._run(profile, memo=True)
+        sources, state = self._run(profile, memo=False)
+        assert memo_state == state
+        assert len(set(memo_sources)) == len(memo_sources)
+        assert set(memo_sources) == set(sources)
+        assert len(memo_sources) < len(sources)
+
+
 # -- the default is a true no-op -----------------------------------------------
 
 class TestNoopDefault:

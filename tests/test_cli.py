@@ -87,6 +87,17 @@ class TestParser:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_explore_needs_a_positive_worker_count(self, workers, capsys):
+        # Explore's workers are simulated nodes, not backend shards:
+        # there is no 0 = auto, so a count below one is a usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explore", "--workers", workers])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: repro explore" in err
+        assert "--workers: must be a positive integer" in err
+
     def test_readme_documents_every_flag(self):
         # Every option of every subcommand appears in README.md as a
         # whole token (``--out`` does not count for ``--snapshot-out``).
@@ -146,8 +157,9 @@ class TestCommands:
         round_timer = doc["obs"]["timers"]["platform.round"]
         assert round_timer["count"] == 5
         assert "p50" in round_timer and "p95" in round_timer
-        for phase in ("replay", "merge", "analysis", "repair"):
+        for phase in ("replay", "analysis", "repair"):
             assert f"hive.phase.{phase}" in doc["obs"]["timers"]
+        assert "hive.phase.merge" not in doc["obs"]["timers"]
 
     def test_run_json_with_explicit_backend(self, capsys):
         import json

@@ -20,11 +20,11 @@ from repro.exec import (
 from repro.exec.backends import (
     make_backend, resolve_backend_name, resolve_workers,
 )
-from repro.exec.batch import ReplayProduct
 from repro.exec.plan import RoundPlan
 from repro.exec.shard import Shard
 from repro.hive.hive import Hive
 from repro.interfaces import TraceSink, TraceSource
+from repro.loop import window_sink
 from repro.platform import PlatformConfig, SoftBorgPlatform
 from repro.pod.pod import Pod
 from repro.progmodel.bugs import BugKind
@@ -32,9 +32,8 @@ from repro.progmodel.corpus import (
     CorpusConfig, generate_program, make_crash_demo, make_deadlock_demo,
     make_race_demo,
 )
-from repro.progmodel.interpreter import (
-    ExecutionLimits, Interpreter, Outcome, ReplaySource,
-)
+from repro.progmodel.interpreter import Interpreter, Outcome
+from repro.sched.scheduler import RandomScheduler
 from repro.tracing.dedup import Heartbeat
 from repro.tracing.encode import decode_trace, encode_trace
 from repro.tracing.trace import trace_from_result
@@ -87,11 +86,6 @@ class TestBatchWire:
         # Payloads still decode to real traces after the round trip.
         trace = decode_trace(decoded.entries[0].payload)
         assert trace.program_name == demo.program.name
-
-    def test_products_and_trees_do_not_cross_the_wire(self):
-        _demo, batch = self._batch()
-        decoded = decode_batch(encode_batch(batch))
-        assert all(entry.product is None for entry in decoded.entries)
 
     def test_truncated_and_trailing_bytes_raise(self):
         demo, batch = self._batch()
@@ -167,7 +161,7 @@ class TestCrossBackendDeterminism:
 
     def test_identical_on_concurrency_scenario(self):
         # The report alone is not enough: analyzer state must match
-        # too, since a product table that loses interleaving-specific
+        # too, since a replay memo that loses interleaving-specific
         # events shifts race counts without moving any report field.
         for scenario in (deadlock_scenario, race_scenario):
             knobs = dict(scenario=scenario, enable_proofs=False,
@@ -318,31 +312,44 @@ class TestSessionProtocol:
         demo = make_crash_demo()
         v2 = dataclasses.replace(demo.program, version=2)
         fact = ((("x", "<", 7),), ("sat", (("x", 3),)))
-        # replay_products=False keeps the shard from banking its own
-        # recycled facts, so the cache count isolates the published one.
+
+        def publish(backend):
+            return backend.publish(SyncDelta(hive_program=v2,
+                                             rollout=(v2, (0, 2)),
+                                             cache_entries=[fact]))
         with make_backend("process", _session_pods(demo.program),
                           demo.program, workers=1,
-                          solver_cache="collective",
-                          replay_products=False) as backend:
+                          solver_cache="collective") as backend:
             baseline = backend.run_round(_session_plan(demo.program))
-            backend.publish(SyncDelta(hive_program=v2,
-                                      rollout=(v2, (0, 2)),
-                                      cache_entries=[fact]))
+            recycled = backend.probe()["cache_entries"]
+            publish(backend)
             state = backend.probe()
             assert state["epoch"] == 1 == backend.epoch
             assert state["hive_version"] == 2
             assert state["pod_versions"] == {0: 2, 1: 1, 2: 2, 3: 1}
-            assert state["cache_entries"] == 1
+            assert state["cache_entries"] == recycled + 1
             backend._procs[0].kill()
             backend._procs[0].join()
             retried = backend.run_round(_session_plan(demo.program))
             assert [len(r.records) for r in retried] == \
                 [len(r.records) for r in baseline]
-            state = backend.probe()
-            assert state["epoch"] == 1
-            assert state["hive_version"] == 2
-            assert state["pod_versions"] == {0: 2, 1: 1, 2: 2, 3: 1}
-            assert state["cache_entries"] == 1
+            respawned = backend.probe()
+        assert respawned["epoch"] == 1
+        assert respawned["hive_version"] == 2
+        assert respawned["pod_versions"] == {0: 2, 1: 1, 2: 2, 3: 1}
+        # The shard also banks facts from the runs it recycles, so the
+        # published fact is isolated by a worker that never died: one
+        # that took the same publish live and ran the same round holds
+        # exactly the respawned worker's state, cache included.
+        with make_backend("process", _session_pods(demo.program),
+                          demo.program, workers=1,
+                          solver_cache="collective") as live:
+            publish(live)
+            live.run_round(_session_plan(demo.program))
+            assert live.probe() == respawned
+            live.publish(SyncDelta(cache_entries=[fact]))
+            assert live.probe()["cache_entries"] \
+                == respawned["cache_entries"]
 
     def test_publish_after_worker_death_reaches_the_respawn(self):
         # A worker killed between rounds misses the publish broadcast,
@@ -430,8 +437,8 @@ class TestSessionWire:
 
     def test_pack_result_round_trip(self):
         # Concurrency programs reach one path under many interleavings
-        # whose lock and global events differ: every entry must unpack
-        # to the product it carried, not the first one on its path.
+        # whose traces differ: every entry must unpack to the payload
+        # it carried.
         crash = make_crash_demo().program
         rounds = [(crash, _session_plan(crash, n_runs=6))]
         for factory in (race_scenario, deadlock_scenario):
@@ -444,55 +451,51 @@ class TestSessionWire:
             clone = ResultUnpacker().unpack(ResultPacker().pack(result))
             assert clone.shard_id == result.shard_id
             assert clone.records == result.records
-            assert clone.tree_version == result.tree_version
-            assert clone.tree_delta == result.tree_delta
             assert clone.busy_seconds == result.busy_seconds
             assert len(clone.batches) == len(result.batches)
             for original, copy in zip(result.batches, clone.batches):
                 assert copy.program_version == original.program_version
                 assert [e.payload for e in copy.entries] == \
                     [e.payload for e in original.entries]
-                assert [e.product for e in copy.entries] == \
-                    [e.product for e in original.entries]
 
 
 # -- round-scoped recycling ----------------------------------------------------
 
-def _reference_product(program, trace):
-    """The shard's replay product, recomputed with no memo."""
-    if (not trace.replayable
-            or trace.program_version != program.version):
-        return None
-    try:
-        result = Interpreter(program, limits=ExecutionLimits()).replay(
-            ReplaySource(branch_bits=list(trace.branch_bits),
-                         syscall_returns=list(trace.syscall_returns),
-                         schedule_picks=list(trace.schedule_picks())))
-    except TraceError:
-        return None
-    return ReplayProduct(
-        program_version=trace.program_version, outcome=result.outcome,
-        path_decisions=tuple(result.path_decisions),
-        lock_events=tuple(result.lock_events),
-        global_events=tuple(result.global_events),
-        final_globals=dict(result.final_globals),
-        return_values=dict(result.return_values))
+def _hive_state(hive):
+    """Everything the hive's analyses and reports read."""
+    return {
+        "stats": hive.stats.as_dict(),
+        "paths": hive.tree.canonical_paths(),
+        "size": (hive.tree.node_count, hive.tree.path_count,
+                 hive.tree.insert_count),
+        "deadlocks": hive.deadlocks.diagnoses(),
+        "races": hive.races.reports(),
+        "invariants": hive.invariants.invariants(),
+        "buckets": repr(hive.bucketer.buckets()),
+        "digest_paths": dict(hive._digest_paths),
+    }
+
+
+def _bare_hive(program):
+    return Hive(program, validate_fixes=False, enable_proofs=False)
 
 
 class TestRoundRecycling:
-    """One round encodes each distinct trace and replays each distinct
-    replay source once, and every entry still carries exactly what
-    recomputing it would produce."""
+    """One round encodes each distinct trace once on the shard and
+    replays each distinct replay source once in the hive, and the hive
+    ends where a trace-by-trace reference without a memo ends."""
 
     def _check(self, program, n_runs=24):
         # Three users over four pods: inputs repeat. Pods 0 and 1 run a
         # newer version than the hive, so their traces are stale and
-        # their (memoized) products None.
+        # never replayed.
         population = UserPopulation(program, 3, volatility=0.0, seed=5)
         plan = _population_plan(program, population, n_runs)
         shard = Shard(0, dict(enumerate(_session_pods(program))), program)
         shard.apply_update(dataclasses.replace(
             program, version=program.version + 1), (0, 1))
+        hive = _bare_hive(program)
+        sink = window_sink(hive)
 
         traces = {}
         execute = Pod.execute
@@ -506,6 +509,7 @@ class TestRoundRecycling:
         replays = []
         encode = encode_trace
         replay = Interpreter.replay
+        results = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(Pod, "execute", recording_execute)
             patch.setattr("repro.exec.shard.encode_trace",
@@ -514,30 +518,27 @@ class TestRoundRecycling:
             patch.setattr(Interpreter, "replay",
                           lambda self, source: replays.append(source)
                           or replay(self, source))
-            result, = shard.run_windows([plan.runs])
+            for window in shard.run_windows(
+                    partition_windows(plan.runs, 1)[0]):
+                results.append(window)
+                sink([window])
 
-        entries = [entry for batch in result.batches
+        entries = [entry for result in results for batch in result.batches
                    for entry in batch.entries]
         assert [entry.global_index for entry in entries] == \
             list(range(n_runs))
-        expected_edges = {}
         for entry in entries:
-            trace = traces[entry.global_index]
-            assert entry.payload == encode_trace(trace)
-            reference = _reference_product(program, trace)
-            assert entry.product == reference
-            if reference is not None:
-                key = (reference.path_decisions, reference.outcome)
-                expected_edges[key] = expected_edges.get(key, 0) + 1
-        assert result.tree_delta == [
-            (path, outcome, count)
-            for (path, outcome), count in expected_edges.items()]
+            assert entry.payload == encode_trace(traces[entry.global_index])
         assert len(encodes) == len(set(traces.values()))
         sources = {(trace.branch_bits, trace.syscall_returns,
                     trace.schedule_rle) for trace in traces.values()
                    if trace.replayable
                    and trace.program_version == program.version}
         assert len(replays) == len(sources)
+        reference = _bare_hive(program)
+        for index in range(n_runs):
+            reference.ingest_trace(traces[index])
+        assert _hive_state(hive) == _hive_state(reference)
         return traces
 
     def test_demo_programs(self):
@@ -640,11 +641,10 @@ class TestTreeMerge:
         assert sharded.path_count == direct.path_count
 
     def test_delta_rows_equal_shard_tree_merge(self):
-        # The session protocol ships tree EDGE DELTAS (path, outcome,
-        # count) rather than whole partial trees. Folding the rows in
-        # with counted inserts must reproduce merging the shard's tree
-        # — the tree is order-canonical, so the two spellings are the
-        # same algebra.
+        # Counted inserts (path, outcome, count) — how dedup heartbeats
+        # bump a known path — must reproduce merging a tree built by
+        # one insert per execution: the tree is order-canonical, so the
+        # two spellings are the same algebra.
         rows = [(self.P1, Outcome.OK, 3), (self.P2, Outcome.CRASH, 2),
                 (self.P3, Outcome.OK, 1)]
 
@@ -662,27 +662,6 @@ class TestTreeMerge:
 
         _assert_same_tree(via_delta, via_merge)
         assert via_delta.outcome_totals() == via_merge.outcome_totals()
-
-    def test_shard_delta_rebuilds_the_shard_tree(self):
-        # A real round's ShardResult.tree_delta, applied to a fresh
-        # tree, rebuilds exactly the tree per-execution inserts of that
-        # round build — the equivalence the hive's ingest relies on.
-        demo = make_crash_demo()
-        with SerialBackend(_session_pods(demo.program),
-                           demo.program) as backend:
-            result = backend.run_round(
-                _session_plan(demo.program, n_runs=8))[0]
-        assert result.tree_version == demo.program.version
-        assert result.tree_delta
-        rebuilt = ExecutionTree(demo.program.name, demo.program.version)
-        for decisions, outcome, count in result.tree_delta:
-            rebuilt.insert_path(decisions, outcome, count=count)
-        direct = ExecutionTree(demo.program.name, demo.program.version)
-        for decisions, outcome, count in result.tree_delta:
-            for _ in range(count):
-                direct.insert_path(decisions, outcome)
-        _assert_same_tree(rebuilt, direct)
-        assert sum(count for _d, _o, count in result.tree_delta) == 8
 
     def test_version_skew_rejected(self):
         current = _tree()
@@ -715,39 +694,69 @@ class TestIngestSurface:
         assert hive.stats.traces_ingested == 1
 
     def test_ingest_batch_matches_trace_by_trace(self):
+        for demo in (make_crash_demo, make_race_demo, make_deadlock_demo):
+            self._check_ingest_batch(demo().program)
+
+    @staticmethod
+    def _check_ingest_batch(program):
         from repro.tracing.dedup import trace_digest
-        demo = make_crash_demo()
-        distinct = [_trace(demo.program, {"n": n, "mode": 2})
-                    for n in range(6)]
+        domains = sorted(program.inputs.items())
+        distinct = []
+        for seed in range(6):
+            # Random interleavings on the concurrency demos: one path
+            # under several schedules, with their own lock and global
+            # events.
+            scheduler = (RandomScheduler(seed=seed)
+                         if len(program.threads) > 1 else None)
+            distinct.append(trace_from_result(Interpreter(program).run(
+                {name: lo + seed % (hi - lo + 1)
+                 for name, (lo, hi) in domains}, scheduler=scheduler)))
         # The second batch repeats payloads (decoded once, ingested as
         # one shared trace) and ends with a heartbeat, whose lookup
-        # needs the shared trace's digest to equal a fresh one's.
+        # needs the shared trace's digest to equal a fresh one's. The
+        # third ships distinct payloads that share a replay source
+        # (one run, reported by several pods): replayed once per memo,
+        # folded once per entry.
         repeated = [distinct[i % 3] for i in range(12)]
-        beat = Heartbeat(program_name=demo.program.name,
-                         program_version=demo.program.version,
+        shared = [distinct[i % 2].with_pod(f"pod{i}") for i in range(6)]
+        assert len({encode_trace(trace) for trace in shared}) == 6
+        beat = Heartbeat(program_name=program.name,
+                         program_version=program.version,
                          digest=trace_digest(distinct[1]), count=2)
-        for traces, heartbeats in ((distinct, []), (repeated, [beat])):
-            one_by_one = Hive(demo.program)
+        for traces, heartbeats in ((distinct, []), (repeated, [beat]),
+                                   (shared, [beat])):
+            one_by_one = _bare_hive(program)
             for trace in traces:
                 one_by_one.ingest_trace(trace)
             for heartbeat in heartbeats:
                 one_by_one.ingest_heartbeat(heartbeat)
 
-            batched = Hive(demo.program)
+            batched = _bare_hive(program)
             entries = [BatchEntry(global_index=i, payload=encode_trace(t))
                        for i, t in enumerate(traces)]
             entries += [BatchEntry(global_index=len(traces) + i,
                                    heartbeat=heartbeat)
                         for i, heartbeat in enumerate(heartbeats)]
-            batch = TraceBatch(shard_id=0, program_name=demo.program.name,
-                               program_version=demo.program.version,
+            batch = TraceBatch(shard_id=0, program_name=program.name,
+                               program_version=program.version,
                                entries=entries)
-            consumed = batched.ingest_batch([batch])
+            replays = []
+            replay = Interpreter.replay
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(Interpreter, "replay",
+                              lambda self, source: replays.append(source)
+                              or replay(self, source))
+                consumed = batched.ingest_batch([batch], {})
             assert consumed == len(traces) + len(heartbeats)
-            assert batched.stats.as_dict() == one_by_one.stats.as_dict()
-            assert (batched.tree.canonical_paths()
-                    == one_by_one.tree.canonical_paths())
+            assert _hive_state(batched) == _hive_state(one_by_one)
             assert batched.stats.unknown_heartbeats == 0
+            assert len(replays) == len({
+                (trace.branch_bits, trace.syscall_returns,
+                 trace.schedule_rle) for trace in traces})
+            # Without a memo every trace replays, to the same state.
+            unmemoized = _bare_hive(program)
+            assert unmemoized.ingest_batch([batch]) == consumed
+            assert _hive_state(unmemoized) == _hive_state(one_by_one)
 
     def test_serial_backend_runs_a_plan(self):
         # The protocol in miniature: plan two runs on one pod, execute

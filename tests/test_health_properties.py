@@ -15,7 +15,7 @@ Three properties the alerting math stands on:
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.series import Series
@@ -107,6 +107,10 @@ class TestNoFlappingOnConstantInput:
         ticks=st.integers(2, 64),
     )
     @settings(max_examples=200)
+    # A float sum of four 0.05s lands one ulp past 0.05: an unclamped
+    # window mean fired at tick 2 and cleared at tick 3.
+    @example(rule=AlertRule(kind="threshold", window_ticks=4), short=0,
+             objective=0.05, value=0.05, direction="upper", ticks=4)
     def test_constant_series_transitions_at_most_once(
             self, rule, short, objective, value, direction, ticks):
         rule = AlertRule(kind=rule.kind,
@@ -129,17 +133,19 @@ class TestNoFlappingOnConstantInput:
             assert state.transitions[0]["to"] == ALERT_FIRING
             assert state.state == ALERT_FIRING
 
-    @given(objective=st.integers(1, 127).map(lambda k: k / 128.0),
+    @given(objective=st.floats(min_value=0.0, max_value=1.0,
+                               exclude_min=True, exclude_max=True),
+           direction=st.sampled_from(["upper", "lower"]),
            ticks=st.integers(2, 40))
     @settings(max_examples=100)
     def test_constant_at_objective_never_fires_threshold(
-            self, objective, ticks):
+            self, objective, direction, ticks):
         # Strict comparison: exactly-at-bound is healthy, so pinning
         # the SLI to the objective can never fire (either direction).
-        # Dyadic objectives keep the windowed mean bit-exact — for an
-        # arbitrary float the mean of n copies may round one ulp past
-        # the bound, which is a float artifact, not a rule property.
+        # The windowed mean of n copies is the objective exactly, for
+        # any float: the mean is clamped into the window's range.
         slo = SloSpec(name="s", sli="v", objective=objective,
+                      direction=direction,
                       rules=(AlertRule(window_ticks=4),))
         plane = HealthPlane([slo])
         for tick in range(ticks):

@@ -489,6 +489,85 @@ class TestShardRecycling:
         assert shard.solver_cache.stats.stores > 0
 
 
+    @pytest.mark.parametrize("name", ("repair", "race"))
+    def test_walks_equal_a_replay_of_each_shipped_trace(self, monkeypatch,
+                                                        name):
+        """The shard walks each run's own path and replays nothing: the
+        walks must be the ones a replay of each shipped trace would
+        feed — same decisions, same inputs, same order — with stale,
+        lost, heartbeat and repeated-path runs skipped alike."""
+        import dataclasses
+
+        from repro.exec.plan import PlannedRun
+        from repro.exec.shard import Shard
+        from repro.pod.pod import Pod
+        from repro.progmodel.bugs import BugKind
+        from repro.progmodel.corpus import (
+            CorpusConfig, generate_program, make_race_demo,
+        )
+        from repro.progmodel.interpreter import Interpreter
+        from repro.tracing.encode import decode_trace
+        from repro.workloads.population import UserPopulation
+        if name == "repair":
+            program = generate_program(
+                "repair", CorpusConfig(seed=1, n_segments=8,
+                                       input_domain=24),
+                (BugKind.CRASH, BugKind.ASSERT)).program
+        else:
+            program = make_race_demo().program
+        population = UserPopulation(program, 40, volatility=0.4, seed=1)
+        pods = {index: Pod(f"pod{index}", program, seed=index + 1)
+                for index in range(6)}
+        shard = Shard(0, pods, program, dedup=True,
+                      solver_cache=ConstraintCache())
+        # Pod 5 runs a newer version than the hive: its traces are stale.
+        shard.apply_update(dataclasses.replace(
+            program, version=program.version + 1), (5,))
+        runs = [PlannedRun(index, index % 6,
+                           population.sample_execution()[1],
+                           ship=index % 7 != 3)
+                for index in range(240)]
+
+        ran = []
+        execute = Pod.execute
+
+        def recording_execute(pod, inputs, directive=None):
+            run = execute(pod, inputs, directive=directive)
+            ran.append(dict(run.inputs))
+            return run
+        walks = []
+        recycle = SymbolicEngine.recycle_witness
+
+        def recording(engine, decisions, inputs):
+            walks.append((tuple(decisions), dict(inputs)))
+            return recycle(engine, decisions, inputs)
+        monkeypatch.setattr(Pod, "execute", recording_execute)
+        monkeypatch.setattr(SymbolicEngine, "recycle_witness", recording)
+        entries = [entry for result in shard.run_windows(
+                       [runs[:80], runs[80:160], runs[160:]])
+                   for batch in result.batches for entry in batch.entries]
+        monkeypatch.undo()
+
+        expected, seen = [], set()
+        for entry in entries:
+            if entry.is_heartbeat:
+                continue
+            trace = decode_trace(entry.payload)
+            if (not trace.replayable
+                    or trace.program_version != program.version):
+                continue
+            path = tuple(Interpreter(program).replay(
+                trace.replay_source()).path_decisions)
+            if path and path not in seen:
+                seen.add(path)
+                expected.append((path, ran[entry.global_index]))
+        assert walks == expected
+        assert len(entries) < len(runs)
+        # The race demo branches on no input, so its runs' paths are
+        # empty and nothing is walked; the repair program walks many.
+        assert (len(walks) > 1) == (name == "repair")
+
+
 class TestStatsContract:
     def test_solver_stats_as_dict(self):
         stats = SolverStats()

@@ -3,9 +3,9 @@ ingests window w while the shards run w+1.
 
 Two contracts are pinned here. Windows are exact: a hive fed window by
 window through ``window_sink`` ends in the same state as a reference
-hive that ingests the round's returned windows — their batches and
-tree rows, concatenated — in one ``ingest_batch`` call, on every
-backend, for the demos and for every registry bug. And a real worker
+hive that ingests the round's returned windows — their batches,
+concatenated — in one ``ingest_batch`` call, on every backend, for the
+demos and for every registry bug. And a real worker
 crash in the middle of a round, or right after its last window, loses
 no run and ingests no trace twice: the windows already received stay
 received, and the respawned worker runs only the rest (docs/CHAOS.md,
@@ -67,12 +67,10 @@ def _hive(program, limits=None):
 
 
 def _ingest_returned(hive, results):
-    """The reference: the round's returned batches and tree rows (its
-    windows concatenated) in one call."""
+    """The reference: the round's returned batches (its windows
+    concatenated) in one call."""
     hive.ingest_batch(
-        [batch for result in results for batch in result.batches],
-        tree_deltas=[(result.tree_version, result.tree_delta)
-                     for result in results if result.tree_delta])
+        [batch for result in results for batch in result.batches])
 
 
 def _state(hive):
@@ -90,15 +88,6 @@ def _state(hive):
         "failure_traces": list(hive._failure_traces),
         "schedules": list(hive._dangerous_schedules),
     }
-
-
-def _summed_rows(rows):
-    """Tree rows summed per ``(path, outcome)``: what counted inserts
-    make of them."""
-    summed = {}
-    for path, outcome, count in rows:
-        summed[path, outcome] = summed.get((path, outcome), 0) + count
-    return summed
 
 
 def _entry_indices(results):
@@ -173,8 +162,8 @@ class TestWindowsAreExact:
 
     def test_a_round_without_a_sink_returns_the_same_result(self):
         # Nothing consumes a window early, so a sink-less round (chaos,
-        # serve) runs as one window; its records, its entries in global
-        # order and its summed tree rows equal the streamed round's.
+        # serve) runs as one window; its records and its entries in
+        # global order equal the streamed round's.
         import repro.exec.backends as backends
         program = make_race_demo().program
         plan = _plan(program, 101)
@@ -194,10 +183,8 @@ class TestWindowsAreExact:
                                       recording)
                         results = backend.run_round(plan, sink)
                 rounds.append([
-                    (result.records, result.tree_version,
-                     _summed_rows(result.tree_delta),
-                     sorted(((entry.global_index, entry.payload,
-                              entry.product)
+                    (result.records,
+                     sorted(((entry.global_index, entry.payload)
                              for batch in result.batches
                              for entry in batch.entries),
                             key=lambda item: item[0]))
