@@ -23,6 +23,7 @@ property) is what upgrades it from observation to theorem.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -74,8 +75,8 @@ class InvariantMiner:
     def __init__(self, min_support: int = 5, ignore_prefix: str = "__"):
         self._min_support = min_support
         self._ignore_prefix = ignore_prefix
-        self._globals: Dict[str, _VarStats] = {}
-        self._returns: Dict[int, _VarStats] = {}
+        self._globals: Dict[str, _VarStats] = defaultdict(_VarStats)
+        self._returns: Dict[int, _VarStats] = defaultdict(_VarStats)
         self._equal_pairs: Optional[Dict[Tuple[str, str], int]] = None
         self.executions = 0
 
@@ -87,9 +88,9 @@ class InvariantMiner:
                     for name, value in result.final_globals.items()
                     if not name.startswith(self._ignore_prefix)}
         for name, value in snapshot.items():
-            self._globals.setdefault(name, _VarStats()).record(value)
+            self._globals[name].record(value)
         for tid, value in result.return_values.items():
-            self._returns.setdefault(tid, _VarStats()).record(value)
+            self._returns[tid].record(value)
         self._update_equalities(snapshot)
 
     def _update_equalities(self, snapshot: Dict[str, Optional[int]]) -> None:

@@ -17,6 +17,7 @@ synthesizing consistent locking
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -67,32 +68,33 @@ class RaceAnalyzer:
         # Synthesized infrastructure globals (recovery flags, gates)
         # are not user data; skip them.
         self._ignore_prefix = ignore_prefix
-        self._variables: Dict[str, _VariableState] = {}
+        self._variables: Dict[str, _VariableState] = defaultdict(
+            _VariableState)
         self.executions_analyzed = 0
 
     def add_execution(self, result: ExecutionResult) -> None:
         self.executions_analyzed += 1
-        shared_seen: Dict[str, Set[int]] = {}
+        shared_seen: Dict[str, Set[int]] = defaultdict(set)
         for event in result.global_events:
             if event.name.startswith(self._ignore_prefix):
                 continue
-            state = self._variables.setdefault(event.name, _VariableState())
+            state = self._variables[event.name]
             state.accesses += 1
             state.threads.add(event.thread)
             state.sites.add((event.function, event.block))
             if event.op == "write":
                 state.writers.add(event.thread)
-            shared_seen.setdefault(event.name, set()).add(event.thread)
+            seen = shared_seen[event.name]
+            seen.add(event.thread)
             # Initialization phase: only refine the lockset once the
             # variable is demonstrably shared within this execution.
-            if len(shared_seen[event.name]) < 2 and state.virgin:
+            if len(seen) < 2 and state.virgin:
                 continue
             state.virgin = False
-            held = set(event.held_locks)
             if state.candidate is None:
-                state.candidate = held
+                state.candidate = set(event.held_locks)
             else:
-                state.candidate &= held
+                state.candidate.intersection_update(event.held_locks)
 
     def reports(self) -> List[RaceReport]:
         """Racy variables, most-written first."""

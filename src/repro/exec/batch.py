@@ -175,12 +175,12 @@ def decode_batch(data) -> TraceBatch:
     shard_id = reader.varint()
     sequence = reader.varint()
     trace_context = None
-    if reader.varint() == 1:
+    if reader.flag():
         trace_context = SpanContext(reader.string(), reader.string())
     entries: List[BatchEntry] = []
     for _ in range(reader.count()):
         global_index = reader.varint()
-        if reader.varint() == 1:
+        if reader.flag():
             digest = reader.blob()
             count = reader.varint()
             entries.append(BatchEntry(

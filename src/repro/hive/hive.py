@@ -36,6 +36,7 @@ from repro.progmodel.ir import Program, Syscall
 from repro.proofs.properties import NO_FAILURES, OutcomeProperty
 from repro.proofs.prover import CumulativeProver
 from repro.symbolic.engine import SymbolicEngine
+from repro.tracing.dedup import trace_digest
 from repro.tracing.trace import Trace
 from repro.tree.exectree import ExecutionTree
 
@@ -287,7 +288,6 @@ class Hive(Instrumented):
         # Remember the digest -> path association so later heartbeats
         # from deduplicating pods can bump this path's usage counts
         # without re-shipping the trace.
-        from repro.tracing.dedup import trace_digest
         self._digest_paths[trace_digest(trace)] = (
             replay.path_decisions, replay.outcome)
 
@@ -306,8 +306,9 @@ class Hive(Instrumented):
         each replay source to its replay, so a distinct payload is
         decoded once (one ``wire.decode`` span per decode performed)
         and a distinct replay source replayed once per memo. Entries
-        share that one frozen trace, whose memoized encode prefix turns
-        every later ``trace_digest`` into a concatenation plus a hash.
+        share that one frozen trace, which memoizes its digest; a
+        decoded trace's encode prefix is the payload it came from, so
+        even its first ``trace_digest`` re-walks nothing.
         Pass one dict to every window (or chaos wire frame) of a round,
         where many entries share a replay source. Without one, payloads
         decode once per call and every trace replays: serve's pump

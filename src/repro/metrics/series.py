@@ -13,7 +13,9 @@ so it grew the two things an always-on service needs:
   into tumbling x-width groups (each point in exactly one bucket — the
   partition invariant ``tests/test_health_properties.py`` pins).
 
-Everything stays deterministic: values in, values out, no clocks.
+Everything stays deterministic: values in, values out, no clocks, and
+the same bits on every supported Python: sums add left to right (see
+:func:`_sum`).
 """
 
 from __future__ import annotations
@@ -22,6 +24,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["Series", "bounded_mean"]
+
+
+def _sum(values: Sequence[float]) -> float:
+    """``values`` added left to right, as the built-in ``sum()`` adds
+    them before CPython 3.12. From 3.12 on ``sum()`` of floats is
+    compensated and can differ in the last bit, which would make a
+    snapshot's bytes depend on the interpreter."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def bounded_mean(values: Sequence[float]) -> float:
@@ -33,7 +46,7 @@ def bounded_mean(values: Sequence[float]) -> float:
     """
     if not values:
         return 0.0
-    return min(max(sum(values) / len(values), min(values)), max(values))
+    return min(max(_sum(values) / len(values), min(values)), max(values))
 
 
 @dataclass
@@ -73,7 +86,7 @@ class Series:
 
     def mean_y(self) -> float:
         ys = self.ys()
-        return sum(ys) / len(ys) if ys else 0.0
+        return _sum(ys) / len(ys) if ys else 0.0
 
     def max_y(self) -> float:
         ys = self.ys()
@@ -109,7 +122,7 @@ class Series:
         return bounded_mean(self.window(last_n))
 
     def window_sum(self, last_n: int) -> float:
-        return sum(self.window(last_n))
+        return _sum(self.window(last_n))
 
     def window_max(self, last_n: int) -> float:
         ys = self.window(last_n)
@@ -147,12 +160,13 @@ class Series:
         rows: List[Dict[str, float]] = []
         for index in sorted(buckets):
             ys = buckets[index]
+            total = _sum(ys)
             rows.append({
                 "start": index * bucket_width,
                 "end": (index + 1) * bucket_width,
                 "count": float(len(ys)),
-                "sum": sum(ys),
-                "mean": sum(ys) / len(ys),
+                "sum": total,
+                "mean": total / len(ys),
                 "min": min(ys),
                 "max": max(ys),
             })

@@ -32,6 +32,7 @@ import sys
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ExecutionError, ProgramModelError, ScheduleError, TraceError
@@ -97,13 +98,15 @@ Value = Tuple[Optional[int], bool, bool]
 # Events (the raw by-products; the tracing layer filters/encodes these)
 # --------------------------------------------------------------------------
 
-# Events are allocated once per interpreter step on the hot path;
-# ``slots=True`` (3.10+) drops the per-instance dict. Field set,
-# equality, and repr are identical either way.
+# Events are allocated on the hot path; ``slots=True`` (3.10+) drops
+# the per-instance dict. Field set, equality, and repr are identical
+# either way.
 if sys.version_info >= (3, 10):
     _eventclass = dataclass(slots=True)
+    _frozen_eventclass = dataclass(slots=True, frozen=True)
 else:  # pragma: no cover - 3.9 compatibility fallback
     _eventclass = dataclass
+    _frozen_eventclass = dataclass(frozen=True)
 
 
 @_eventclass
@@ -166,9 +169,13 @@ class GlobalEvent:
     held_locks: Tuple[str, ...] = ()
 
 
-@_eventclass
+@_frozen_eventclass
 class SchedEvent:
-    """One scheduling decision: which thread ran the next step."""
+    """One scheduling decision: which thread ran the next step.
+
+    Frozen, so the step loop appends one shared event per thread id
+    (see :meth:`_Lowered.sched_events`) instead of allocating one per
+    step."""
     thread: int
 
 
@@ -396,6 +403,11 @@ class ReplaySource:
     :class:`TraceExhausted` (a :class:`TraceError`): corruption for
     full traces, the expected end for truncated ones. The streams are
     consumed lazily, so any iterable works, a generator included.
+
+    ``next_pick()`` returns the next recorded schedule pick, or None
+    once the schedule ends. It is ``next`` bound to the pick stream
+    (a ``functools.partial``), so the step loop's per-step call runs
+    in C.
     """
 
     def __init__(self, branch_bits: Sequence[bool],
@@ -404,6 +416,7 @@ class ReplaySource:
         self._bits: Iterator[bool] = iter(branch_bits)
         self._sys: Iterator[int] = iter(syscall_returns)
         self._sched: Iterator[int] = iter(schedule_picks)
+        self.next_pick = partial(next, self._sched, None)
 
     def next_bit(self) -> bool:
         try:
@@ -416,12 +429,6 @@ class ReplaySource:
             return next(self._sys)
         except StopIteration:
             raise TraceError("replay ran out of syscall returns")
-
-    def next_pick(self) -> Optional[int]:
-        try:
-            return next(self._sched)
-        except StopIteration:
-            return None
 
     def unconsumed(self) -> Optional[str]:
         """The first recorded stream with items left over, if any."""
@@ -514,6 +521,17 @@ _BINOPS = {
     "max": lambda a, b: a if a >= b else b,
     "//": _divide,
     "%": _modulo,
+}
+
+
+# The comparisons of _BINOPS as C functions, for fused operands.
+_COMPARISONS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
@@ -617,12 +635,13 @@ class Interpreter:
                 entry, label, {}, None, lowered.code(entry, label))))
 
         # The runnable set changes only when an op reports _CHANGED (a
-        # thread blocked, woke or finished); the scheduler still sees a
-        # fresh copy every step, so a random stream is consumed as ever.
+        # thread blocked, woke or finished); it is then rebuilt, never
+        # changed in place, so the scheduler is handed the list itself.
         next_pick = replay.next_pick if replay is not None else None
         pick = scheduler.pick if scheduler else None
         max_steps = self.limits.max_steps
         append = events.append
+        sched_events = lowered.sched_events()
         failure: Optional[FailureInfo] = None
         runnable: Optional[List[int]] = None
         steps = 0
@@ -658,14 +677,14 @@ class Interpreter:
                     raise TraceError(
                         f"recorded schedule picks thread {tid}, not runnable")
             elif pick is not None:
-                tid = pick(steps, runnable[:])
+                tid = pick(steps, runnable)
                 if tid not in runnable:
                     raise ScheduleError(
                         f"scheduler picked thread {tid}, not in runnable"
                         f" set {runnable}")
             else:
                 tid = runnable[steps % len(runnable)]
-            append(SchedEvent(tid))
+            append(sched_events[tid])
             steps += 1
             thread = threads[tid]
             frame = thread.frames[-1]
@@ -728,7 +747,8 @@ class _Lowered:
     Its jumps and calls link to recording code only, so a run uses one
     copy throughout; the copy is built on first use, by validation."""
 
-    __slots__ = ("program", "blocks", "records", "_recording")
+    __slots__ = ("program", "blocks", "records", "_recording",
+                 "_sched_events")
 
     def __init__(self, program: Program, records: bool = False):
         key = id(program)
@@ -737,11 +757,19 @@ class _Lowered:
         self.blocks: Dict[Tuple[str, str], list] = {}
         self.records = records
         self._recording: Optional[_Lowered] = None
+        self._sched_events: Optional[Tuple[SchedEvent, ...]] = None
 
     def recording(self) -> "_Lowered":
         if self._recording is None:
             self._recording = _Lowered(self.program(), records=True)
         return self._recording
+
+    def sched_events(self) -> Tuple[SchedEvent, ...]:
+        """One shared schedule event per thread id, made on first use."""
+        if self._sched_events is None:
+            self._sched_events = tuple(
+                SchedEvent(tid) for tid in range(len(self.program().threads)))
+        return self._sched_events
 
     def code(self, fname: str, label: str) -> list:
         """The ops of block ``label`` in ``fname``, lowered on first use;
@@ -977,16 +1005,29 @@ def _lower_jump(lowered, fname, target):
 
 
 def _lower_branch(lowered, fname, label, term):
+    """The branch op installs its target's code itself, resolving each
+    target on its first use, as a jump does."""
     cond = _lower_expr(term.cond)
-    then_jump = _lower_jump(lowered, fname, term.then_block)
-    else_jump = _lower_jump(lowered, fname, term.else_block)
+    then_label, else_label = term.then_block, term.else_block
+    then_code = else_code = None
 
     def op(run, thread, frame):
+        nonlocal then_code, else_code
         value, ext, inp = cond(frame.locals, run.inputs)
         taken = value != 0 if value is not None else _replay_bit(run, inp)
         run.events.append(BranchEvent(thread.tid, fname, label, taken, ext,
                                       "branch", inp))
-        (then_jump if taken else else_jump)(run, thread, frame)
+        if taken:
+            if then_code is None:
+                then_code = lowered.code(fname, then_label)
+            frame.code = then_code
+            frame.block = then_label
+        else:
+            if else_code is None:
+                else_code = lowered.code(fname, else_label)
+            frame.code = else_code
+            frame.block = else_label
+        frame.index = 0
     return op
 
 
@@ -1061,7 +1102,12 @@ def _lower_expr(expr: Expr):
 
 
 def _lower_binop(expr: BinOp):
-    op, left, right = expr.op, _lower_expr(expr.left), _lower_expr(expr.right)
+    op = expr.op
+    left, right = expr.left, expr.right
+    if (op in _BINOPS and type(left) is Var and type(right) is Const
+            and type(right.value) is int):
+        return _lower_var_const(op, left.name, right.value)
+    left, right = _lower_expr(left), _lower_expr(right)
     fn = _BINOPS.get(op)
     if fn is None:
         def fn(a, b):
@@ -1074,3 +1120,26 @@ def _lower_binop(expr: BinOp):
             return _UNKNOWN
         return (fn(a, b), ae or be, ai or bi)
     return binop
+
+
+def _lower_var_const(op: str, name: str, b: int):
+    """``local <op> constant`` fused into one closure. The constant's
+    taint bits are False, so the local's are the result's; a
+    comparison calls the C function from :mod:`operator` and makes the
+    bool an ``int``, exactly as its ``_BINOPS`` entry does."""
+    compare = _COMPARISONS.get(op)
+    if compare is not None:
+        def var_compare(local, inputs):
+            a, ext, inp = local.get(name, _ZERO)
+            if a is None:
+                return _UNKNOWN
+            return (int(compare(a, b)), ext, inp)
+        return var_compare
+    fn = _BINOPS[op]
+
+    def var_const(local, inputs):
+        a, ext, inp = local.get(name, _ZERO)
+        if a is None:
+            return _UNKNOWN
+        return (fn(a, b), ext, inp)
+    return var_const

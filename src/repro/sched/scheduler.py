@@ -5,9 +5,11 @@ All schedulers expose one method::
     pick(step: int, runnable: List[int]) -> int
 
 ``runnable`` is always non-empty and sorted by thread id; the returned
-id must be a member. Schedulers are deliberately ignorant of program
-state — interleaving-dependent behaviour (deadlocks) emerges from the
-program, not from scheduler cleverness.
+id must be a member. It is the interpreter's own list, handed over
+without a copy, so a scheduler must not change it. Schedulers are
+deliberately ignorant of program state — interleaving-dependent
+behaviour (deadlocks) emerges from the program, not from scheduler
+cleverness.
 """
 
 from __future__ import annotations
@@ -35,13 +37,27 @@ class RoundRobinScheduler:
 
 
 class RandomScheduler:
-    """Uniform random choice at every step (seeded)."""
+    """Uniform random choice at every step (seeded).
+
+    A pick draws what ``rng.choice(runnable)`` would, in one Python
+    call: ``Random.choice`` takes ``Random._randbelow``, which draws
+    ``k = n.bit_length()`` bits and redraws while the draw is ``>= n``.
+    So the picks and the generator's state after them are the ones
+    ``choice`` gives (the test suite checks this on every supported
+    Python).
+    """
 
     def __init__(self, rng: Optional[random.Random] = None, seed: int = 0):
         self._rng = rng if rng is not None else random.Random(seed)
+        self._getrandbits = self._rng.getrandbits
 
     def pick(self, step: int, runnable: List[int]) -> int:
-        return self._rng.choice(runnable)
+        n = len(runnable)
+        k = n.bit_length()
+        r = self._getrandbits(k)
+        while r >= n:
+            r = self._getrandbits(k)
+        return runnable[r]
 
 
 class FixedScheduler:

@@ -44,9 +44,17 @@ class Heartbeat:
 def trace_digest(trace: Trace) -> TraceDigest:
     """Content digest over everything that defines the trace's
     information value (pod identity excluded: two users on the same
-    path produce the same digest)."""
+    path produce the same digest). Memoized on the trace, which is
+    frozen, like its encode prefix: the hive digests every entry, and
+    a round's entries share decoded traces."""
+    try:
+        return trace._digest
+    except AttributeError:
+        pass
     payload = encode_trace(trace, pod_override="")
-    return hashlib.blake2b(payload, digest_size=16).digest()
+    digest = hashlib.blake2b(payload, digest_size=16).digest()
+    object.__setattr__(trace, "_digest", digest)
+    return digest
 
 
 class PodDeduplicator:

@@ -34,7 +34,9 @@ def _encode_prefix(trace: Trace) -> bytes:
     encodes each trace twice (once for its digest with the pod id
     blanked, once at full fidelity for the bandwidth ledger) and this
     memo makes the second pass — and any re-submission of a shared
-    trace — a concatenation instead of a re-walk.
+    trace — a concatenation instead of a re-walk. A decoded trace
+    starts with the memo set to the bytes it was decoded from (see
+    :func:`decode_trace`).
     """
     try:
         return trace._enc_prefix
@@ -92,7 +94,13 @@ def encode_trace(trace: Trace, pod_override: Optional[str] = None) -> bytes:
 
 def decode_trace(data: bytes) -> Trace:
     """Inverse of :func:`encode_trace`; raises TraceError on any
-    malformed input, in time proportional to its length."""
+    malformed input, in time proportional to its length.
+
+    The reader accepts only canonical bytes (see :mod:`repro.wire`),
+    so ``data`` is exactly what :func:`encode_trace` writes for the
+    decoded trace, and the trace keeps ``data``'s bytes before the
+    pod-id field as its memoized encode prefix: encoding or digesting
+    it again re-walks nothing."""
     reader = Reader(data)
     version = reader.varint()
     if version != _FORMAT_VERSION:
@@ -109,21 +117,22 @@ def decode_trace(data: bytes) -> Trace:
         thread = reader.varint()
         function = reader.string()
         block = reader.string()
-        taken = reader.varint() == 1
+        taken = reader.flag()
         observations.append(Observation(site=(thread, function, block),
                                         taken=taken))
-    replayable = reader.varint() == 1
+    replayable = reader.flag()
     steps = reader.varint()
     events_recorded = reader.varint()
     failure_message: Optional[str] = reader.string() or None
     failure_site = None
-    if reader.varint() == 1:
+    if reader.flag():
         failure_site = (reader.varint(), reader.string(), reader.string())
+    prefix_end = reader.position()
     pod_id = reader.string()
-    guided = reader.varint() == 1
+    guided = reader.flag()
     if not reader.done():
         raise TraceError("trailing bytes after trace")
-    return Trace(
+    trace = Trace(
         program_name=program_name,
         program_version=program_version,
         outcome=outcome,
@@ -139,6 +148,8 @@ def decode_trace(data: bytes) -> Trace:
         pod_id=pod_id,
         guided=guided,
     )
+    object.__setattr__(trace, "_enc_prefix", bytes(data[:prefix_end]))
+    return trace
 
 
 def encoded_size(trace: Trace) -> int:

@@ -11,7 +11,7 @@ by hive-side replay, which is the paper's central cost-saving claim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from typing import Optional, Tuple
 
 from repro.progmodel.interpreter import ExecutionResult, Outcome, ReplaySource
@@ -69,12 +69,13 @@ class Trace:
     def replay_source(self) -> ReplaySource:
         """The recorded nondeterminism, ready to replay. The schedule
         expands one pick per step, so a trace claiming more picks than
-        a replay can take costs no more than the replay."""
+        a replay can take costs no more than the replay; the expansion
+        runs in C (``starmap`` of ``repeat`` over the run lengths)."""
         return ReplaySource(
             branch_bits=self.branch_bits,
             syscall_returns=self.syscall_returns,
             schedule_picks=chain.from_iterable(
-                repeat(thread, length) for thread, length in self.schedule_rle))
+                starmap(repeat, self.schedule_rle)))
 
     def with_pod(self, pod_id: str) -> "Trace":
         return replace(self, pod_id=pod_id)
@@ -85,14 +86,20 @@ class Trace:
 
 
 def schedule_rle(picks) -> Tuple[Tuple[int, int], ...]:
-    """Run-length encode a pick sequence."""
+    """Run-length encode a pick sequence. Every pod capture walks one
+    pick per step here, so the loop keeps the current run in locals."""
     encoded = []
+    thread, length = None, 0
     for pick in picks:
-        if encoded and encoded[-1][0] == pick:
-            encoded[-1][1] += 1
+        if pick == thread:
+            length += 1
         else:
-            encoded.append([pick, 1])
-    return tuple((thread, length) for thread, length in encoded)
+            if length:
+                encoded.append((thread, length))
+            thread, length = pick, 1
+    if length:
+        encoded.append((thread, length))
+    return tuple(encoded)
 
 
 def trace_from_result(result: ExecutionResult,

@@ -16,6 +16,15 @@ truncation, a collection count larger than the bytes left, a table
 index out of range, malformed UTF-8, or a varint longer than 1,024
 bytes. Each check runs before the loop or allocation it guards, so a
 decoder fails fast and in time proportional to the payload.
+
+The reader is also canonical: it rejects the second ways of writing a
+value. An overlong varint (a last byte of 0 after a continuation
+byte), a flag byte other than 0 or 1, and non-zero padding bits after
+a bit vector's last bit all raise. So a trace or batch payload that
+decodes is the one encoding of what it decodes to, and a decoded trace
+can keep its received bytes as its encoding. (A program's encoding
+also lists its names in sorted order, which the decoder does not
+check; nothing keeps a program's bytes.)
 """
 
 from __future__ import annotations
@@ -118,12 +127,25 @@ class Reader:
             pos += 1
             value |= (byte & 0x7F) << shift
             if not byte & 0x80:
+                if not byte:
+                    raise TraceError("overlong varint")
                 self._pos = pos
                 return value
             shift += 7
         if end == self._len:
             raise TraceError("truncated varint")
         raise TraceError(f"varint longer than {_MAX_VARINT_BYTES} bytes")
+
+    def flag(self) -> bool:
+        """A boolean, written as one byte: 0 or 1."""
+        pos = self._pos
+        if pos >= self._len:
+            raise TraceError("truncated flag")
+        byte = self._data[pos]
+        if byte > 1:
+            raise TraceError(f"flag byte {byte} is neither 0 nor 1")
+        self._pos = pos + 1
+        return byte == 1
 
     def zigzag(self) -> int:
         raw = self.varint()
@@ -176,9 +198,15 @@ class Reader:
         if n_bytes > self._len - pos:
             raise TraceError("truncated bit vector")
         chunk = self._data[pos:pos + n_bytes]
+        if count % 8 and chunk[-1] >> count % 8:
+            raise TraceError("non-zero padding bits after a bit vector")
         self._pos = pos + n_bytes
         return tuple(
             bool(chunk[i // 8] >> (i % 8) & 1) for i in range(count))
+
+    def position(self) -> int:
+        """Bytes consumed so far."""
+        return self._pos
 
     def done(self) -> bool:
         return self._pos == self._len

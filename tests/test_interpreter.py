@@ -24,7 +24,10 @@ from repro.progmodel.ir import (
     c, v,
 )
 from repro.registry.patches import ForceBranchFix
-from repro.sched.scheduler import RandomScheduler, RoundRobinScheduler
+from repro.sched.scheduler import (
+    FixedScheduler, PCTScheduler, RandomScheduler, RoundRobinScheduler,
+)
+from repro.tracing.privacy import truncate_trace
 from repro.tracing.trace import trace_from_result
 
 
@@ -367,6 +370,79 @@ class TestGoldenByProducts:
         """Validation runs record the blocks they enter through a second
         copy of the lowered code; every by-product stays the same."""
         assert self._digest(record=True) == GOLDEN_BY_PRODUCTS
+
+
+#: sha256 of every by-product of the runs in TestGoldenStepLoop,
+#: recorded before schedule events were shared and random picks drawn
+#: straight from ``getrandbits``.
+GOLDEN_STEP_LOOP = \
+    "0d814ee77c9fcc3b731ed3b442706b36ee9608c7d57facd3648131bd99bb01b1"
+
+
+class TestGoldenStepLoop:
+    """Pins the step-loop paths TestGoldenByProducts does not reach, on
+    the same programs: PCT schedules, fixed picks that name blocked,
+    finished or missing threads, round-robin with and without a
+    scheduler (and its replay from a trace without a schedule), prefix
+    replay of privacy-truncated traces, and HANGs at a small step
+    budget, live and replayed."""
+
+    @staticmethod
+    def _runs(seen):
+        fingerprint = TestGoldenByProducts._fingerprint
+        for program in TestGoldenByProducts._programs():
+            n_threads = len(program.threads)
+            for i in range(8):
+                rng = random.Random(i)
+                inputs = {name: rng.randint(lo, hi)
+                          for name, (lo, hi) in sorted(program.inputs.items())}
+                picks = [rng.randrange(n_threads + 1) for _ in range(400)]
+                schedulers = (
+                    PCTScheduler(n_threads, depth=1 + i % 3, max_steps=300,
+                                 seed=i),
+                    FixedScheduler(picks),
+                    RoundRobinScheduler(),
+                    None,
+                )
+                for scheduler in schedulers:
+                    live = Interpreter(program).run(
+                        inputs, environment=Environment(
+                            rng=random.Random(i), fault_rate=0.2),
+                        scheduler=scheduler)
+                    if isinstance(scheduler, FixedScheduler):
+                        ran = live.schedule_picks
+                        seen["skipped picks"] += ran != picks[:len(ran)]
+                    trace = trace_from_result(live)
+                    yield fingerprint(live)
+                    yield fingerprint(
+                        Interpreter(program).replay(trace.replay_source()))
+                    if scheduler is None:
+                        unscheduled = trace_from_result(
+                            live, include_schedule=False)
+                        yield fingerprint(Interpreter(program).replay(
+                            unscheduled.replay_source()))
+                    for keep in (0, len(trace.branch_bits) // 2):
+                        truncated = truncate_trace(trace, keep)
+                        seen["truncated"] += not truncated.replayable
+                        yield repr(Interpreter(program).replay_prefix(
+                            truncated.replay_source())).encode()
+                limits = ExecutionLimits(max_steps=5 + 7 * i)
+                hang = Interpreter(program, limits=limits).run(
+                    inputs, environment=Environment(rng=random.Random(i)),
+                    scheduler=RandomScheduler(seed=i))
+                seen["hangs"] += hang.outcome is Outcome.HANG
+                yield fingerprint(hang)
+                yield fingerprint(Interpreter(program, limits=limits).replay(
+                    trace_from_result(hang).replay_source()))
+
+    def test_step_loop_matches_the_reference(self):
+        digest = hashlib.sha256()
+        seen = {"skipped picks": 0, "truncated": 0, "hangs": 0}
+        for part in self._runs(seen):
+            digest.update(part)
+        # Each path the digest pins was taken.
+        assert all(seen.values()), seen
+        assert digest.hexdigest() == GOLDEN_STEP_LOOP
 
 
 class TestEnteredBlocks:

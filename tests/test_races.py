@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import races
 from repro.analysis.races import RaceAnalyzer
 from repro.errors import FixError
 from repro.fixes.lockify import LockifyFix, synthesize_lockify_fix
@@ -104,6 +105,30 @@ class TestRaceAnalyzer:
         analyzer = RaceAnalyzer()
         analyzer.add_execution(Interpreter(b.build()).run({}))
         assert analyzer.reports() == []
+
+    def test_state_built_once_per_variable(self, monkeypatch):
+        """A variable's state (four sets) is built the first time its
+        name is seen, not on every access."""
+        built = []
+
+        class Counted(races._VariableState):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(races, "_VariableState", Counted)
+        demo = make_race_demo()
+        analyzer = RaceAnalyzer()
+        names = set()
+        for seed in range(10):
+            result = Interpreter(demo.program).run(
+                {"k": 3}, scheduler=RandomScheduler(seed=seed))
+            names.update(event.name for event in result.global_events)
+            analyzer.add_execution(result)
+        assert sorted(names) == ["g_cnt", "g_wdone"]
+        assert len(built) == len(names)
 
     def test_synthesized_globals_ignored(self):
         b = ProgramBuilder("syn", threads=("main", "worker"),

@@ -1,5 +1,7 @@
 """Scheduler and schedule-encoding tests."""
 
+import random
+
 import pytest
 
 from repro.errors import ScheduleError
@@ -39,6 +41,19 @@ class TestSchedulers:
         sched = RandomScheduler(seed=1)
         for step in range(50):
             assert sched.pick(step, [3, 5]) in (3, 5)
+
+    @pytest.mark.parametrize("size", range(1, 10))
+    def test_random_draws_the_stream_choice_draws(self, size):
+        """``pick`` draws from ``getrandbits`` directly; it must pick
+        what ``Random.choice`` picks and leave the generator in the
+        same state, on every supported Python."""
+        runnable = list(range(10, 10 + size))
+        for seed in range(300):
+            rng, reference = random.Random(seed), random.Random(seed)
+            sched = RandomScheduler(rng=rng)
+            picks = [sched.pick(step, runnable) for step in range(200)]
+            assert picks == [reference.choice(runnable) for _ in range(200)]
+            assert rng.getstate() == reference.getstate()
 
     def test_fixed_follows_sequence(self):
         sched = FixedScheduler([1, 0, 1])

@@ -34,8 +34,10 @@ from repro.sched.scheduler import RandomScheduler
 from repro.tracing.dedup import Heartbeat, trace_digest
 from repro.tracing.encode import decode_trace, encode_trace
 from repro.tracing.sampling import sample_observations
-from repro.tracing.trace import trace_from_result
-from repro.wire import Reader, write_string, write_varint, write_zigzag
+from repro.tracing.trace import Trace, trace_from_result
+from repro.wire import (
+    Reader, write_bits, write_string, write_varint, write_zigzag,
+)
 
 DEMOS = ("crash", "deadlock", "shortread", "race", "leak", "prio",
          "wakeup", "toctou", "provenance")
@@ -198,6 +200,36 @@ class TestReader:
         with pytest.raises(TraceError, match="truncated bit vector"):
             Reader(b"\x09\x01").bits()
 
+    def test_overlong_varint(self):
+        # Zero is one byte; a last byte of 0 after a continuation byte
+        # writes it (or any value) a second way.
+        assert Reader(b"\x00").varint() == 0
+        assert Reader(b"\x80\x01").varint() == 128
+        for data in (b"\x80\x00", b"\x81\x00", b"\xff\x80\x00"):
+            with pytest.raises(TraceError, match="overlong varint"):
+                Reader(data).varint()
+
+    def test_flag_is_zero_or_one(self):
+        reader = Reader(b"\x00\x01")
+        assert (reader.flag(), reader.flag()) == (False, True)
+        assert reader.done()
+        for data in (b"\x02", b"\x81\x00", b"\xff"):
+            with pytest.raises(TraceError, match="neither 0 nor 1"):
+                Reader(data).flag()
+        with pytest.raises(TraceError, match="truncated flag"):
+            Reader(b"").flag()
+
+    def test_bit_vector_padding_is_zero(self):
+        out = bytearray()
+        write_bits(out, (True, False, True))
+        assert bytes(out) == b"\x03\x05"
+        assert Reader(bytes(out)).bits() == (True, False, True)
+        for padded in (b"\x03\x0d", b"\x03\x85"):
+            with pytest.raises(TraceError, match="padding"):
+                Reader(padded).bits()
+        # A whole last byte has no padding.
+        assert Reader(b"\x08\xff").bits() == (True,) * 8
+
     def test_memoryview_input(self):
         out = bytearray()
         write_string(out, "hé")
@@ -271,13 +303,32 @@ def _decodes_or_raises_typed(decoder, data):
         pass
 
 
+def _accepted_is_canonical(decoder, encoder, data):
+    """A payload a decoder accepts is the one encoding of its value."""
+    try:
+        value = decoder(data)
+    except SoftBorgError:
+        return None
+    assert encoder(value) == data
+    return value
+
+
 class TestDecoderFuzz:
-    """Any bytes give a decoded value or a SoftBorgError subclass."""
+    """Any bytes give a decoded value or a SoftBorgError subclass, and
+    a trace or batch that decodes re-encodes to the same bytes."""
 
     @settings(max_examples=300, deadline=None)
     @given(_mangled("trace"))
     def test_decode_trace(self, data):
-        _decodes_or_raises_typed(decode_trace, data)
+        # A decoded trace keeps its payload as its encode prefix, so the
+        # re-encode walks a fresh copy, which has no memo.
+        trace = _accepted_is_canonical(
+            decode_trace,
+            lambda trace: encode_trace(dataclasses.replace(trace)), data)
+        if trace is not None:
+            # The memoized digest is what a fresh copy computes.
+            assert trace_digest(trace) == trace_digest(
+                dataclasses.replace(trace))
 
     @settings(max_examples=300, deadline=None)
     @given(_mangled("program"))
@@ -287,7 +338,7 @@ class TestDecoderFuzz:
     @settings(max_examples=200, deadline=None)
     @given(_mangled("batch"))
     def test_decode_batch(self, data):
-        _decodes_or_raises_typed(decode_batch, data)
+        _accepted_is_canonical(decode_batch, encode_batch, data)
 
     @settings(max_examples=300, deadline=None)
     @given(_mangled("batch-body"))
@@ -295,9 +346,9 @@ class TestDecoderFuzz:
         # A recomputed CRC gets the mangled body past the checksum and
         # into the body parser. A batch that decodes must also ingest:
         # every entry is taken or counted, and nothing raises.
-        try:
-            batch = decode_batch(_with_crc(data))
-        except SoftBorgError:
+        batch = _accepted_is_canonical(decode_batch, encode_batch,
+                                       _with_crc(data))
+        if batch is None:
             return
         program = _fuzz_programs().get(batch.program_name,
                                        _fuzz_programs()["crash_demo"])
@@ -365,6 +416,31 @@ class TestPinnedPayloads:
                                  (decode_batch, _with_crc(huge))):
             with pytest.raises(TraceError, match="longer than"):
                 decoder(payload)
+
+    def test_trace_flags_are_zero_or_one(self):
+        # A replayable byte of 2 used to decode as False, so the trace
+        # did not re-encode to the payload it came from; the same held
+        # for the failure-site and guided flags.
+        data = encode_trace(Trace(program_name="p", program_version=1,
+                                  outcome=Outcome.OK))
+        assert data.hex(" ") == ("01 01 70 01 00 00 00 00"
+                                 " 00 01 00 00 00 00 00 00")
+        for index in (9, 13, 15):   # replayable, failure site, guided
+            mangled = bytearray(data)
+            mangled[index] = 2
+            with pytest.raises(TraceError, match="neither 0 nor 1"):
+                decode_trace(bytes(mangled))
+
+    def test_batch_flags_are_zero_or_one(self):
+        body = encode_batch(TraceBatch(shard_id=0, program_name="abc",
+                                       program_version=1))[:-4]
+        assert body.hex(" ") == "03 03 61 62 63 01 00 00 00 00"
+        context_flag = len(body) - 2
+        with pytest.raises(TraceError, match="neither 0 nor 1"):
+            decode_batch(_with_crc(body[:context_flag] + b"\x02\x00"))
+        entry = body[:-1] + b"\x01\x00\x02"   # one entry, index 0
+        with pytest.raises(TraceError, match="neither 0 nor 1"):
+            decode_batch(_with_crc(entry))
 
     def test_batch_with_valid_crc_and_bad_utf8_name(self):
         body = encode_batch(TraceBatch(shard_id=0, program_name="abc",

@@ -1,11 +1,13 @@
 """Workload population and metrics tests."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.metrics.bugdensity import BugDensityTracker
 from repro.metrics.report import format_float, render_table
-from repro.metrics.series import Series
+from repro.metrics.series import Series, bounded_mean
 from repro.progmodel.corpus import make_crash_demo
 from repro.workloads.population import UserPopulation
 from repro.workloads.scenarios import (
@@ -89,6 +91,27 @@ class TestSeries:
         assert series.mean_y() == 0.0
         assert series.last() is None
         assert series.first_x_where(lambda y: True) is None
+
+    def test_sums_add_left_to_right(self):
+        """Every mean and sum adds left to right, so it is the same on
+        every Python; the compensated ``sum()`` of 3.12+ differs on
+        these values."""
+        tenths = Series("s")
+        for x in range(10):
+            tenths.record(x, 0.1)
+        assert tenths.mean_y() == 0.09999999999999999
+        assert tenths.window_sum(10) == 0.9999999999999999
+        assert tenths.rollup(10.0) == [{
+            "start": 0.0, "end": 10.0, "count": 10.0,
+            "sum": 0.9999999999999999, "mean": 0.09999999999999999,
+            "min": 0.1, "max": 0.1}]
+        # The clamp keeps a constant window's mean exact...
+        assert tenths.window_mean(10) == 0.1
+        # ...and a varied one's is the left-to-right mean.
+        tenths.record(10, 0.2)
+        assert tenths.window_mean(11) == 0.10909090909090909
+        assert bounded_mean([0.1, 0.2, 0.3] * 3) == 0.20000000000000004
+        assert math.fsum([0.1, 0.2, 0.3] * 3) / 9 == 0.2
 
 
 class TestBugDensity:
