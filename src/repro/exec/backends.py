@@ -39,7 +39,8 @@ Backend choice is config- or environment-driven (``REPRO_BACKEND``);
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 try:  # pragma: no cover
     from typing import Protocol
@@ -147,6 +148,9 @@ class _BackendBase(Instrumented):
         #: publish. A pure function of the round plan, so it is
         #: backend-invariant and may appear in snapshots.
         self._epoch = 0
+        #: Every recycle path a shard has walked on the current hive
+        #: program (see :meth:`_count_divergences`).
+        self._walked_paths: Set[tuple] = set()
         self._tracer = get_tracer()
         self._obs_rounds = self.obs_counter("rounds")
         self._obs_publishes = self.obs_counter("publishes")
@@ -183,6 +187,8 @@ class _BackendBase(Instrumented):
         self._epoch += 1
         delta.epoch = self._epoch
         self._obs_publishes.inc()
+        if delta.hive_program is not None:
+            self._walked_paths.clear()        # shards walk afresh too
         self._publish(delta)
         return self._epoch
 
@@ -204,6 +210,7 @@ class _BackendBase(Instrumented):
             results = self._run_round(plan, ctx, sink)
         wall = max(time.perf_counter() - started, 1e-9)
         self._obs_rounds.inc()
+        self._count_divergences(results)
         for result in results:
             if result.spans:
                 self._tracer.adopt(result.spans)
@@ -221,6 +228,26 @@ class _BackendBase(Instrumented):
     def _run_round(self, plan: RoundPlan, ctx=None,
                    sink: Optional[WindowSink] = None) -> List[ShardResult]:
         raise NotImplementedError
+
+    def _count_divergences(self, results: List[ShardResult]) -> None:
+        """Count ``symbolic.recycle_diverged_<reason>`` once per path.
+
+        Each shard walks its own first run of a path, so two shards may
+        both walk it. Only the path's first walk in global order counts,
+        the one a single shard makes, so the counters read alike on
+        every backend and worker count.
+        """
+        walks = [walk for result in results for walk in result.recycle_walks]
+        if not walks:
+            return
+        walks.sort(key=itemgetter(0))
+        registry = get_registry()
+        for _index, decisions, reason in walks:
+            if decisions in self._walked_paths:
+                continue
+            self._walked_paths.add(decisions)
+            if reason is not None:
+                registry.counter(f"symbolic.recycle_diverged_{reason}").inc()
 
     def close(self) -> None:
         pass

@@ -106,6 +106,11 @@ class ShardResult:
     #: coordinator channel like spans/counters — the pod uplink wire
     #: format is untouched.
     cache_delta: List = field(default_factory=list)
+    #: The shard's recycle walks (``Shard._recycle``), one per path it
+    #: walked first: ``(global_index, decisions, divergence)``, the
+    #: divergence reason None when the walk banked. The backend counts
+    #: each path's first walk across shards once (``_BackendBase``).
+    recycle_walks: List = field(default_factory=list)
 
 
 # -- wire encoding ------------------------------------------------------------
@@ -251,8 +256,8 @@ class BatchAccumulator:
 
 def merge_windows(windows: Sequence[ShardResult]) -> ShardResult:
     """One shard's round result: its window results concatenated in
-    window order — records, window batches, spans, cache facts — with
-    the busy time summed."""
+    window order — records, window batches, spans, cache facts, recycle
+    walks — with the busy time summed."""
     merged = ShardResult(shard_id=windows[0].shard_id)
     spans: List = []
     for window in windows:
@@ -260,6 +265,7 @@ def merge_windows(windows: Sequence[ShardResult]) -> ShardResult:
         merged.batches.extend(window.batches)
         spans.extend(window.spans)
         merged.cache_delta.extend(window.cache_delta)
+        merged.recycle_walks.extend(window.recycle_walks)
         merged.busy_seconds += window.busy_seconds
     # No spans: the empty tuple a disabled recorder ships.
     merged.spans = spans or ()

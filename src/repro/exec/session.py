@@ -180,6 +180,7 @@ class ResultPacker:
             result.busy_seconds,
             result.spans,
             result.cache_delta,
+            result.recycle_walks,
         )
 
 
@@ -196,7 +197,8 @@ class ResultUnpacker:
 
     def unpack(self, packed: tuple) -> ShardResult:
         (shard_id, (outcomes, record_rows, failures),
-         (payloads, batch_rows), busy_seconds, spans, cache_delta) = packed
+         (payloads, batch_rows), busy_seconds, spans, cache_delta,
+         recycle_walks) = packed
         outcome_table = self._outcomes
         outcome_table.extend(Outcome(value) for value in outcomes)
         payload_table = self._payloads
@@ -225,5 +227,5 @@ class ResultUnpacker:
         return ShardResult(
             shard_id=shard_id, records=records, batches=batches,
             busy_seconds=busy_seconds, spans=spans,
-            cache_delta=cache_delta,
+            cache_delta=cache_delta, recycle_walks=recycle_walks,
         )

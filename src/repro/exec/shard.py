@@ -65,6 +65,7 @@ class Shard:
         self.solver_cache = solver_cache
         self._recycle_engine = None
         self._recycled_paths = set()
+        self._walks: List[tuple] = []          # this window's, see _recycle
         # Resolved once, like the metric handles; a disabled tracer
         # hands out a shared no-op recorder so the hot loop stays flat.
         self._tracer = get_tracer()
@@ -203,6 +204,7 @@ class Shard:
                 spans=recorder.take(),
                 cache_delta=(self.solver_cache.export_delta()
                              if recycling else []),
+                recycle_walks=self._take_walks(),
             )
 
     # -- constraint recycling --------------------------------------------------
@@ -213,7 +215,9 @@ class Shard:
         Each distinct decision path is walked once per program version;
         repeats — the common case inside a round — are skipped by the
         seen-set, so recycling cost is bounded by path diversity, not
-        run count.
+        run count. Each walk is reported in the window's
+        ``recycle_walks`` with its divergence reason; the backend counts
+        a path's reason once however many shards walk it.
         """
         if not decisions:
             return
@@ -227,6 +231,12 @@ class Shard:
         with recorder.span("cache.recycle", key=global_index) as span:
             banked = self._recycle_engine.recycle_witness(decisions, inputs)
             span.set(banked=banked)
+        self._walks.append((global_index, decisions,
+                            self._recycle_engine.divergence))
+
+    def _take_walks(self) -> List[tuple]:
+        walks, self._walks = self._walks, []
+        return walks
 
     # -- collection -----------------------------------------------------------
 

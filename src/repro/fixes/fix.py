@@ -16,9 +16,10 @@ RECOVERY_FLAG = "__recovered"
 
 
 def clone_program(program: Program, bump_version: bool = True) -> Program:
-    """Deep-copy a program (expressions are immutable but blocks are
-    not), optionally bumping the version so traces from unfixed pods
-    cannot be replayed against the wrong program."""
+    """Deep-copy a program's blocks and instructions, which a fix may
+    change; its expressions are immutable and shared, memos included
+    (``Expr.__deepcopy__``). Optionally bumps the version so traces
+    from unfixed pods cannot be replayed against the wrong program."""
     cloned = copy.deepcopy(program)
     if bump_version:
         cloned.version = program.version + 1

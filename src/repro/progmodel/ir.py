@@ -91,6 +91,19 @@ class Expr:
 
     __hash__ = None  # type: ignore[assignment]
 
+    # Nodes are immutable, and the symbolic layer memoizes derived
+    # values on them (key, inputs, fold, evaluator, renamed keys). A
+    # deep copy therefore shares the node, memos and all; a pickle
+    # carries only the structure (every subclass's ``__slots__`` are its
+    # constructor arguments, in order), so no memo, closure included,
+    # ever crosses a process boundary.
+    def __deepcopy__(self, memo) -> "Expr":
+        return self
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name)
+                                 for name in self.__slots__)
+
     def key(self) -> Tuple:
         """A hashable structural key (used instead of __eq__/__hash__).
 

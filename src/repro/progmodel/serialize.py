@@ -17,7 +17,7 @@ invalid program.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ProgramModelError, TraceError
 from repro.progmodel.ir import (
@@ -275,8 +275,21 @@ def _write_block(out: bytearray, block: Block) -> None:
     _write_terminator(out, block.terminator)
 
 
+def _sorted_name(r: Reader, table: str, previous: Optional[str]) -> str:
+    """The next name of a table :func:`encode_program` writes sorted:
+    it must sort strictly after ``previous``, so a payload that decodes
+    is the one encoding of its program (no reordered or repeated name)."""
+    name = r.string()
+    if previous is not None and name <= previous:
+        raise TraceError(f"{table} name {name!r} is not after {previous!r}")
+    return name
+
+
 def decode_program(data: bytes) -> Program:
-    """Inverse of :func:`encode_program`; validates the result."""
+    """Inverse of :func:`encode_program`; validates the result.
+
+    Canonical: any payload it accepts re-encodes to the same bytes.
+    """
     r = Reader(data)
     version = r.varint()
     if version != _FORMAT_VERSION:
@@ -285,21 +298,25 @@ def decode_program(data: bytes) -> Program:
     program_version = r.varint()
     threads = tuple(r.string() for _ in range(r.count()))
     inputs: Dict[str, Tuple[int, int]] = {}
+    input_name = None
     for _ in range(r.count()):
-        input_name = r.string()
+        input_name = _sorted_name(r, "input", input_name)
         inputs[input_name] = (r.zigzag(), r.zigzag())
     global_vars: Dict[str, int] = {}
+    global_name = None
     for _ in range(r.count()):
-        global_name = r.string()
+        global_name = _sorted_name(r, "global", global_name)
         global_vars[global_name] = r.zigzag()
     functions: Dict[str, Function] = {}
+    fname = None
     for _ in range(r.count()):
-        fname = r.string()
+        fname = _sorted_name(r, "function", fname)
         params = tuple(r.string() for _ in range(r.count()))
         entry = r.string()
         blocks: Dict[str, Block] = {}
+        label = None
         for _b in range(r.count()):
-            label = r.string()
+            label = _sorted_name(r, "block", label)
             instructions: List[Instruction] = [
                 _read_instruction(r) for _ in range(r.count())]
             terminator = _read_terminator(r)

@@ -43,6 +43,7 @@ keeps cache-enabled runs bit-identical across backends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import (
     Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
     Sequence, Set, Tuple,
@@ -91,17 +92,6 @@ def _renamed(key: object, renaming: Mapping[str, int]) -> object:
     return key
 
 
-def _key_symbols(key: object, out: List[str]) -> None:
-    """Append first-seen Input names in key order."""
-    if isinstance(key, tuple):
-        if key and key[0] == "input":
-            if key[1] not in out:
-                out.append(key[1])
-            return
-        for part in key:
-            _key_symbols(part, out)
-
-
 def _skeleton_of(expr: Expr) -> str:
     """``repr(_masked(expr.key()))``, memoized on the (immutable) node.
 
@@ -116,6 +106,22 @@ def _skeleton_of(expr: Expr) -> str:
         return skeleton
 
 
+def _renamed_key(expr: Expr, indices: Tuple[int, ...]) -> object:
+    """``expr.key()`` with its i-th first-seen Input name (``inputs()``
+    order) replaced by ``indices[i]``, memoized on the node per index
+    tuple: a conjunct re-keyed as its slice grows walks its key once
+    for each renaming it meets, not once per re-key."""
+    try:
+        memo = expr._renamed
+    except AttributeError:
+        memo = expr._renamed = {}
+    key = memo.get(indices)
+    if key is None:
+        key = memo[indices] = _renamed(
+            expr.key(), dict(zip(expr.inputs(), indices)))
+    return key
+
+
 def canonical_slice_key(
         conjuncts: Sequence[Conjunct]) -> Tuple[CanonicalKey, Tuple[str, ...]]:
     """Canonicalize one slice under symbol renaming.
@@ -123,33 +129,37 @@ def canonical_slice_key(
     Returns ``(key, order)``: ``key`` is identical for α-equivalent
     conjunct sets and ``order[i]`` names the actual symbol bound to
     canonical index ``i`` in *this* condition.
+
+    Conjuncts sort stably by (skeleton, truth); symbols take dense
+    indices in first-seen order over that sorted list, each conjunct's
+    names in its ``inputs()`` order (the order its key lists them).
     """
-    tagged = [(_skeleton_of(expr), truth, expr.key())
-              for expr, truth in conjuncts]
-    tagged.sort(key=lambda item: (item[0], item[1]))
-    order: List[str] = []
-    for _skeleton, _truth, key_tuple in tagged:
-        _key_symbols(key_tuple, order)
-    renaming = {name: index for index, name in enumerate(order)}
-    key = tuple((_renamed(key_tuple, renaming), truth)
-                for _skeleton, truth, key_tuple in tagged)
-    return key, tuple(order)
+    tagged = [(_skeleton_of(expr), truth, expr) for expr, truth in conjuncts]
+    tagged.sort(key=itemgetter(0, 1))
+    renaming: Dict[str, int] = {}
+    key = []
+    for _skeleton, truth, expr in tagged:
+        indices = []
+        for name in expr.inputs():
+            index = renaming.get(name)
+            if index is None:
+                index = renaming[name] = len(renaming)
+            indices.append(index)
+        key.append((_renamed_key(expr, tuple(indices)), truth))
+    return tuple(key), tuple(renaming)
 
 
 # -- slicing ------------------------------------------------------------------
 
 @dataclass
 class ConditionSlice:
-    """One connected component of the constraint/symbol graph."""
+    """One connected component of the constraint/symbol graph, keyed
+    by :func:`canonical_slice_key` of its conjuncts."""
 
     conjuncts: List[Conjunct]
     symbols: Tuple[str, ...]          # first-seen order within the slice
-    key: CanonicalKey = ()
-    order: Tuple[str, ...] = ()       # canonical index -> symbol name
-
-    def __post_init__(self) -> None:
-        if not self.key:
-            self.key, self.order = canonical_slice_key(self.conjuncts)
+    key: CanonicalKey
+    order: Tuple[str, ...]            # canonical index -> symbol name
 
 
 def conjunct_slices(conjuncts: Sequence[Conjunct]) -> List[ConditionSlice]:
@@ -183,31 +193,20 @@ def conjunct_slices(conjuncts: Sequence[Conjunct]) -> List[ConditionSlice]:
         for other in names[1:]:
             union(names[0], other)
 
-    groups: Dict[str, ConditionSlice] = {}
-    constant: Optional[ConditionSlice] = None
-    out: List[ConditionSlice] = []
-    for index, (conjunct, names) in enumerate(zip(conjuncts, per_conjunct)):
-        if not names:
-            if constant is None:
-                constant = ConditionSlice([conjunct], ())
-                out.append(constant)
-            else:
-                constant.conjuncts.append(conjunct)
-            continue
-        root = find(names[0])
-        piece = groups.get(root)
-        if piece is None:
-            piece = ConditionSlice([conjunct], names)
-            groups[root] = piece
-            out.append(piece)
-        else:
-            piece.conjuncts.append(conjunct)
-            fresh = tuple(n for n in names if n not in piece.symbols)
-            piece.symbols = piece.symbols + fresh
-    # Keys were computed from the partial conjunct lists during
-    # construction — recompute now the components are complete.
-    for piece in out:
-        piece.key, piece.order = canonical_slice_key(piece.conjuncts)
+    # Group first (constant conjuncts under None), then key each
+    # complete slice once.
+    groups: Dict[Optional[str], Tuple[List[Conjunct], List[str]]] = {}
+    for conjunct, names in zip(conjuncts, per_conjunct):
+        root = find(names[0]) if names else None
+        members, symbols = groups.setdefault(root, ([], []))
+        members.append(conjunct)
+        for name in names:
+            if name not in symbols:
+                symbols.append(name)
+    out = []
+    for members, symbols in groups.values():
+        key, order = canonical_slice_key(members)
+        out.append(ConditionSlice(members, tuple(symbols), key, order))
     return out
 
 

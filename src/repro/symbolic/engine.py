@@ -48,9 +48,10 @@ from repro.progmodel.ir import (
     Return,
     StoreGlobal,
     Syscall,
+    UnOp,
     Unlock,
 )
-from repro.symbolic.expr import eval_concrete, fold, substitute
+from repro.symbolic.expr import evaluator, fold, substitute
 from repro.symbolic.pathcond import PathCondition
 from repro.symbolic.solver import EnumerationSolver, Model
 
@@ -171,6 +172,8 @@ class SymbolicEngine(Instrumented):
         self._read_size = syscall_read_size
         self._domains: Dict[str, Tuple[int, int]] = dict(program.inputs)
         self._recycle_root: Optional[_RecycleNode] = None
+        #: Why the last :meth:`recycle_witness` walk diverged, or None.
+        self.divergence: Optional[str] = None
         self._obs_paths = self.obs_counter("paths_explored")
         self._obs_solver_calls = self.obs_counter("solver_calls")
         self._obs_explore = self.obs_timer("explore")
@@ -278,8 +281,15 @@ class SymbolicEngine(Instrumented):
         Returns False when the walk diverges (fault-driven decisions
         the fault-free model cannot force) — nothing wrong, just no
         recyclable by-product; facts banked before the divergence are
-        still sound.
+        still sound. The walk leaves its reason in :attr:`divergence`
+        (None when it banks): the model forks at a site the recorded
+        path never decided (``fork``), evaluating the fork's condition
+        raises (``error``), the run's inputs take the other direction
+        (``direction``), or the model's path ends before the recorded
+        one (``ended``). The executor backend counts each distinct
+        path's reason once (``symbolic.recycle_diverged_<reason>``).
         """
+        self.divergence = None
         cache = self.solver.cache
         if cache is None:
             return False
@@ -293,22 +303,23 @@ class SymbolicEngine(Instrumented):
             if fork is None:
                 fork = self._advance_node(node)
             if fork is _DONE:
-                break
+                return self._diverged("ended")
             site, cond = fork
             # Same skip rule as solve_prefix: concretely-resolved
             # decisions in the recorded path never become fork sites.
             while position < end and decisions[position][0] != site:
                 position += 1
             if position == end:
-                return False
+                return self._diverged("fork")
             taken = decisions[position][1]
             position += 1
             try:
-                value = eval_concrete(cond, inputs)
+                value = evaluator(cond)(inputs)
             except (ZeroDivisionError, SymbolicError):
-                return False
+                return self._diverged("error")
             if bool(value) != taken:
-                return False  # trace and fault-free model disagree
+                # The run's inputs and the fault-free model disagree.
+                return self._diverged("direction")
             child = node.children[taken]
             if child is None:
                 child = self._grow_node(node, site, cond, taken)
@@ -317,7 +328,12 @@ class SymbolicEngine(Instrumented):
                     cache.store_sat(key, order,
                                     {name: inputs[name] for name in symbols})
             node = child
-        return position == end
+        return True
+
+    def _diverged(self, reason: str) -> bool:
+        """Record why a recycle walk stopped short; always False."""
+        self.divergence = reason
+        return False
 
     def _advance_node(self, node: _RecycleNode):
         """Advance a new trie node to its next fork, once."""
@@ -682,14 +698,13 @@ class SymbolicEngine(Instrumented):
 
     def _value(self, state: _SymState, frame: _SymFrame, expr: Expr) -> Expr:
         resolved = fold(substitute(expr, frame.locals))
-        for node in resolved.walk():
-            if isinstance(node, BinOp) and node.op in ("//", "%"):
-                if not isinstance(node.right, Const):
-                    raise SymbolicError(
-                        "symbolic denominator not supported; corpus"
-                        " programs divide by constants only")
-                if node.right.value == 0:
-                    raise _DivisionByZero()
+        division = _first_bad_division(resolved)
+        if division is _SYMBOLIC_DENOMINATOR:
+            raise SymbolicError(
+                "symbolic denominator not supported; corpus"
+                " programs divide by constants only")
+        if division is _ZERO_DENOMINATOR:
+            raise _DivisionByZero()
         return resolved
 
     def _syscall(self, state: _SymState, frame: _SymFrame,
@@ -741,3 +756,33 @@ class SymbolicEngine(Instrumented):
 
 class _DivisionByZero(Exception):
     """Internal: concrete division by zero on a symbolic path."""
+
+
+_SYMBOLIC_DENOMINATOR = "symbolic"
+_ZERO_DENOMINATOR = "zero"
+
+
+def _first_bad_division(node: Expr) -> Optional[str]:
+    """The first ``//`` or ``%`` in pre-order whose denominator is
+    symbolic or the constant 0 (which of the two, or None), memoized on
+    the (immutable) node, so a value resolved again reads one
+    attribute and a new node walks only its own new spine."""
+    try:
+        return node._bad_division
+    except AttributeError:
+        pass
+    found = None
+    if isinstance(node, BinOp):
+        if node.op in ("//", "%"):
+            right = node.right
+            if not isinstance(right, Const):
+                found = _SYMBOLIC_DENOMINATOR
+            elif right.value == 0:
+                found = _ZERO_DENOMINATOR
+        if found is None:
+            found = (_first_bad_division(node.left)
+                     or _first_bad_division(node.right))
+    elif isinstance(node, UnOp):
+        found = _first_bad_division(node.operand)
+    node._bad_division = found
+    return found

@@ -4,7 +4,8 @@ Symbolic values *are* IR expressions whose only non-constant leaves are
 :class:`~repro.progmodel.ir.Input` nodes (program inputs, or fresh
 symbols the engine mints for symbolic syscall returns). This module
 provides the shared operator semantics, constant folding, substitution,
-and concrete evaluation.
+and concrete evaluation, through a closure each node is lowered into
+once (:func:`evaluator`).
 
 **Interning.** The engine re-derives the same sub-expressions at every
 fork (``fold(substitute(...))`` per branch), so :func:`fold` and
@@ -21,13 +22,14 @@ docs/PERFORMANCE.md for the invariant argument).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+import operator
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.errors import SymbolicError
 from repro.progmodel.ir import BinOp, Const, Expr, Input, UnOp, Var
 
-__all__ = ["apply_op", "fold", "substitute", "eval_concrete", "is_const",
-           "intern_expr"]
+__all__ = ["apply_op", "fold", "substitute", "eval_concrete", "evaluator",
+           "is_const", "intern_expr"]
 
 # Hash-consing table: structural key -> canonical node. Bounded by a
 # wholesale clear (entries are pure caches; losing them loses sharing,
@@ -65,43 +67,42 @@ def _const(value: int) -> Const:
     return intern_expr(Const(value))
 
 
+def _and(left: int, right: int) -> int:
+    return 1 if left and right else 0
+
+
+def _or(left: int, right: int) -> int:
+    return 1 if left or right else 0
+
+
+# Every binary operator, the one definition both folding
+# (:func:`apply_op`) and lowering (:func:`evaluator`) use: those that
+# yield the int itself, and comparisons, whose bool becomes 1 or 0.
+# ``and``/``or`` are functions, so both operands always evaluate.
+_INTEGER_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "//": operator.floordiv, "%": operator.mod, "min": min, "max": max,
+    "and": _and, "or": _or,
+}
+_COMPARISONS = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
 def apply_op(op: str, left: int, right: int) -> int:
     """Integer semantics shared with the concrete interpreter.
 
     Raises ZeroDivisionError for ``// 0`` and ``% 0`` — callers decide
     whether that is a crash path or an infeasible evaluation.
     """
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "//":
-        return left // right
-    if op == "%":
-        return left % right
-    if op == "==":
-        return int(left == right)
-    if op == "!=":
-        return int(left != right)
-    if op == "<":
-        return int(left < right)
-    if op == "<=":
-        return int(left <= right)
-    if op == ">":
-        return int(left > right)
-    if op == ">=":
-        return int(left >= right)
-    if op == "and":
-        return int(bool(left) and bool(right))
-    if op == "or":
-        return int(bool(left) or bool(right))
-    if op == "min":
-        return min(left, right)
-    if op == "max":
-        return max(left, right)
-    raise SymbolicError(f"unknown operator {op!r}")
+    fn = _INTEGER_OPS.get(op)
+    if fn is not None:
+        return fn(left, right)
+    compare = _COMPARISONS.get(op)
+    if compare is None:
+        raise SymbolicError(f"unknown operator {op!r}")
+    return 1 if compare(left, right) else 0
 
 
 def is_const(expr: Expr) -> bool:
@@ -221,21 +222,95 @@ def eval_concrete(expr: Expr, env: Mapping[str, int]) -> int:
     Var leaves are not allowed here — substitute them away first.
     Raises ZeroDivisionError on division/modulo by zero.
     """
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Input):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise SymbolicError(f"unbound symbol {expr.name!r}")
-    if isinstance(expr, Var):
-        raise SymbolicError(
-            f"eval_concrete saw unresolved variable {expr.name!r}")
-    if isinstance(expr, UnOp):
-        value = eval_concrete(expr.operand, env)
-        return -value if expr.op == "neg" else int(value == 0)
+    return evaluator(expr)(env)
+
+
+Evaluator = Callable[[Mapping[str, int]], int]
+
+
+def evaluator(expr: Expr) -> Evaluator:
+    """``expr`` lowered once into a closure over ``env``.
+
+    ``evaluator(expr)(env)`` is :func:`eval_concrete`'s value, exactly:
+    operands evaluate left to right and both always do (``0 and x // 0``
+    still raises ZeroDivisionError), ``//`` and ``%`` floor, and an
+    unbound Input or a Var raises the same SymbolicError. The closure
+    is memoized on the (immutable) node, and so are its operands', so a
+    conjunct the solver checks thousands of times is lowered once, on
+    its first evaluation.
+    """
+    try:
+        return expr._eval
+    except AttributeError:
+        pass
     if isinstance(expr, BinOp):
-        return apply_op(expr.op,
-                        eval_concrete(expr.left, env),
-                        eval_concrete(expr.right, env))
-    raise SymbolicError(f"cannot evaluate {expr!r}")
+        lowered = _lower_binop(expr.op, expr.left, expr.right)
+    elif isinstance(expr, UnOp):
+        operand = evaluator(expr.operand)
+        if expr.op == "neg":
+            lowered = lambda env: -operand(env)
+        else:
+            lowered = lambda env: 1 if operand(env) == 0 else 0
+    elif isinstance(expr, Const):
+        value = expr.value
+        lowered = lambda env: value
+    elif isinstance(expr, Input):
+        lowered = _reader(expr.name)
+    elif isinstance(expr, Var):
+        lowered = _raiser(
+            f"eval_concrete saw unresolved variable {expr.name!r}")
+    else:
+        lowered = _raiser(f"cannot evaluate {expr!r}")
+    expr._eval = lowered
+    return lowered
+
+
+def _reader(name: str) -> Evaluator:
+    def read(env):
+        try:
+            return env[name]
+        except KeyError:
+            raise SymbolicError(f"unbound symbol {name!r}")
+    return read
+
+
+def _raiser(message: str) -> Evaluator:
+    def fail(env):
+        raise SymbolicError(message)
+    return fail
+
+
+def _lower_binop(op: str, left: Expr, right: Expr) -> Evaluator:
+    """A BinOp's closure. A constant operand is bound as a value, and
+    ``Input <op> Const``, the commonest leaf pair in branch conditions,
+    reads ``env`` itself: one call for the pair instead of three."""
+    fn = _INTEGER_OPS.get(op)
+    compare = _COMPARISONS.get(op)
+    if isinstance(right, Const):
+        b = right.value
+        if isinstance(left, Input):
+            name = left.name
+
+            def input_const(env):
+                try:
+                    a = env[name]
+                except KeyError:
+                    raise SymbolicError(f"unbound symbol {name!r}")
+                if compare is None:
+                    return fn(a, b)
+                return 1 if compare(a, b) else 0
+            return input_const
+        first = evaluator(left)
+        if compare is not None:
+            return lambda env: 1 if compare(first(env), b) else 0
+        return lambda env: fn(first(env), b)
+    second = evaluator(right)
+    if isinstance(left, Const):
+        a = left.value
+        if compare is not None:
+            return lambda env: 1 if compare(a, second(env)) else 0
+        return lambda env: fn(a, second(env))
+    first = evaluator(left)
+    if compare is not None:
+        return lambda env: 1 if compare(first(env), second(env)) else 0
+    return lambda env: fn(first(env), second(env))

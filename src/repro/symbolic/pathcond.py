@@ -10,7 +10,7 @@ from repro.progmodel.ir import Expr
 from repro.symbolic.cache import (
     SliceMemo, build_slice_memos, extend_slice_memos,
 )
-from repro.symbolic.expr import eval_concrete
+from repro.symbolic.expr import evaluator
 
 __all__ = ["PathCondition"]
 
@@ -19,8 +19,14 @@ __all__ = ["PathCondition"]
 _EMPTY_DIGEST = hashlib.blake2b(b"", digest_size=16).hexdigest()
 
 
-def _extend_digest(parent: str, key: Tuple) -> str:
-    payload = parent.encode("ascii") + repr(key).encode("utf-8")
+def _extend_digest(parent: str, expr: Expr, truth: bool) -> str:
+    """``parent`` folded with ``repr((expr.key(), truth))``; the key's
+    ``repr`` is memoized on the (immutable) node."""
+    try:
+        key_repr = expr._key_repr
+    except AttributeError:
+        key_repr = expr._key_repr = repr(expr.key())
+    payload = f"{parent}({key_repr}, {truth!r})".encode("utf-8")
     return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
@@ -69,7 +75,7 @@ class PathCondition:
         child._conjunct_keys = self._keys() | {key}
         child._slices = extend_slice_memos(
             self.slice_memos(), len(self.constraints), (expr, truth))
-        child._digest = _extend_digest(self.digest(), key)
+        child._digest = _extend_digest(self.digest(), expr, truth)
         return child
 
     def __len__(self) -> int:
@@ -80,7 +86,7 @@ class PathCondition:
         (the assignment would have crashed before completing the path)."""
         for expr, truth in self.constraints:
             try:
-                value = eval_concrete(expr, env)
+                value = evaluator(expr)(env)
             except ZeroDivisionError:
                 return False
             if bool(value) != truth:
@@ -117,7 +123,7 @@ class PathCondition:
         if self._digest is None:
             digest = _EMPTY_DIGEST
             for expr, truth in self.constraints:
-                digest = _extend_digest(digest, (expr.key(), truth))
+                digest = _extend_digest(digest, expr, truth)
             self._digest = digest
         return self._digest
 

@@ -33,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.config import BaseReport
 from repro.errors import SolverError
-from repro.symbolic.expr import eval_concrete
+from repro.symbolic.expr import evaluator
 from repro.symbolic.pathcond import PathCondition
 
 if TYPE_CHECKING:
@@ -168,7 +168,9 @@ class EnumerationSolver:
         cache = self.cache
         if not piece.symbols:
             # Constant conjuncts: nothing to search, just evaluate.
-            return {} if self._check(piece.conjuncts, {}) else None
+            checks = [(evaluator(expr), truth)
+                      for expr, truth in piece.conjuncts]
+            return {} if self._check(checks, {}) else None
         # Tier 1: exact hit — a stored model valid under current domains.
         self._charge(1)
         cached = cache.probe_sat(piece.key, piece.order, domains)
@@ -239,7 +241,7 @@ class EnumerationSolver:
         """Uncounted satisfaction check (cost charged by the caller)."""
         for expr, truth in constraints:
             try:
-                value = eval_concrete(expr, model)
+                value = evaluator(expr)(model)
             except ZeroDivisionError:
                 return False
             if bool(value) != truth:
@@ -250,27 +252,31 @@ class EnumerationSolver:
                           symbols: Sequence[str], domains
                           ) -> Optional[Model]:
         """Backtracking search over the given conjuncts and symbols."""
-        # Order constraints by when their symbols become fully bound.
+        # Order constraints by when their symbols become fully bound;
+        # each slot holds the (evaluator, truth) checks that become
+        # decidable there.
         order = list(symbols)
         ready_at: List[List[Tuple]] = [[] for _ in range(len(order) + 1)]
         position = {name: i for i, name in enumerate(order)}
         for expr, truth in constraints:
             needed = [position[name] for name in expr.inputs()]
             slot = (max(needed) + 1) if needed else 0
-            ready_at[slot].append((expr, truth))
+            ready_at[slot].append((evaluator(expr), truth))
 
         model: Model = {}
         if self._search(0, order, ready_at, domains, model):
             return dict(model)
         return None
 
-    def _check(self, constraints, model: Model) -> bool:
-        for expr, truth in constraints:
-            self.stats.evaluations += 1
-            if self.stats.evaluations > self._call_budget_end:
+    def _check(self, checks, model: Model) -> bool:
+        """Counted check of ``(evaluator, truth)`` pairs against ``model``."""
+        stats = self.stats
+        for evaluate, truth in checks:
+            stats.evaluations += 1
+            if stats.evaluations > self._call_budget_end:
                 raise SolverError("solver evaluation budget exhausted")
             try:
-                value = eval_concrete(expr, model)
+                value = evaluate(model)
             except ZeroDivisionError:
                 return False
             if bool(value) != truth:

@@ -445,18 +445,24 @@ class TestSessionWire:
             scenario = factory(seed=3)
             rounds.append((scenario.program, _population_plan(
                 scenario.program, scenario.population, n_runs=24)))
+        walked = 0
         for program, plan in rounds:
-            with SerialBackend(_session_pods(program), program) as backend:
+            with SerialBackend(_session_pods(program), program,
+                               solver_cache=True) as backend:
                 result = backend.run_round(plan)[0]
             clone = ResultUnpacker().unpack(ResultPacker().pack(result))
             assert clone.shard_id == result.shard_id
             assert clone.records == result.records
             assert clone.busy_seconds == result.busy_seconds
+            assert clone.cache_delta == result.cache_delta
+            assert clone.recycle_walks == result.recycle_walks
+            walked += len(result.recycle_walks)
             assert len(clone.batches) == len(result.batches)
             for original, copy in zip(result.batches, clone.batches):
                 assert copy.program_version == original.program_version
                 assert [e.payload for e in copy.entries] == \
                     [e.payload for e in original.entries]
+        assert walked > 0
 
 
 # -- round-scoped recycling ----------------------------------------------------

@@ -315,19 +315,72 @@ class TestWitnessRecycling:
         cache = ConstraintCache()
         engine = SymbolicEngine(program, cache=cache)
         paths = engine.explore()
-        forked = [p for p in paths if p.decisions]
-        target = forked[0]
-        wrong = {name: hi for name, (_lo, hi)
-                 in program.inputs.items()}
-        flipped = tuple((site, not taken)
-                        for site, taken in target.decisions)
-        assert engine.recycle_witness(flipped, wrong) in (False, True)
+        target = next(p for p in paths if p.decisions)
+        # The path's own inputs take its first decision, so the walk
+        # must stop there, on the flipped direction.
+        (site, taken), *rest = target.decisions
+        flipped = ((site, not taken), *rest)
+        assert engine.recycle_witness(flipped,
+                                      target.example_inputs) is False
+        assert engine.divergence == "direction"
+        assert engine.recycle_witness(target.decisions,
+                                      target.example_inputs) is True
+        assert engine.divergence is None
         # Whatever was banked must still be sound: replaying any cached
         # SAT model against its own slice is a tautology by
         # construction, so just confirm solve verdicts are unchanged.
         for path in paths:
             assert SymbolicEngine(program, cache=cache).solve_prefix(
                 path.decisions) is not None
+
+    def test_each_divergence_names_its_reason(self):
+        from repro.progmodel.builder import ProgramBuilder
+        b = ProgramBuilder("diverge")
+        b.declare_input("n", 0, 9)
+        main = b.function("main")
+        main.block("entry").branch(Input("n") > 4, "big", "small")
+        main.block("big").branch(Input("n") > 6, "done", "done")
+        main.block("small").ret(0)
+        main.block("done").ret(0)
+        engine = SymbolicEngine(b.build(), cache=ConstraintCache())
+        first, second = (0, "main", "entry"), (0, "main", "big")
+        walks = (
+            # n = 2 takes the other direction at the first fork.
+            ("direction", ((first, True),), {"n": 2}),
+            # The model forks at ``big``; the path never decided it.
+            ("fork", ((first, True), ((0, "main", "gone"), True)),
+             {"n": 7}),
+            # ``small`` returns while the path still has a decision.
+            ("ended", ((first, False), (second, True)), {"n": 2}),
+            # The first fork's condition reads an unbound input.
+            ("error", ((first, True),), {}),
+        )
+        for reason, decisions, inputs in walks:
+            assert engine.recycle_witness(decisions, inputs) is False
+            assert engine.divergence == reason
+        assert engine.recycle_witness(((first, True), (second, True)),
+                                      {"n": 7}) is True
+        assert engine.divergence is None
+
+
+@pytest.fixture
+def registry():
+    """A fresh process registry for the test, restored afterwards."""
+    from repro import obs
+    from repro.obs import Registry
+    previous = obs.set_registry(Registry())
+    try:
+        yield obs.get_registry()
+    finally:
+        obs.set_registry(previous)
+
+
+def _divergences(registry):
+    """Recycle divergences counted so far, by reason."""
+    prefix = "symbolic.recycle_diverged_"
+    return {name[len(prefix):]: value
+            for name, value in registry.counters().items()
+            if name.startswith(prefix)}
 
 
 def _reference_recycle(engine, decisions, inputs):
@@ -370,7 +423,7 @@ def _reference_recycle(engine, decisions, inputs):
     return not script
 
 
-def _repair_platform(seed):
+def _repair_platform(seed, backend="serial", workers=0):
     """The repo benchmark's repair workload (perfbench ``_repair``)."""
     from repro.platform import PlatformConfig, SoftBorgPlatform
     from repro.progmodel.bugs import BugKind
@@ -388,7 +441,64 @@ def _repair_platform(seed):
         PlatformConfig(n_pods=8, rounds=12, executions_per_round=25,
                        guidance=True, enable_proofs=True,
                        solver_cache="collective", seed=seed,
-                       backend="serial"))
+                       backend=backend, workers=workers))
+
+
+class TestRecycleDivergenceCounts:
+    """Every counted divergence on a fault-free workload is a bug, and
+    each distinct path counts once, however many shards walk it."""
+
+    def test_first_walk_of_a_path_counts_once(self, registry):
+        from repro.exec.backends import SerialBackend
+        from repro.exec.batch import ShardResult
+        from repro.exec.session import SyncDelta
+        from repro.workloads.scenarios import crash_scenario
+        program = crash_scenario().program
+        backend = SerialBackend([], program)
+        a, b = (("s", True),), (("s", False),)
+        # Two shards walk path ``a``: the earlier run (index 3) banked,
+        # so the later one's divergence is not counted.
+        backend._count_divergences([
+            ShardResult(0, recycle_walks=[(5, a, "direction"),
+                                          (8, b, "fork")]),
+            ShardResult(1, recycle_walks=[(3, a, None),
+                                          (9, b, "fork")]),
+        ])
+        assert _divergences(registry) == {"fork": 1}
+        # Walked again in a later round: counted already.
+        backend._count_divergences([
+            ShardResult(1, recycle_walks=[(0, b, "fork")])])
+        assert _divergences(registry) == {"fork": 1}
+        # A new hive program: shards walk every path afresh.
+        backend.publish(SyncDelta(hive_program=program))
+        backend._count_divergences([
+            ShardResult(0, recycle_walks=[(0, b, "fork")])])
+        assert _divergences(registry) == {"fork": 2}
+
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_repair_counts_none_on_any_backend(self, registry, seed):
+        # The repair workload has no environment faults.
+        for backend, workers in (("serial", 0), ("process", 2)):
+            _repair_platform(seed, backend, workers).run()
+            assert _divergences(registry) == {}
+            assert registry.counters()["symbolic.cache.hits"] > 0
+
+    def test_faulted_runs_count_alike_on_serial_and_two_workers(
+            self, registry):
+        # Short reads injected by the environment drive decisions the
+        # fault-free model cannot force. Both workers walk some of the
+        # same paths; each path still counts once.
+        from repro.platform import PlatformConfig, SoftBorgPlatform
+        from repro.workloads.scenarios import shortread_scenario
+        counts = []
+        for backend, workers in (("serial", 0), ("process", 2)):
+            registry.reset()
+            SoftBorgPlatform(shortread_scenario(seed=0), PlatformConfig(
+                rounds=6, executions_per_round=200, guidance=True,
+                seed=0, backend=backend, workers=workers,
+                solver_cache="collective")).run()
+            counts.append(_divergences(registry))
+        assert counts[0] == counts[1] == {"direction": 2, "fork": 2}
 
 
 class TestRecycleTrie:

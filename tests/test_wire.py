@@ -296,13 +296,6 @@ def _with_crc(body):
     return body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "big")
 
 
-def _decodes_or_raises_typed(decoder, data):
-    try:
-        decoder(data)
-    except SoftBorgError:
-        pass
-
-
 def _accepted_is_canonical(decoder, encoder, data):
     """A payload a decoder accepts is the one encoding of its value."""
     try:
@@ -315,7 +308,8 @@ def _accepted_is_canonical(decoder, encoder, data):
 
 class TestDecoderFuzz:
     """Any bytes give a decoded value or a SoftBorgError subclass, and
-    a trace or batch that decodes re-encodes to the same bytes."""
+    a trace, program or batch that decodes re-encodes to the same
+    bytes."""
 
     @settings(max_examples=300, deadline=None)
     @given(_mangled("trace"))
@@ -333,7 +327,7 @@ class TestDecoderFuzz:
     @settings(max_examples=300, deadline=None)
     @given(_mangled("program"))
     def test_decode_program(self, data):
-        _decodes_or_raises_typed(decode_program, data)
+        _accepted_is_canonical(decode_program, encode_program, data)
 
     @settings(max_examples=200, deadline=None)
     @given(_mangled("batch"))
@@ -398,6 +392,50 @@ class TestPinnedPayloads:
         assert decoded.functions["main"].blocks["entry"].terminator == \
             Return(expr)
         assert encode_program(decoded) == data
+
+    def _two_inputs(self):
+        """A program declaring inputs ``a`` and ``b``, its encoding, and
+        the bytes of each input entry (name, then zig-zag domain)."""
+        b = ProgramBuilder("pinned")
+        b.declare_input("a", 0, 5)
+        b.declare_input("b", 0, 5)
+        b.function("main").block("entry").ret(0)
+        data = encode_program(b.build())
+        entry_a, entry_b = bytes([1, 97, 0, 10]), bytes([1, 98, 0, 10])
+        assert data.count(entry_a + entry_b) == 1
+        return data, entry_a, entry_b
+
+    def test_names_out_of_order(self):
+        # The encoder writes every name table sorted. With two input
+        # entries swapped, the payload used to decode, then re-encode
+        # to other bytes.
+        data, entry_a, entry_b = self._two_inputs()
+        payload = data.replace(entry_a + entry_b, entry_b + entry_a)
+        with pytest.raises(TraceError, match="input name 'a' is not after"
+                                             " 'b'"):
+            decode_program(payload)
+
+    def test_repeated_name(self):
+        # A repeated input name used to overwrite the first entry, so
+        # the program re-encoded with one input fewer.
+        data, entry_a, entry_b = self._two_inputs()
+        payload = data.replace(entry_a + entry_b, entry_a + entry_a)
+        with pytest.raises(TraceError, match="input name 'a' is not after"
+                                             " 'a'"):
+            decode_program(payload)
+
+    def test_repeated_block_label(self):
+        b = ProgramBuilder("pinned")
+        main = b.function("main")
+        main.block("entry").jump("exit")
+        main.block("exit").ret(0)
+        data = encode_program(b.build())
+        assert data.count(b"\x04exit") == 2  # the jump target, the block
+        at = data.rindex(b"\x04exit")
+        payload = data[:at] + b"\x05entry" + data[at + 5:]
+        with pytest.raises(TraceError, match="block name 'entry' is not"
+                                             " after 'entry'"):
+            decode_program(payload)
 
     def test_binop_index_out_of_range(self):
         data = _program_with(BinOp("max", Const(55), Const(56)))
