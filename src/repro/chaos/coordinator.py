@@ -52,6 +52,7 @@ from repro.exec.batch import (
     BatchEntry, RunRecord, TraceBatch, decode_batch, encode_batch,
 )
 from repro.exec.plan import PlannedRun, RoundPlan
+from repro.floats import left_sum
 from repro.obs import Instrumented, get_registry
 from repro.obs.trace import get_tracer
 
@@ -385,8 +386,8 @@ class ChaosCoordinator(Instrumented):
             "entries_delivered": sum(s.entries_delivered
                                      for s in self.rounds),
             "ingest_retries": sum(s.ingest_retries for s in self.rounds),
-            "backoff_seconds": sum(s.backoff_seconds
-                                   for s in self.rounds),
+            "backoff_seconds": left_sum(s.backoff_seconds
+                                        for s in self.rounds),
         }
 
     def all_survived(self) -> bool:

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 
 from repro.errors import TraceError
 from repro.obs.trace import SpanContext
-from repro.progmodel.interpreter import Outcome
+from repro.progmodel.interpreter import Outcome, slotted_dataclass
 from repro.tracing.dedup import Heartbeat
 from repro.wire import Reader, write_string, write_varint
 
@@ -44,7 +44,7 @@ _BATCH_FORMAT_VERSION = 3
 _CHECKSUM_BYTES = 4
 
 
-@dataclass
+@slotted_dataclass
 class RunRecord:
     """The report-facing summary of one executed run."""
 
@@ -57,7 +57,7 @@ class RunRecord:
     failure_block: Optional[str] = None
 
 
-@dataclass
+@slotted_dataclass
 class BatchEntry:
     """One shipped item: a full trace payload or a dedup heartbeat."""
 

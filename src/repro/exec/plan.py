@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.guidance.steering import SteeringDirective
+from repro.progmodel.interpreter import slotted_dataclass
 
 __all__ = ["PlannedRun", "RoundPlan", "WINDOWS", "partition_runs",
            "partition_windows"]
@@ -29,7 +30,7 @@ __all__ = ["PlannedRun", "RoundPlan", "WINDOWS", "partition_runs",
 WINDOWS = 8
 
 
-@dataclass
+@slotted_dataclass
 class PlannedRun:
     """One execution, fully determined before any pod runs."""
 

@@ -166,19 +166,21 @@ class Shard:
                         ))
                         continue
                     trace = run.trace
+                    outcome = run.result.outcome
                     failure = run.result.failure
                     if tracing:
-                        span.set(outcome=run.result.outcome.value,
-                                 shipped=planned.ship)
-                    records.append(RunRecord(
-                        global_index=planned.global_index,
-                        guided=planned.guided,
-                        failed=run.result.outcome.is_failure,
-                        outcome=run.result.outcome,
-                        has_failure=failure is not None,
-                        failure_message=failure.message if failure else None,
-                        failure_block=failure.block if failure else None,
-                    ))
+                        span.set(outcome=outcome.value, shipped=planned.ship)
+                    # Positional fields, as in ResultUnpacker: one record
+                    # per run, so the keyword form's cost shows.
+                    if failure is None:
+                        records.append(RunRecord(
+                            planned.global_index, run.guided,
+                            outcome.is_failure, outcome))
+                    else:
+                        records.append(RunRecord(
+                            planned.global_index, run.guided,
+                            outcome.is_failure, outcome, True,
+                            failure.message, failure.block))
                     if not planned.ship:
                         continue               # lost on the wire
                     entry = self._collect(planned.global_index, trace,
@@ -246,8 +248,7 @@ class Shard:
         if self._dedup:
             shipped, heartbeat = self._dedup[trace.pod_id].submit(trace)
             if shipped is None:
-                return BatchEntry(global_index=global_index,
-                                  heartbeat=heartbeat)
+                return BatchEntry(global_index, b"", heartbeat)
             trace = shipped
         # A frozen trace's bytes are a function of its fields: equal
         # traces share one encode (and one wire.encode span).
@@ -261,4 +262,4 @@ class Shard:
             else:
                 payload = encode_trace(trace)
             payloads[trace] = payload
-        return BatchEntry(global_index=global_index, payload=payload)
+        return BatchEntry(global_index, payload)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from repro.errors import HiveError
+from repro.floats import left_sum
 
 __all__ = ["SubtreeStats", "markowitz_weights"]
 
@@ -70,7 +71,7 @@ def markowitz_weights(stats: Sequence[SubtreeStats],
     if exploration_floor * n > 1.0:
         raise HiveError("exploration_floor too large for subtree count")
     raw = [max(0.0, s.mean) / (risk_aversion * s.variance) for s in stats]
-    total = sum(raw)
+    total = left_sum(raw)
     if total <= 0.0:
         # No evidence anywhere: uniform diversification.
         return [1.0 / n] * n

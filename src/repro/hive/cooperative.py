@@ -36,7 +36,7 @@ from repro.metrics.series import Series
 from repro.net.network import Link, Network
 from repro.net.simclock import SimClock
 from repro.progmodel.ir import Program
-from repro.rng import make_rng
+from repro.rng import make_rng, running_sums, weighted_index
 from repro.symbolic.engine import SymbolicEngine, SymbolicLimits, SymPath
 
 __all__ = [
@@ -361,15 +361,8 @@ class CooperativeExploration:
         keys = sorted(groups, key=repr)
         stats = [self._subtree_stats.setdefault(key, SubtreeStats(key=key))
                  for key in keys]
-        weights = markowitz_weights(stats)
-        point = self._rng.random() * sum(weights)
-        acc = 0.0
-        chosen = keys[-1]
-        for key, weight in zip(keys, weights):
-            acc += weight
-            if point < acc:
-                chosen = key
-                break
+        chosen = keys[weighted_index(
+            self._rng, running_sums(markowitz_weights(stats)))]
         task_id = groups[chosen][0]
         self._pending.remove(task_id)
         return task_id

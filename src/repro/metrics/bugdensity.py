@@ -10,8 +10,9 @@ neutralised by deployed fixes.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Deque, Optional, Set
 
 from repro.metrics.series import Series
 
@@ -20,12 +21,17 @@ __all__ = ["BugDensityTracker"]
 
 @dataclass
 class BugDensityTracker:
-    """Streams per-execution outcomes; yields density series."""
+    """Streams per-execution outcomes; yields density series.
+
+    The sliding window keeps its flags in a deque and its failure count
+    running, so recording one execution costs O(1) however wide the
+    window is."""
 
     window: int = 200
     executions: int = 0
     failures: int = 0
-    _window_flags: List[bool] = field(default_factory=list)
+    _window_flags: Deque[bool] = field(default_factory=deque)
+    _window_failures: int = 0
     density_series: Series = field(
         default_factory=lambda: Series("failures-per-1k"))
     bugs_seen: Set[str] = field(default_factory=set)
@@ -35,9 +41,11 @@ class BugDensityTracker:
                          bug_message: Optional[str] = None) -> None:
         self.executions += 1
         self.failures += int(failed)
-        self._window_flags.append(failed)
-        if len(self._window_flags) > self.window:
-            self._window_flags.pop(0)
+        flags = self._window_flags
+        flags.append(failed)
+        self._window_failures += failed
+        if len(flags) > self.window:
+            self._window_failures -= flags.popleft()
         if failed and bug_message:
             self.bugs_seen.add(bug_message)
         self.density_series.record(self.executions,
@@ -51,7 +59,7 @@ class BugDensityTracker:
         """Failures per 1000 executions over the sliding window."""
         if not self._window_flags:
             return 0.0
-        return 1000.0 * sum(self._window_flags) / len(self._window_flags)
+        return 1000.0 * self._window_failures / len(self._window_flags)
 
     def lifetime_density(self) -> float:
         if self.executions == 0:

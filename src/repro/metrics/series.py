@@ -15,7 +15,7 @@ so it grew the two things an always-on service needs:
 
 Everything stays deterministic: values in, values out, no clocks, and
 the same bits on every supported Python: sums add left to right (see
-:func:`_sum`).
+:func:`repro.floats.left_sum`).
 """
 
 from __future__ import annotations
@@ -23,18 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.floats import left_sum
+
 __all__ = ["Series", "bounded_mean"]
-
-
-def _sum(values: Sequence[float]) -> float:
-    """``values`` added left to right, as the built-in ``sum()`` adds
-    them before CPython 3.12. From 3.12 on ``sum()`` of floats is
-    compensated and can differ in the last bit, which would make a
-    snapshot's bytes depend on the interpreter."""
-    total = 0
-    for value in values:
-        total += value
-    return total
 
 
 def bounded_mean(values: Sequence[float]) -> float:
@@ -46,7 +37,7 @@ def bounded_mean(values: Sequence[float]) -> float:
     """
     if not values:
         return 0.0
-    return min(max(_sum(values) / len(values), min(values)), max(values))
+    return min(max(left_sum(values) / len(values), min(values)), max(values))
 
 
 @dataclass
@@ -86,7 +77,7 @@ class Series:
 
     def mean_y(self) -> float:
         ys = self.ys()
-        return _sum(ys) / len(ys) if ys else 0.0
+        return left_sum(ys) / len(ys) if ys else 0.0
 
     def max_y(self) -> float:
         ys = self.ys()
@@ -122,7 +113,7 @@ class Series:
         return bounded_mean(self.window(last_n))
 
     def window_sum(self, last_n: int) -> float:
-        return _sum(self.window(last_n))
+        return left_sum(self.window(last_n))
 
     def window_max(self, last_n: int) -> float:
         ys = self.window(last_n)
@@ -160,7 +151,7 @@ class Series:
         rows: List[Dict[str, float]] = []
         for index in sorted(buckets):
             ys = buckets[index]
-            total = _sum(ys)
+            total = left_sum(ys)
             rows.append({
                 "start": index * bucket_width,
                 "end": (index + 1) * bucket_width,

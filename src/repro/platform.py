@@ -355,13 +355,10 @@ class SoftBorgPlatform(ClosedLoop):
             directive = directives.pop() if directives else None
             ship = not (config.trace_loss_rate
                         and self._rng.random() < config.trace_loss_rate)
-            runs.append(PlannedRun(
-                global_index=execution,
-                pod_index=pod_index,
-                inputs=inputs,
-                directive=directive,
-                ship=ship,
-            ))
+            # Positional fields, as in unpack_runs: (global_index,
+            # pod_index, inputs, directive, ship).
+            runs.append(PlannedRun(execution, pod_index, inputs, directive,
+                                   ship))
         return RoundPlan(round_index=round_index,
                          hive_version=self.hive.program.version,
                          runs=runs)

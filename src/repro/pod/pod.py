@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.guidance.steering import SteeringDirective
 from repro.obs import Instrumented
 from repro.progmodel.interpreter import (
     Environment, ExecutionLimits, ExecutionResult, Interpreter, Outcome,
+    slotted_dataclass,
 )
 from repro.progmodel.ir import Program
 from repro.rng import make_rng
@@ -21,7 +21,7 @@ from repro.tracing.trace import Trace
 __all__ = ["Pod", "PodRun"]
 
 
-@dataclass
+@slotted_dataclass
 class PodRun:
     """Everything one pod execution produced. ``inputs`` are the inputs
     it ran on: a directive's, clamped to the domains, when it had some."""
@@ -130,9 +130,10 @@ class Pod(Instrumented):
         if result.outcome.is_failure:
             self.failures_experienced += 1
             self._obs_failures.inc()
-        return PodRun(result=result, trace=trace, feedback=feedback,
-                      guided=guided, program_version=self.program.version,
-                      inputs=inputs)
+        # Positional fields (result, trace, feedback, guided,
+        # program_version, inputs): one per run.
+        return PodRun(result, trace, feedback, guided, self.program.version,
+                      inputs)
 
     # -- helpers ----------------------------------------------------------------
 

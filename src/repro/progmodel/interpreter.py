@@ -63,7 +63,7 @@ __all__ = [
     "Outcome", "InputVector", "Environment", "FaultPlan", "ExecutionLimits",
     "Event", "BranchEvent", "LockEvent", "SyscallEvent", "SchedEvent",
     "GlobalEvent", "FailureInfo", "ExecutionResult", "Interpreter",
-    "ReplaySource", "TraceExhausted",
+    "ReplaySource", "TraceExhausted", "slotted_dataclass",
 ]
 
 
@@ -98,18 +98,20 @@ Value = Tuple[Optional[int], bool, bool]
 # Events (the raw by-products; the tracing layer filters/encodes these)
 # --------------------------------------------------------------------------
 
-# Events are allocated on the hot path; ``slots=True`` (3.10+) drops
-# the per-instance dict. Field set, equality, and repr are identical
+# Events, like the per-run records of the pod and the executor
+# (``PodRun``, ``PlannedRun``, ``RunRecord``, ``BatchEntry``), are
+# allocated on the hot path; ``slots=True`` (3.10+) drops the
+# per-instance dict. Field set, equality, and repr are identical
 # either way.
 if sys.version_info >= (3, 10):
-    _eventclass = dataclass(slots=True)
+    slotted_dataclass = dataclass(slots=True)
     _frozen_eventclass = dataclass(slots=True, frozen=True)
 else:  # pragma: no cover - 3.9 compatibility fallback
-    _eventclass = dataclass
+    slotted_dataclass = dataclass
     _frozen_eventclass = dataclass(frozen=True)
 
 
-@_eventclass
+@slotted_dataclass
 class BranchEvent:
     """One dynamic conditional decision.
 
@@ -135,7 +137,7 @@ class BranchEvent:
         return (self.thread, self.function, self.block)
 
 
-@_eventclass
+@slotted_dataclass
 class LockEvent:
     """op is "acquire" (granted), "release", or "request" (may block)."""
     thread: int
@@ -145,14 +147,14 @@ class LockEvent:
     block: str
 
 
-@_eventclass
+@slotted_dataclass
 class SyscallEvent:
     thread: int
     name: str
     value: int
 
 
-@_eventclass
+@slotted_dataclass
 class GlobalEvent:
     """One shared-variable access: op is "read" or "write".
 
@@ -252,7 +254,7 @@ class ExecutionResult:
         the fields, so ``==`` and ``repr`` do not see them."""
         split = self.__dict__.get("_split")
         if split is None:
-            split = self.__dict__["_split"] = tuple([] for _ in range(8))
+            split = self.__dict__["_split"] = ([], [], [], [], [], [], [], [])
             bits, branches, tainted, locks, globals_, syscalls, picks, path \
                 = split
             for event in self.events:
@@ -306,9 +308,10 @@ class Environment:
     * ``rand(m)`` — uniform in [0, m).
 
     ``fault_rate`` is the natural probability of a degraded result;
-    a :class:`FaultPlan` can force failures deterministically. Draws
-    come from ``rng``, or else from a generator seeded with ``seed`` on
-    the first draw.
+    a :class:`FaultPlan` can force failures deterministically
+    (``fault_plan`` is None when none is given). Draws come from
+    ``rng``, or else from a generator seeded with ``seed`` on the first
+    draw.
     """
 
     def __init__(self, rng: Optional[random.Random] = None,
@@ -318,7 +321,7 @@ class Environment:
         self._rng = rng
         self._seed = seed
         self.fault_rate = fault_rate
-        self.fault_plan = fault_plan or FaultPlan()
+        self.fault_plan = fault_plan
         self._clock = 0
         self._open_fds: set = set()
         self._occurrence = 0
@@ -327,9 +330,10 @@ class Environment:
         """Execute one syscall and return its integer result."""
         occurrence = self._occurrence
         self._occurrence += 1
-        forced = self.fault_plan.override(occurrence)
-        if forced is not None:
-            return forced
+        if self.fault_plan is not None:
+            forced = self.fault_plan.override(occurrence)
+            if forced is not None:
+                return forced
         faulty = (self.fault_rate > 0.0
                   and self._random().random() < self.fault_rate)
         return self._dispatch(name, list(args), faulty)
@@ -625,14 +629,13 @@ class Interpreter:
         run.inputs, run.replay, run.environment = inputs, replay, environment
         run.events, run.lock_owner, run.threads = events, {}, []
         run.entered = entered
-        run.globals = {name: (value, False, False)
-                       for name, value in program.globals.items()}
+        initial_globals, entries = lowered.start()
+        run.globals = initial_globals.copy()
         run.max_call_depth = self.limits.max_call_depth
         threads = run.threads
-        for tid, entry in enumerate(program.threads):
-            label = program.function(entry).entry
+        for tid, (function, label, code) in enumerate(entries):
             threads.append(_Thread(tid, _Frame(
-                entry, label, {}, None, lowered.code(entry, label))))
+                function, label, {}, None, code)))
 
         # The runnable set changes only when an op reports _CHANGED (a
         # thread blocked, woke or finished); it is then rebuilt, never
@@ -649,9 +652,11 @@ class Interpreter:
             if runnable is None:
                 runnable = [t.tid for t in threads if t.status == "runnable"]
                 if not runnable:
-                    if all(t.status == "done" for t in threads):
-                        break
-                    victim = next(t for t in threads if t.status == "blocked")
+                    for victim in threads:
+                        if victim.status == "blocked":
+                            break
+                    else:
+                        break                  # every thread is done
                     frame = victim.frames[-1]
                     failure = FailureInfo(
                         Outcome.DEADLOCK,
@@ -700,17 +705,18 @@ class Interpreter:
                     break
                 runnable = None
 
+        # Loops, not comprehensions: a comprehension makes a function
+        # call, and most programs have one thread and no globals.
+        return_values = {}
+        for thread in threads:
+            return_values[thread.tid] = thread.return_value
+        final_globals = {}
+        for name, (value, _e, _i) in run.globals.items():
+            final_globals[name] = value
         return ExecutionResult(
-            program_name=program.name,
-            program_version=program.version,
-            outcome=failure.outcome if failure is not None else Outcome.OK,
-            events=events,
-            steps=steps,
-            failure=failure,
-            return_values={t.tid: t.return_value for t in threads},
-            final_globals={name: value
-                           for name, (value, _e, _i) in run.globals.items()},
-        )
+            program.name, program.version,
+            failure.outcome if failure is not None else Outcome.OK,
+            events, steps, failure, return_values, final_globals)
 
 
 # --------------------------------------------------------------------------
@@ -748,7 +754,7 @@ class _Lowered:
     copy throughout; the copy is built on first use, by validation."""
 
     __slots__ = ("program", "blocks", "records", "_recording",
-                 "_sched_events")
+                 "_sched_events", "_start")
 
     def __init__(self, program: Program, records: bool = False):
         key = id(program)
@@ -758,6 +764,7 @@ class _Lowered:
         self.records = records
         self._recording: Optional[_Lowered] = None
         self._sched_events: Optional[Tuple[SchedEvent, ...]] = None
+        self._start: Optional[tuple] = None
 
     def recording(self) -> "_Lowered":
         if self._recording is None:
@@ -770,6 +777,22 @@ class _Lowered:
             self._sched_events = tuple(
                 SchedEvent(tid) for tid in range(len(self.program().threads)))
         return self._sched_events
+
+    def start(self) -> Tuple[Dict[str, Value],
+                             Tuple[Tuple[str, str, list], ...]]:
+        """What every run starts from, made on first use: the initial
+        globals (each run copies them) and each thread's entry
+        ``(function, label, code)``."""
+        if self._start is None:
+            program = self.program()
+            entries = []
+            for function in program.threads:
+                label = program.function(function).entry
+                entries.append((function, label, self.code(function, label)))
+            self._start = ({name: (value, False, False)
+                            for name, value in program.globals.items()},
+                           tuple(entries))
+        return self._start
 
     def code(self, fname: str, label: str) -> list:
         """The ops of block ``label`` in ``fname``, lowered on first use;

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Iterator, List, Sequence
 
-__all__ = ["derive_seed", "make_rng", "spawn", "choice_weighted"]
+__all__ = ["derive_seed", "make_rng", "spawn", "choice_weighted",
+           "running_sums", "weighted_index"]
 
 
 def derive_seed(master_seed: int, *labels: object) -> int:
@@ -43,18 +46,31 @@ def spawn(rng: random.Random, count: int) -> Iterator[random.Random]:
 
 
 def choice_weighted(rng: random.Random, items, weights) -> object:
-    """Pick one element of ``items`` with the given positive weights.
-
-    A tiny re-implementation of ``random.choices(..., k=1)[0]`` that
-    avoids building intermediate lists in hot loops.
+    """Pick one element of ``items`` with the given positive weights:
+    the element ``random.choices(items, weights)[0]`` picks, from the
+    same single ``random()`` call, with the weights summed left to
+    right on every Python. It sums the weights on every call; for
+    weights that do not change, build :func:`running_sums` once and
+    draw with :func:`weighted_index` instead.
     """
-    total = float(sum(weights))
-    if total <= 0.0:
+    return items[weighted_index(rng, running_sums(weights))]
+
+
+def running_sums(weights: Sequence[float]) -> List[float]:
+    """The running sums of ``weights``, added left to right on every
+    Python (see :mod:`repro.floats`), for :func:`weighted_index`.
+    Build them once for weights that do not change."""
+    running = list(accumulate(weights))
+    if not running or running[-1] <= 0.0:
         raise ValueError("weights must sum to a positive value")
-    point = rng.random() * total
-    acc = 0.0
-    for item, weight in zip(items, weights):
-        acc += weight
-        if point < acc:
-            return item
-    return items[-1]
+    return running
+
+
+def weighted_index(rng: random.Random, running: Sequence[float]) -> int:
+    """One weighted draw over the :func:`running_sums` of the weights:
+    the first index whose running sum exceeds ``rng.random()`` times
+    the total, or the last index for a point at or past it. One
+    ``random()`` call and a bisection, like ``random.choices`` with
+    ``cum_weights``; the weights are never re-summed or re-scanned."""
+    return bisect_right(running, rng.random() * running[-1], 0,
+                        len(running) - 1)

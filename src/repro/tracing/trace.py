@@ -10,7 +10,7 @@ by hive-side replay, which is the paper's central cost-saving claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain, repeat, starmap
 from typing import Optional, Tuple
 
@@ -30,7 +30,7 @@ class Observation:
     taken: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Trace:
     """One execution's by-products, as shipped over the wire.
 
@@ -39,6 +39,12 @@ class Trace:
     (``observations`` only — a *family* of paths, per Sec. 3.1).
     ``events_recorded`` is the capture-cost proxy used by the
     overhead experiments: the number of items the pod had to log.
+
+    Every pod run builds one, so the constructor is written by hand:
+    the generated one of a frozen dataclass makes one
+    ``object.__setattr__`` call per field. It takes the same
+    parameters, in field order, with the same defaults
+    (``tests/test_records.py`` holds it to the generated one).
     """
 
     program_name: str
@@ -55,6 +61,36 @@ class Trace:
     failure_site: Optional[Site] = None
     pod_id: str = ""
     guided: bool = False
+
+    def __init__(self, program_name: str, program_version: int,
+                 outcome: Outcome,
+                 branch_bits: Tuple[bool, ...] = (),
+                 syscall_returns: Tuple[int, ...] = (),
+                 schedule_rle: Tuple[Tuple[int, int], ...] = (),
+                 observations: Tuple[Observation, ...] = (),
+                 replayable: bool = True,
+                 steps: int = 0,
+                 events_recorded: int = 0,
+                 failure_message: Optional[str] = None,
+                 failure_site: Optional[Site] = None,
+                 pod_id: str = "",
+                 guided: bool = False) -> None:
+        # Frozen: fill the instance dict directly, one store per field.
+        fields = self.__dict__
+        fields["program_name"] = program_name
+        fields["program_version"] = program_version
+        fields["outcome"] = outcome
+        fields["branch_bits"] = branch_bits
+        fields["syscall_returns"] = syscall_returns
+        fields["schedule_rle"] = schedule_rle
+        fields["observations"] = observations
+        fields["replayable"] = replayable
+        fields["steps"] = steps
+        fields["events_recorded"] = events_recorded
+        fields["failure_message"] = failure_message
+        fields["failure_site"] = failure_site
+        fields["pod_id"] = pod_id
+        fields["guided"] = guided
 
     @property
     def is_failure(self) -> bool:
@@ -106,27 +142,20 @@ def trace_from_result(result: ExecutionResult,
                       pod_id: str = "",
                       include_schedule: bool = True,
                       guided: bool = False) -> Trace:
-    """Build the canonical full-capture trace from an execution."""
-    bits = tuple(result.branch_bits)
-    syscalls = tuple(result.syscall_values)
-    rle = schedule_rle(result.schedule_picks) if include_schedule else ()
-    failure_message = result.failure.message if result.failure else None
-    failure_site = None
-    if result.failure is not None:
-        failure_site = (result.failure.thread, result.failure.function,
-                        result.failure.block)
-    return Trace(
-        program_name=result.program_name,
-        program_version=result.program_version,
-        outcome=result.outcome,
-        branch_bits=bits,
-        syscall_returns=syscalls,
-        schedule_rle=rle,
-        replayable=True,
-        steps=result.steps,
-        events_recorded=len(bits) + len(syscalls) + len(rle),
-        failure_message=failure_message,
-        failure_site=failure_site,
-        pod_id=pod_id,
-        guided=guided,
-    )
+    """Build the canonical full-capture trace from an execution. It
+    reads the result's one-pass split (``_by_products``) directly: the
+    public projections each copy their list."""
+    split = result._by_products()
+    bits = tuple(split[0])
+    syscalls = tuple(split[5])
+    rle = schedule_rle(split[6]) if include_schedule else ()
+    failure = result.failure
+    if failure is None:
+        failure_message = failure_site = None
+    else:
+        failure_message = failure.message
+        failure_site = (failure.thread, failure.function, failure.block)
+    return Trace(result.program_name, result.program_version,
+                 result.outcome, bits, syscalls, rle, (), True,
+                 result.steps, len(bits) + len(syscalls) + len(rle),
+                 failure_message, failure_site, pod_id, guided)

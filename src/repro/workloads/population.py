@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.progmodel.ir import Program
-from repro.rng import choice_weighted, make_rng
+from repro.rng import make_rng, running_sums, weighted_index
 
 __all__ = ["User", "UserPopulation", "ZipfPopulation"]
 
@@ -64,11 +65,13 @@ class UserPopulation:
                 base_inputs=base,
                 volatility=volatility,
             ))
-        # Zipf activity weights: user k runs the program ~ 1/(k+1)^s.
-        self._weights = [1.0 / (k + 1) ** zipf_s for k in range(n_users)]
+        # Zipf activity weights: user k runs the program ~ 1/(k+1)^s,
+        # kept as running sums, so a draw is one bisection.
+        self._running = running_sums(
+            [1.0 / (k + 1) ** zipf_s for k in range(n_users)])
 
     def sample_user(self) -> User:
-        return choice_weighted(self._rng, self.users, self._weights)
+        return self.users[weighted_index(self._rng, self._running)]
 
     def sample_execution(self) -> Tuple[User, InputVector]:
         """One natural execution: an (active user, input vector) draw."""
@@ -77,6 +80,25 @@ class UserPopulation:
 
     def executions(self, count: int) -> List[Tuple[User, InputVector]]:
         return [self.sample_execution() for _ in range(count)]
+
+
+if sys.version_info >= (3, 10):
+    def _bisect_normalized(cumulative: List[float], point: float,
+                           total: float) -> int:
+        """``bisect_left`` over ``value / total`` for each value of
+        ``cumulative``, dividing only the values it probes."""
+        return bisect_left(cumulative, point, key=total.__rtruediv__)
+else:  # pragma: no cover - 3.9 has no ``key`` for bisect
+    def _bisect_normalized(cumulative: List[float], point: float,
+                           total: float) -> int:
+        lo, hi = 0, len(cumulative)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if cumulative[mid] / total < point:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
 
 
 class ZipfPopulation:
@@ -91,7 +113,9 @@ class ZipfPopulation:
       whether it is the first or the billionth one touched;
     * Zipf sampling inverts the cumulative weight table with
       ``bisect`` — O(log n) per draw over a float table built once
-      (the only O(n) cost, ~8 bytes per user);
+      (the only O(n) cost, one float per user); the table keeps the
+      running sums, and each probe divides by the total, exactly as a
+      normalized copy would hold it;
     * constructed users are memoized up to ``memo_cap`` entries (the
       hot head of a Zipf distribution is tiny; the cold tail is cheap
       to rebuild), so memory tracks *active* users, not population.
@@ -114,13 +138,14 @@ class ZipfPopulation:
         self.seed = seed
         self.memo_cap = memo_cap
         self._rng = make_rng(seed, "population", program.name)
-        # Cumulative Zipf weights, normalized to (0, 1].
+        # Cumulative Zipf weights; a draw normalizes the ones it probes.
         cumulative: List[float] = []
         total = 0.0
         for k in range(n_users):
             total += 1.0 / (k + 1) ** zipf_s
             cumulative.append(total)
-        self._cumulative = [value / total for value in cumulative]
+        self._cumulative = cumulative
+        self._total = total
         self._memo: Dict[int, User] = {}
 
     def user(self, index: int) -> User:
@@ -142,7 +167,8 @@ class ZipfPopulation:
 
     def sample_user(self) -> User:
         point = self._rng.random()
-        return self.user(bisect_left(self._cumulative, point))
+        return self.user(_bisect_normalized(self._cumulative, point,
+                                            self._total))
 
     def sample_execution(self) -> Tuple[User, InputVector]:
         """One natural execution: an (active user, input vector) draw."""

@@ -4,9 +4,11 @@
 a workload run produced (report, hive stats, tree, epoch; serve's whole
 snapshot). Each workload runs in its small mode on the serial backend
 at seeds 1 and 2, and must reproduce the digest recorded before the
-interpreter's step loop was made cheaper. The values are the same on
-every supported Python: serve's series sum left to right, not with the
-compensated ``sum()`` of floats that CPython 3.12 introduced.
+interpreter's step loop was made cheaper. Fleet, which the benchmark
+runs on one worker process, must reproduce the same digests there too.
+The values are the same on every supported Python: serve's series sum
+left to right, not with the compensated ``sum()`` of floats that
+CPython 3.12 introduced.
 """
 
 from __future__ import annotations
@@ -48,3 +50,16 @@ def test_small_workload_digest(name, seed):
     subject = workload.build(seed, True, backend="serial")
     subject.run()
     assert report_digest(subject, workload.service) == DIGESTS[name, seed]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_small_fleet_digest_on_one_worker_process(seed):
+    from repro import obs
+    obs.reset()
+    workload = WORKLOADS["fleet"]
+    subject = workload.build(seed, True, backend="process")
+    try:
+        subject.run()
+    finally:
+        subject.backend.close()
+    assert report_digest(subject, workload.service) == DIGESTS["fleet", seed]
