@@ -57,7 +57,6 @@ _EXPORTS = {
     "TraceBatch": "repro.exec",
     "make_backend": "repro.exec",
     "TraceSink": "repro.interfaces",
-    "TraceSource": "repro.interfaces",
     "Instrumented": "repro.obs",
     "Registry": "repro.obs",
     "get_registry": "repro.obs",
@@ -130,7 +129,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     )
     from repro.fleet import Fleet, FleetReport
     from repro.hive import Hive, explore_cooperatively
-    from repro.interfaces import TraceSink, TraceSource
+    from repro.interfaces import TraceSink
     from repro.netplatform import NetworkedConfig, NetworkedPlatform
     from repro.obs import Instrumented, Registry, get_registry
     from repro.platform import (

@@ -35,7 +35,6 @@ class CrashBucket:
     key: BucketKey
     count: int = 0
     first_seen_index: int = -1
-    pods: set = field(default_factory=set)
     _paths: set = field(default_factory=set)
 
     @property
@@ -53,10 +52,6 @@ class CrashBucket:
     @property
     def message(self) -> str:
         return self.key[2]
-
-    @property
-    def distinct_pods(self) -> int:
-        return len(self.pods)
 
 
 class CrashBucketer:
@@ -85,8 +80,6 @@ class CrashBucketer:
             bucket = CrashBucket(key=key, first_seen_index=self._seen - 1)
             self._buckets[key] = bucket
         bucket.count += 1
-        if trace.pod_id:
-            bucket.pods.add(trace.pod_id)
         if path is not None:
             bucket._paths.add(tuple(path))
         return bucket

@@ -64,11 +64,6 @@ class ConfigError(SoftBorgError):
     """Invalid configuration values passed to a public constructor."""
 
 
-class ChaosError(SoftBorgError):
-    """Injected fault surfaced by the chaos layer (e.g. a simulated
-    hive ingest failure that exhausted its retries)."""
-
-
 class InvariantError(SoftBorgError):
     """A platform-wide invariant was violated: the collective state is
     no longer sound (see ``repro.chaos.invariants``)."""

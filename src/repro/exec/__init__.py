@@ -23,7 +23,6 @@ from repro.exec.backends import (
     resolve_workers,
 )
 from repro.exec.batch import (
-    BatchAccumulator,
     BatchEntry,
     RunRecord,
     ShardResult,
@@ -48,7 +47,7 @@ __all__ = [
     "BACKEND_NAMES", "ExecutorBackend", "WindowSink",
     "SerialBackend", "ProcessBackend",
     "make_backend", "resolve_backend_name", "resolve_workers",
-    "BatchAccumulator", "BatchEntry", "RunRecord",
+    "BatchEntry", "RunRecord",
     "ShardResult", "TraceBatch", "encode_batch", "decode_batch",
     "merge_windows",
     "PlannedRun", "RoundPlan", "WINDOWS", "partition_runs",

@@ -11,9 +11,9 @@ as its own :class:`ShardResult`; :func:`merge_windows` concatenates a
 round's.
 
 The wire format (``encode_batch``/``decode_batch``) covers what crosses
-the simulated Internet — indices, trace payloads and heartbeats.
-:class:`BatchAccumulator` batches the networked uplink
-(``NetworkedConfig.batch_max_traces``).
+the simulated Internet — indices, trace payloads and heartbeats. It is
+also the networked platform's only uplink message: each pod ships a
+frame of up to ``NetworkedConfig.batch_max_traces`` runs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.wire import Reader, write_string, write_varint
 
 __all__ = [
     "RunRecord", "BatchEntry", "TraceBatch",
-    "ShardResult", "BatchAccumulator", "merge_windows",
+    "ShardResult", "merge_windows",
     "encode_batch", "decode_batch",
 ]
 
@@ -202,56 +202,6 @@ def decode_batch(data) -> TraceBatch:
     return TraceBatch(shard_id=shard_id, program_name=program_name,
                       program_version=program_version, sequence=sequence,
                       entries=entries, trace_context=trace_context)
-
-
-class BatchAccumulator:
-    """A :class:`~repro.interfaces.TraceSource`: buffers traces and
-    releases :class:`TraceBatch` flushes.
-
-    ``max_traces`` caps entries per batch (0 = unbounded, one batch per
-    drain); networked pods use it to trade uplink messages for
-    ingestion latency.
-    """
-
-    def __init__(self, shard_id: int, program_name: str,
-                 program_version: int, max_traces: int = 0):
-        self.shard_id = shard_id
-        self.program_name = program_name
-        self.program_version = program_version
-        self.max_traces = max_traces
-        self._sequence = 0
-        self._flushed: List[TraceBatch] = []
-        self._open: List[BatchEntry] = []
-
-    def _roll(self) -> None:
-        self._flushed.append(TraceBatch(
-            shard_id=self.shard_id, program_name=self.program_name,
-            program_version=self.program_version, sequence=self._sequence,
-            entries=self._open))
-        self._sequence += 1
-        self._open = []
-
-    def add(self, entry: BatchEntry) -> None:
-        self._open.append(entry)
-        if self.max_traces and len(self._open) >= self.max_traces:
-            self._roll()
-
-    def pending(self) -> int:
-        return (sum(len(batch) for batch in self._flushed)
-                + len(self._open))
-
-    def take_full(self) -> Sequence[TraceBatch]:
-        """Hand over only the batches that already rolled (reached
-        ``max_traces``), leaving the open batch buffering — the
-        steady-state shipping path for networked pods."""
-        batches, self._flushed = self._flushed, []
-        return batches
-
-    def drain_batches(self) -> Sequence[TraceBatch]:
-        if self._open:
-            self._roll()
-        batches, self._flushed = self._flushed, []
-        return batches
 
 
 def merge_windows(windows: Sequence[ShardResult]) -> ShardResult:

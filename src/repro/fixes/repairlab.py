@@ -62,12 +62,6 @@ class RepairLab:
                 return entry
         return None
 
-    def needs_human(self) -> List[RankedFix]:
-        """Candidates that mitigated something but caused regressions —
-        plausible fixes a developer should look at."""
-        return [entry for entry in self.history
-                if not entry.auto_approved and entry.report.mitigated > 0]
-
     def ledger(self) -> List[Dict[str, object]]:
         """The evaluation history as plain rows, in evaluation order.
 

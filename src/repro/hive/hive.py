@@ -85,7 +85,6 @@ class Hive(Instrumented):
                  limits: Optional[ExecutionLimits] = None,
                  property: OutcomeProperty = NO_FAILURES,
                  validate_fixes: bool = True,
-                 fault_validation: Optional[bool] = None,
                  min_failure_reports: int = 1,
                  enable_proofs: bool = True,
                  solver_cache=None):
@@ -124,9 +123,7 @@ class Hive(Instrumented):
         self._sym_limits = SymbolicLimits(
             max_steps=self.limits.max_steps,
             max_call_depth=self.limits.max_call_depth)
-        if fault_validation is None:
-            fault_validation = self._program_has_syscalls(program)
-        self._fault_validation = fault_validation
+        self._fault_validation = self._program_has_syscalls(program)
 
         self.tree = ExecutionTree(program.name, program.version)
         self.deadlocks = DeadlockAnalyzer()
@@ -292,8 +289,8 @@ class Hive(Instrumented):
             replay.path_decisions, replay.outcome)
 
     def ingest_batch(self, batches, memo: Optional[Dict] = None) -> int:
-        """Fold shard :class:`TraceBatch` flushes: a round's worth, or
-        one window of a streamed round.
+        """Fold shard :class:`TraceBatch` flushes: a round's worth, one
+        window of a streamed round, or one networked uplink frame.
 
         The :class:`~repro.interfaces.TraceSink` bulk entry point. All
         entries across all batches are ingested in global execution

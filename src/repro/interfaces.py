@@ -1,20 +1,12 @@
-"""Formal ingest protocols: one surface for everything that swallows
+"""The formal ingest protocol: one surface for everything that swallows
 traces.
 
-Before this module, each trace consumer grew its own ad-hoc entry
-points: ``Hive.ingest``/``Hive.ingest_heartbeat``, the networked
-platform's message handler, and (with the parallel executor) per-shard
-collectors.  They all do the same job — accept execution by-products
-and fold them into some aggregate — so they now share two small
-protocols:
-
-* :class:`TraceSink` — accepts traces, heartbeats, and whole
-  :class:`~repro.exec.batch.TraceBatch` rounds.  Implemented by
-  :class:`~repro.hive.hive.Hive` and by the shard-side collectors of
-  ``repro.exec``.
-* :class:`TraceSource` — anything that accumulates traces locally and
-  hands them over in batches (pods batching for the wire, shard
-  collectors batching for the hive).
+:class:`TraceSink` accepts traces, heartbeats, and whole
+:class:`~repro.exec.batch.TraceBatch` flushes.
+:class:`~repro.hive.hive.Hive` implements it, and every trace that
+crosses a wire reaches the hive through ``ingest_batch``: the round
+loop's window sink, the chaos wire, serve's pump and the networked
+platform's uplink frames alike.
 
 Legacy spellings go through the deprecation policy in docs/API.md;
 ``Hive.ingest`` already went through the cycle — speak
@@ -38,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.tracing.dedup import Heartbeat
     from repro.tracing.trace import Trace
 
-__all__ = ["TraceSink", "TraceSource"]
+__all__ = ["TraceSink"]
 
 
 @runtime_checkable
@@ -54,15 +46,4 @@ class TraceSink(Protocol):
     def ingest_batch(self, batches: Sequence["TraceBatch"]) -> int:
         """Fold a round's worth of shard batches; returns the number of
         entries (traces + heartbeats) consumed."""
-
-
-@runtime_checkable
-class TraceSource(Protocol):
-    """Anything that accumulates traces and releases them in batches."""
-
-    def pending(self) -> int:
-        """Entries accumulated but not yet drained."""
-
-    def drain_batches(self) -> Sequence["TraceBatch"]:
-        """Hand over everything accumulated so far and forget it."""
 

@@ -66,9 +66,6 @@ class Series:
     def __len__(self) -> int:
         return len(self.points)
 
-    def xs(self) -> List[float]:
-        return [x for x, _y in self.points]
-
     def ys(self) -> List[float]:
         return [y for _x, y in self.points]
 

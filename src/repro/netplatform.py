@@ -10,9 +10,15 @@ back over the same unreliable links. Time-to-mitigation becomes a
 *virtual-seconds* quantity that depends on network quality — the E16
 experiment.
 
-Wire discipline matters here: traces cross the network as *bytes*
-(``encode_trace``/``decode_trace``), program updates as version-stamped
-fix payloads the pod applies locally.
+Wire discipline matters here: traces cross the network as *bytes*,
+program updates as version-stamped fix payloads the pod applies
+locally. The uplink has one message: a CRC-checked
+:class:`~repro.exec.batch.TraceBatch` frame of up to
+``batch_max_traces`` encoded runs (one per run by default). A frame
+mangled in transit fails its CRC and is rejected whole, never
+ingested; a good frame folds through :meth:`Hive.ingest_batch
+<repro.hive.hive.Hive.ingest_batch>`, the entry point the round loop,
+the chaos wire and serve's pump use.
 """
 
 from __future__ import annotations
@@ -23,6 +29,10 @@ from typing import Dict, List, Optional
 from repro.config import (
     BaseConfig, BaseReport, check_at_least_one, check_positive,
     check_unit_interval,
+)
+from repro.errors import TraceError
+from repro.exec.batch import (
+    BatchEntry, TraceBatch, decode_batch, encode_batch,
 )
 from repro.hive.hive import Hive
 from repro.loop import check_solver_cache, solver_cache_doc
@@ -37,7 +47,7 @@ from repro.progmodel.interpreter import ExecutionLimits
 from repro.rng import make_rng
 from repro.progmodel.serialize import decode_program, encode_program
 from repro.tracing.capture import FullCapture
-from repro.tracing.encode import decode_trace, encode_trace
+from repro.tracing.encode import encode_trace
 from repro.workloads.scenarios import Scenario
 
 __all__ = ["NetworkedConfig", "NetworkedReport", "NetworkedPlatform"]
@@ -61,7 +71,7 @@ class NetworkedConfig(BaseConfig):
     loss_rate: float = 0.0
     max_steps: int = 4000
     seed: int = 0
-    batch_max_traces: int = 1          # 1 = one trace per message
+    batch_max_traces: int = 1          # runs per uplink frame
     chaos_profile: object = "none"     # profile name or FaultProfile
     solver_cache: str = "none"         # none | local | collective
 
@@ -145,26 +155,19 @@ class _NetPod:
         )
         self._rng = make_rng(platform.config.seed, "netpod", index)
         self._tracer = platform._tracer
-        self._uplink_seq = 0
         self.transport = ReliableTransport(
             platform.network, self.pod.pod_id,
             receiver=self._on_message)
-        # batch_max_traces > 1 turns on uplink batching: traces
-        # accumulate locally and ship as one ("batch", bytes) message
-        # per full TraceBatch, amortizing per-message overhead.
-        self._accumulator = None
-        self._run_index = 0
+        # Shipped runs waiting for the next uplink frame; a frame goes
+        # out when it holds batch_max_traces of them.
+        self._frame: List[BatchEntry] = []
         self._exec_index = 0       # chaos coordinate: pod-crash draws
-        self._message_index = 0    # chaos coordinate: uplink draws
+        # Frames sent so far: a frame's sequence number, and the chaos
+        # coordinate of its uplink draws.
+        self._message_index = 0
         # Clock skew is a constant per-pod factor, fixed at build time.
         plan = platform.chaos_plan
         self._skew = plan.clock_skew(index) if plan is not None else 1.0
-        if platform.config.batch_max_traces > 1:
-            from repro.exec.batch import BatchAccumulator
-            self._accumulator = BatchAccumulator(
-                index, platform.scenario.program.name,
-                platform.scenario.program.version,
-                max_traces=platform.config.batch_max_traces)
         self._schedule_next_run()
 
     def _schedule_next_run(self) -> None:
@@ -206,34 +209,42 @@ class _NetPod:
             with self._tracer.span("wire.encode",
                                    key=(self.index, exec_index)):
                 payload = encode_trace(run.trace)
-            if self._accumulator is None:
-                self._uplink("trace", payload)
-            else:
-                from repro.exec.batch import BatchEntry
-                self._accumulator.add(BatchEntry(
-                    global_index=self._run_index, payload=payload))
-                self._run_index += 1
-                self._send_full_batches()
+            self._frame.append(BatchEntry(global_index=exec_index,
+                                          payload=payload))
+            if len(self._frame) >= platform.config.batch_max_traces:
+                self.flush()
         self._schedule_next_run()
 
-    def _uplink(self, kind: str, blob: bytes) -> None:
-        """Ship one message to the hive through the chaos uplink.
+    def flush(self) -> None:
+        """Ship the buffered runs as one frame; the platform also calls
+        it at the end of the simulation for a partly filled frame."""
+        if not self._frame:
+            return
+        message_index = self._message_index
+        self._message_index += 1
+        program = self.platform.scenario.program
+        frame = encode_batch(TraceBatch(
+            shard_id=self.index, program_name=program.name,
+            program_version=program.version, sequence=message_index,
+            entries=self._frame))
+        self._frame = []
+        self._uplink(message_index, frame)
+
+    def _uplink(self, message_index: int, frame: bytes) -> None:
+        """Ship one frame to the hive through the chaos uplink.
 
         The uplink span is the *send-side* anchor: the transport
         captures its context into the message, so the hive's delivery
         span (and everything ingested under it) parents here.
         """
         platform = self.platform
-        seq = self._uplink_seq
-        self._uplink_seq += 1
-        with self._tracer.span("net.uplink", key=(self.index, seq),
-                               kind=kind, bytes=len(blob)) as span:
-            size = MESSAGE_OVERHEAD_BYTES + len(blob)
+        with self._tracer.span("net.uplink",
+                               key=(self.index, message_index),
+                               bytes=len(frame)) as span:
+            size = MESSAGE_OVERHEAD_BYTES + len(frame)
             platform.report.wire_bytes += size
             plan = platform.chaos_plan
             if plan is not None:
-                message_index = self._message_index
-                self._message_index += 1
                 if plan.uplink_dropped(self.index, message_index):
                     # Black-holed before the transport ever saw it — no
                     # retransmission machinery can save this one.
@@ -243,27 +254,14 @@ class _NetPod:
                 if plan.uplink_corrupted(self.index, message_index):
                     platform.count_chaos("uplink_corrupted")
                     span.event("chaos.uplink_corrupted", pod=self.index)
-                    blob = plan.corrupt_bytes(blob, self.index,
-                                              message_index)
+                    frame = plan.corrupt_bytes(frame, self.index,
+                                               message_index)
                 if plan.uplink_duplicated(self.index, message_index):
                     platform.count_chaos("uplink_duplicated")
                     span.event("chaos.uplink_duplicated", pod=self.index)
                     platform.report.wire_bytes += size
-                    self.transport.send(HIVE_ENDPOINT, (kind, blob))
-            self.transport.send(HIVE_ENDPOINT, (kind, blob))
-
-    def _send_full_batches(self) -> None:
-        from repro.exec.batch import encode_batch
-        for batch in self._accumulator.take_full():
-            self._uplink("batch", encode_batch(batch))
-
-    def flush(self) -> None:
-        """Ship whatever is still buffering (end of simulation)."""
-        if self._accumulator is None or not self._accumulator.pending():
-            return
-        from repro.exec.batch import encode_batch
-        for batch in self._accumulator.drain_batches():
-            self._uplink("batch", encode_batch(batch))
+                    self.transport.send(HIVE_ENDPOINT, frame)
+            self.transport.send(HIVE_ENDPOINT, frame)
 
     def _on_message(self, src: str, message: object) -> None:
         kind, body = message
@@ -341,7 +339,7 @@ class NetworkedPlatform(Instrumented):
 
     def run(self) -> NetworkedReport:
         self.clock.run_until(self.config.duration)
-        # Ship partially filled batches before the drain, then drain
+        # Ship partly filled frames before the drain, then drain
         # in-flight retransmissions/acks for a clean shutdown.
         for pod in self.pods:
             pod.flush()
@@ -354,58 +352,28 @@ class NetworkedPlatform(Instrumented):
 
     # -- hive side -------------------------------------------------------------
 
-    def _next_decode_seq(self) -> int:
-        seq = self._decode_seq
-        self._decode_seq += 1
-        return seq
-
-    def _hive_receive(self, src: str, message: object) -> None:
+    def _hive_receive(self, src: str, frame: bytes) -> None:
         # The transport already opened the delivery span (parented to
-        # the sender's uplink span via the wire context); everything
-        # below — decode spans, hive ingest spans — nests under it.
-        kind, body = message
-        if kind == "trace":
-            trace = self._decode_or_reject(decode_trace, body, src)
-            if trace is None:
-                return
-            self.report.traces_delivered += 1
-            self._obs_traces_delivered.inc()
-            self.hive.ingest_trace(trace)
-        elif kind == "batch":
-            from repro.exec.batch import decode_batch
-            # Zero-copy: only per-entry payloads materialize out of the
-            # received frame buffer. A truncated/corrupt frame fails
-            # its CRC32 footer and is rejected whole.
-            batch = self._decode_or_reject(decode_batch, memoryview(body),
-                                           src)
-            if batch is None:
-                return
-            for entry in batch.entries:
-                self.report.traces_delivered += 1
-                self._obs_traces_delivered.inc()
-                if entry.is_heartbeat:
-                    self.hive.ingest_heartbeat(entry.heartbeat)
-                    continue
-                trace = self._decode_or_reject(decode_trace, entry.payload,
-                                               src)
-                if trace is not None:
-                    self.hive.ingest_trace(trace)
-
-    def _decode_or_reject(self, decode, blob, src: str):
-        """``decode(blob)`` under a ``wire.decode`` span, or None when
-        the blob was mangled on the (chaos) wire: rejected, counted,
-        never ingested."""
-        from repro.errors import TraceError
+        # the sender's uplink span via the wire context); the frame's
+        # decode span and the hive's ingest spans nest under it.
+        decode_seq = self._decode_seq
+        self._decode_seq += 1
         try:
-            with self._tracer.span("wire.decode",
-                                   key=self._next_decode_seq(),
-                                   bytes=len(blob)):
-                return decode(blob)
+            # Zero-copy: only per-entry payloads materialize out of the
+            # received frame buffer.
+            with self._tracer.span("wire.decode", key=decode_seq,
+                                   bytes=len(frame)):
+                batch = decode_batch(memoryview(frame))
         except TraceError:
+            # Mangled on the (chaos) wire: the CRC32 footer fails, and
+            # the frame is rejected whole, counted, never ingested.
             self.count_chaos("frames_rejected")
             self._obs_rejected.inc()
             self._tracer.event("net.frame_rejected", src=src)
-            return None
+            return
+        delivered = self.hive.ingest_batch([batch])
+        self.report.traces_delivered += delivered
+        self._obs_traces_delivered.inc(delivered)
 
     def count_chaos(self, event: str) -> None:
         """Account one injected-fault occurrence (no-op sans chaos)."""

@@ -102,9 +102,6 @@ class SpanContext:
     trace_id: str
     span_id: str
 
-    def as_tuple(self) -> Tuple[str, str]:
-        return (self.trace_id, self.span_id)
-
 
 @dataclass
 class SpanRecord:

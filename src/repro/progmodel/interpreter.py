@@ -26,7 +26,6 @@ last), cached per program, and the step loop makes one call per step.
 
 from __future__ import annotations
 
-import operator
 import random
 import sys
 import weakref
@@ -37,6 +36,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ExecutionError, ProgramModelError, ScheduleError, TraceError
 from repro.progmodel.ir import (
+    COMPARISONS,
+    INTEGER_OPS,
     Assert,
     Assign,
     BinOp,
@@ -494,49 +495,29 @@ class ExecutionLimits:
     max_call_depth: int = 64
 
 
-def _divide(a: int, b: int) -> int:
-    if b == 0:
-        raise _ProgramFailure("division by zero")
-    return a // b
+def _crashes_on_zero(fn, message: str):
+    """``fn`` with a zero divisor turned into the running frame's
+    CRASH, ``message`` its failure message."""
+    def checked(a: int, b: int) -> int:
+        if b == 0:
+            raise _ProgramFailure(message)
+        return fn(a, b)
+    return checked
 
 
-def _modulo(a: int, b: int) -> int:
-    if b == 0:
-        raise _ProgramFailure("modulo by zero")
-    return a % b
+def _as_int(compare):
+    """A comparison whose bool becomes 1 or 0: values must stay exactly
+    ``int`` (a ``bool`` would leak into reprs of globals/returns and
+    change report bytes)."""
+    return lambda a, b: 1 if compare(a, b) else 0
 
 
-# Binary operators on known values. Comparisons wrap in int() — values
-# must stay exactly ``int`` (a ``bool`` would leak into reprs of
-# globals/returns and change report bytes).
-_BINOPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "==": lambda a, b: int(a == b),
-    "!=": lambda a, b: int(a != b),
-    "<": lambda a, b: int(a < b),
-    "<=": lambda a, b: int(a <= b),
-    ">": lambda a, b: int(a > b),
-    ">=": lambda a, b: int(a >= b),
-    "and": lambda a, b: int(bool(a) and bool(b)),
-    "or": lambda a, b: int(bool(a) or bool(b)),
-    "min": lambda a, b: a if a <= b else b,
-    "max": lambda a, b: a if a >= b else b,
-    "//": _divide,
-    "%": _modulo,
-}
-
-
-# The comparisons of _BINOPS as C functions, for fused operands.
-_COMPARISONS = {
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
+# Binary operators on known values: the IR's shared semantics
+# (``repro.progmodel.ir``), with a zero divisor crashing the run.
+_BINOPS = {op: _as_int(compare) for op, compare in COMPARISONS.items()}
+_BINOPS.update(INTEGER_OPS)
+_BINOPS["//"] = _crashes_on_zero(INTEGER_OPS["//"], "division by zero")
+_BINOPS["%"] = _crashes_on_zero(INTEGER_OPS["%"], "modulo by zero")
 
 
 class _ProgramFailure(Exception):
@@ -1150,7 +1131,7 @@ def _lower_var_const(op: str, name: str, b: int):
     taint bits are False, so the local's are the result's; a
     comparison calls the C function from :mod:`operator` and makes the
     bool an ``int``, exactly as its ``_BINOPS`` entry does."""
-    compare = _COMPARISONS.get(op)
+    compare = COMPARISONS.get(op)
     if compare is not None:
         def var_compare(local, inputs):
             a, ext, inp = local.get(name, _ZERO)

@@ -21,6 +21,7 @@ pattern the paper discusses: crashes, assertion violations, deadlocks
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -32,6 +33,7 @@ __all__ = [
     "Syscall", "Assert", "Crash", "Call",
     "Terminator", "Branch", "Jump", "Return", "Halt",
     "Block", "Function", "Program", "BINARY_OPS", "UNARY_OPS",
+    "INTEGER_OPS", "COMPARISONS",
 ]
 
 
@@ -39,12 +41,48 @@ __all__ = [
 # Expressions
 # --------------------------------------------------------------------------
 
+# Operator names in wire order: the program codec writes each as its
+# index here.
 BINARY_OPS = (
     "+", "-", "*", "//", "%",
     "==", "!=", "<", "<=", ">", ">=",
     "and", "or", "min", "max",
 )
 UNARY_OPS = ("neg", "not")
+
+
+def _and(left: int, right: int) -> int:
+    return 1 if left and right else 0
+
+
+def _or(left: int, right: int) -> int:
+    return 1 if left or right else 0
+
+
+def _min(left: int, right: int) -> int:
+    return left if left <= right else right
+
+
+def _max(left: int, right: int) -> int:
+    return left if left >= right else right
+
+
+# The integer semantics of every binary operator, the one definition
+# the interpreter, constant folding and symbolic lowering share:
+# INTEGER_OPS yield the int itself, COMPARISONS a bool that each caller
+# makes 1 or 0 (values stay exactly ``int``). ``//`` and ``%`` raise
+# ZeroDivisionError on a zero divisor, and each caller decides what
+# that means. ``and``/``or`` are functions, so both operands always
+# evaluate.
+INTEGER_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "//": operator.floordiv, "%": operator.mod, "min": _min, "max": _max,
+    "and": _and, "or": _or,
+}
+COMPARISONS = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 
 
 class Expr:

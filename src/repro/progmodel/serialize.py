@@ -21,6 +21,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ProgramModelError, TraceError
 from repro.progmodel.ir import (
+    BINARY_OPS,
+    UNARY_OPS,
     Assert,
     Assign,
     BinOp,
@@ -66,10 +68,6 @@ _MAX_EXPR_DEPTH = 200
 
 # -- expressions ---------------------------------------------------------------
 
-_BINOPS = ("+", "-", "*", "//", "%", "==", "!=", "<", "<=", ">", ">=",
-           "and", "or", "min", "max")
-_UNOPS = ("neg", "not")
-
 
 def _write_expr(out: bytearray, expr: Expr) -> None:
     if isinstance(expr, Const):
@@ -83,12 +81,12 @@ def _write_expr(out: bytearray, expr: Expr) -> None:
         write_string(out, expr.name)
     elif isinstance(expr, BinOp):
         write_varint(out, _EXPR_BIN)
-        write_varint(out, _BINOPS.index(expr.op))
+        write_varint(out, BINARY_OPS.index(expr.op))
         _write_expr(out, expr.left)
         _write_expr(out, expr.right)
     elif isinstance(expr, UnOp):
         write_varint(out, _EXPR_UN)
-        write_varint(out, _UNOPS.index(expr.op))
+        write_varint(out, UNARY_OPS.index(expr.op))
         _write_expr(out, expr.operand)
     else:
         raise ProgramModelError(f"cannot serialize expression {expr!r}")
@@ -106,12 +104,12 @@ def _read_expr(r: Reader, depth: int = 1) -> Expr:
     if tag == _EXPR_INPUT:
         return Input(r.string())
     if tag == _EXPR_BIN:
-        op = r.pick(_BINOPS)
+        op = r.pick(BINARY_OPS)
         left = _read_expr(r, depth + 1)
         right = _read_expr(r, depth + 1)
         return BinOp(op, left, right)
     if tag == _EXPR_UN:
-        op = r.pick(_UNOPS)
+        op = r.pick(UNARY_OPS)
         return UnOp(op, _read_expr(r, depth + 1))
     raise TraceError(f"bad expression tag {tag}")
 

@@ -43,10 +43,6 @@ class Proof:
             return 0.0
         return min(1.0, self.covered_paths / self.total_feasible_paths)
 
-    @property
-    def is_complete(self) -> bool:
-        return self.status is ProofStatus.PROVED
-
     def describe(self) -> str:
         scope = (f"{self.covered_paths}/{self.total_feasible_paths}"
                  if self.total_feasible_paths is not None

@@ -200,9 +200,6 @@ class ProofLedger:
     def coverage_series(self) -> List[Tuple[int, float]]:
         return [(tick, proof.coverage) for tick, proof in self.snapshots]
 
-    def status_series(self) -> List[Tuple[int, str]]:
-        return [(tick, proof.status.value) for tick, proof in self.snapshots]
-
     def first_proved_tick(self) -> Optional[int]:
         for tick, proof in self.snapshots:
             if proof.status is ProofStatus.PROVED:

@@ -403,13 +403,6 @@ class SymbolicEngine(Instrumented):
             self._take_branch(state, want_taken)
         return state
 
-    def explore_subtree(self, prefix: Sequence[Decision]) -> List[SymPath]:
-        """Exhaustively explore the subtree below ``prefix``."""
-        state = self.state_at_prefix(prefix)
-        if state is None:
-            return []
-        return self._explore_from(state)
-
     def explore_subtree_bounded(self, prefix: Sequence[Decision],
                                 max_paths: int,
                                 ) -> Tuple[List[SymPath],

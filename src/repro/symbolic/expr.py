@@ -3,9 +3,10 @@
 Symbolic values *are* IR expressions whose only non-constant leaves are
 :class:`~repro.progmodel.ir.Input` nodes (program inputs, or fresh
 symbols the engine mints for symbolic syscall returns). This module
-provides the shared operator semantics, constant folding, substitution,
-and concrete evaluation, through a closure each node is lowered into
-once (:func:`evaluator`).
+provides constant folding, substitution, and concrete evaluation,
+through a closure each node is lowered into once (:func:`evaluator`),
+over the operator semantics the IR defines for the interpreter too
+(``repro.progmodel.ir.INTEGER_OPS``/``COMPARISONS``).
 
 **Interning.** The engine re-derives the same sub-expressions at every
 fork (``fold(substitute(...))`` per branch), so :func:`fold` and
@@ -22,11 +23,12 @@ docs/PERFORMANCE.md for the invariant argument).
 
 from __future__ import annotations
 
-import operator
 from typing import Callable, Dict, Mapping, Optional
 
 from repro.errors import SymbolicError
-from repro.progmodel.ir import BinOp, Const, Expr, Input, UnOp, Var
+from repro.progmodel.ir import (
+    COMPARISONS, INTEGER_OPS, BinOp, Const, Expr, Input, UnOp, Var,
+)
 
 __all__ = ["apply_op", "fold", "substitute", "eval_concrete", "evaluator",
            "is_const", "intern_expr"]
@@ -67,39 +69,16 @@ def _const(value: int) -> Const:
     return intern_expr(Const(value))
 
 
-def _and(left: int, right: int) -> int:
-    return 1 if left and right else 0
-
-
-def _or(left: int, right: int) -> int:
-    return 1 if left or right else 0
-
-
-# Every binary operator, the one definition both folding
-# (:func:`apply_op`) and lowering (:func:`evaluator`) use: those that
-# yield the int itself, and comparisons, whose bool becomes 1 or 0.
-# ``and``/``or`` are functions, so both operands always evaluate.
-_INTEGER_OPS = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "//": operator.floordiv, "%": operator.mod, "min": min, "max": max,
-    "and": _and, "or": _or,
-}
-_COMPARISONS = {
-    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
-    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-}
-
-
 def apply_op(op: str, left: int, right: int) -> int:
     """Integer semantics shared with the concrete interpreter.
 
     Raises ZeroDivisionError for ``// 0`` and ``% 0`` — callers decide
     whether that is a crash path or an infeasible evaluation.
     """
-    fn = _INTEGER_OPS.get(op)
+    fn = INTEGER_OPS.get(op)
     if fn is not None:
         return fn(left, right)
-    compare = _COMPARISONS.get(op)
+    compare = COMPARISONS.get(op)
     if compare is None:
         raise SymbolicError(f"unknown operator {op!r}")
     return 1 if compare(left, right) else 0
@@ -284,8 +263,8 @@ def _lower_binop(op: str, left: Expr, right: Expr) -> Evaluator:
     """A BinOp's closure. A constant operand is bound as a value, and
     ``Input <op> Const``, the commonest leaf pair in branch conditions,
     reads ``env`` itself: one call for the pair instead of three."""
-    fn = _INTEGER_OPS.get(op)
-    compare = _COMPARISONS.get(op)
+    fn = INTEGER_OPS.get(op)
+    compare = COMPARISONS.get(op)
     if isinstance(right, Const):
         b = right.value
         if isinstance(left, Input):

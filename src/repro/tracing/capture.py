@@ -153,12 +153,14 @@ class PrivacyTruncatedCapture(CapturePolicy):
         if max_bits < 0:
             raise ValueError("max_bits must be >= 0")
         self.max_bits = max_bits
-        self._inner = FullCapture(include_schedule=include_schedule)
+        self._include_schedule = include_schedule
 
     def capture(self, result: ExecutionResult, pod_id: str = "",
                 guided: bool = False) -> Trace:
         from repro.tracing.privacy import truncate_trace
-        trace = self._inner.capture(result, pod_id=pod_id, guided=guided)
+        trace = trace_from_result(
+            result, pod_id=pod_id,
+            include_schedule=self._include_schedule, guided=guided)
         return self.account(truncate_trace(trace, self.max_bits))
 
 

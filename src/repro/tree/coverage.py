@@ -37,12 +37,6 @@ class CoverageReport:
             return 0.0
         return self.directions_seen / self.directions_possible
 
-    @property
-    def both_sides_fraction(self) -> float:
-        if self.sites_seen == 0:
-            return 0.0
-        return self.both_sides_sites / self.sites_seen
-
 
 def branch_coverage(tree: ExecutionTree) -> Dict[Site, Set[bool]]:
     """Map each observed decision site to the set of directions seen."""

@@ -56,10 +56,6 @@ class TreeNode:
     depth: int = 0
 
     @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    @property
     def terminal_count(self) -> int:
         """Executions that *ended* at this node."""
         return sum(self.outcome_counts.values())

@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError, TraceError, TreeError
 from repro.exec import (
-    BatchAccumulator, BatchEntry, PlannedRun, ResultPacker,
-    ResultUnpacker, SerialBackend, SyncDelta, TraceBatch, decode_batch,
-    encode_batch, pack_runs, partition_runs, partition_windows,
-    unpack_runs,
+    BatchEntry, PlannedRun, ResultPacker, ResultUnpacker, SerialBackend,
+    SyncDelta, TraceBatch, decode_batch, encode_batch, pack_runs,
+    partition_runs, partition_windows, unpack_runs,
 )
 from repro.exec.backends import (
     make_backend, resolve_backend_name, resolve_workers,
@@ -23,7 +22,7 @@ from repro.exec.backends import (
 from repro.exec.plan import RoundPlan
 from repro.exec.shard import Shard
 from repro.hive.hive import Hive
-from repro.interfaces import TraceSink, TraceSource
+from repro.interfaces import TraceSink
 from repro.loop import window_sink
 from repro.platform import PlatformConfig, SoftBorgPlatform
 from repro.pod.pod import Pod
@@ -102,19 +101,6 @@ class TestBatchWire:
         v2_frame = body + zlib.crc32(body).to_bytes(4, "big")
         with pytest.raises(TraceError, match="version 2"):
             decode_batch(v2_frame)
-
-    def test_accumulator_rolls_at_max_traces(self):
-        acc = BatchAccumulator(0, "p", 1, max_traces=2)
-        for index in range(5):
-            acc.add(BatchEntry(global_index=index, payload=b"x"))
-        assert acc.pending() == 5
-        full = acc.take_full()
-        assert [len(b) for b in full] == [2, 2]
-        assert acc.pending() == 1
-        rest = acc.drain_batches()
-        assert [len(b) for b in rest] == [1]
-        assert [b.sequence for b in full + list(rest)] == [0, 1, 2]
-        assert acc.pending() == 0
 
 
 # -- planning ------------------------------------------------------------------
@@ -679,15 +665,12 @@ class TestTreeMerge:
             current.merge(other)
 
 
-# -- the TraceSink / TraceSource surface ---------------------------------------
+# -- the TraceSink surface -----------------------------------------------------
 
 class TestIngestSurface:
     def test_hive_satisfies_tracesink(self):
         demo = make_crash_demo()
         assert isinstance(Hive(demo.program), TraceSink)
-
-    def test_accumulator_satisfies_tracesource(self):
-        assert isinstance(BatchAccumulator(0, "p", 1), TraceSource)
 
     def test_deprecated_ingest_alias_is_gone(self):
         # `Hive.ingest` completed its deprecation cycle (warned with a

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.hive.hive import Hive
+from repro.obs import Registry
 from repro.progmodel.corpus import make_crash_demo
 from repro.progmodel.interpreter import (
     Interpreter, Outcome, ReplaySource, TraceExhausted,
@@ -77,6 +79,29 @@ class TestPrivacyTruncatedCapture:
     def test_validation(self):
         with pytest.raises(ValueError):
             PrivacyTruncatedCapture(max_bits=-1)
+
+    def test_accounts_once_under_its_own_policy(self):
+        demo = make_crash_demo()
+        registry = Registry()
+        previous = obs.set_registry(registry)
+        try:
+            capture = PrivacyTruncatedCapture(max_bits=1)
+            shipped, full = [], []
+            for n in range(5, 10):
+                result = Interpreter(demo.program).run({"n": n, "mode": 2})
+                shipped.append(capture.capture(result).events_recorded)
+                full.append(trace_from_result(result).events_recorded)
+        finally:
+            obs.set_registry(previous)
+        assert all(a < b for a, b in zip(shipped, full))
+        snapshot = registry.snapshot()
+        names = set(snapshot["counters"]) | set(snapshot["histograms"])
+        assert not [name for name in names
+                    if name.startswith("capture.full.")]
+        assert snapshot["counters"]["capture.privacy_truncated.traces"] == 5
+        events = registry.histogram("capture.privacy_truncated.events")
+        assert events.count == 5
+        assert events.total == sum(shipped)
 
 
 class TestDedup:

@@ -12,7 +12,7 @@ from repro.progmodel.corpus import (
 )
 from repro.progmodel.bugs import BugKind
 from repro.progmodel.interpreter import Interpreter, Outcome
-from repro.progmodel.ir import BinOp, Const, Input, Var, c, v
+from repro.progmodel.ir import BINARY_OPS, BinOp, Const, Input, Var, c, v
 from repro.symbolic.engine import SymbolicEngine, SymbolicLimits
 from repro.symbolic.expr import apply_op, eval_concrete, fold, substitute
 from repro.symbolic.pathcond import PathCondition
@@ -61,6 +61,45 @@ class TestExprUtilities:
         assert apply_op("%", -7, 3) == 2
         assert apply_op("and", 5, 0) == 0
         assert apply_op("min", 2, 9) == 2
+
+    @pytest.mark.parametrize("op", BINARY_OPS)
+    def test_interpreter_runs_apply_op(self, op):
+        """Every operator, run by the interpreter both as ``a <op> b``
+        over two inputs and fused as ``local <op> constant``, yields
+        ``apply_op``'s int, and crashes exactly where ``apply_op``
+        raises ZeroDivisionError."""
+        values = (-7, -3, -1, 0, 1, 2, 5)
+
+        def program(expr):
+            b = ProgramBuilder("op", inputs={"a": (-7, 5), "b": (-7, 5)},
+                               global_vars={"out": 0})
+            entry = b.function("main").block("entry")
+            entry.assign("x", Input("a"))
+            entry.store_global("out", expr)
+            entry.halt()
+            return b.build()
+
+        on_inputs = program(BinOp(op, Input("a"), Input("b")))
+        for right in values:
+            fused = program(BinOp(op, v("x"), Const(right)))
+            for left in values:
+                try:
+                    expected = apply_op(op, left, right)
+                except ZeroDivisionError:
+                    expected = None
+                for subject in (on_inputs, fused):
+                    result = Interpreter(subject).run({"a": left,
+                                                       "b": right})
+                    if expected is None:
+                        assert result.outcome is Outcome.CRASH
+                        assert result.failure.message == (
+                            "division by zero" if op == "//"
+                            else "modulo by zero")
+                    else:
+                        assert result.outcome is Outcome.OK
+                        value = result.final_globals["out"]
+                        assert type(value) is int
+                        assert value == expected
 
     @settings(max_examples=100, deadline=None)
     @given(a=st.integers(-50, 50), b=st.integers(-50, 50),
