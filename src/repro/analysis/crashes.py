@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.progmodel.interpreter import Outcome
 from repro.tracing.trace import Trace
 
 __all__ = ["CrashBucket", "CrashBucketer"]

@@ -11,8 +11,8 @@ its reference [16] (Jula et al., "Deadlock Immunity").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.progmodel.interpreter import ExecutionResult, LockEvent, Outcome
 
@@ -108,10 +108,15 @@ class DeadlockAnalyzer:
         self.graph = LockOrderGraph()
         self._deadlock_count = 0
 
-    def add_execution(self, result: ExecutionResult) -> None:
+    def add_execution(self, result: ExecutionResult,
+                      count: int = 1) -> None:
+        """Fold ``count`` executions that share ``result``'s
+        by-products: the lock graph's edge and site sets are
+        idempotent and the deadlock count is linear, so this equals
+        ``count`` calls."""
         self.graph.add_execution(result.lock_events)
         if result.outcome is Outcome.DEADLOCK:
-            self._deadlock_count += 1
+            self._deadlock_count += count
 
     def diagnoses(self) -> List[DeadlockDiagnosis]:
         reports = []

@@ -24,8 +24,8 @@ property) is what upgrades it from observation to theorem.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.progmodel.interpreter import ExecutionResult
 
@@ -54,8 +54,8 @@ class _VarStats:
         self.samples = 0
         self.none_seen = False
 
-    def record(self, value: Optional[int]) -> None:
-        self.samples += 1
+    def record(self, value: Optional[int], count: int = 1) -> None:
+        self.samples += count
         if value is None:
             self.none_seen = True
             return
@@ -82,24 +82,32 @@ class InvariantMiner:
 
     # -- ingestion -----------------------------------------------------------
 
-    def add_execution(self, result: ExecutionResult) -> None:
-        self.executions += 1
+    def add_execution(self, result: ExecutionResult,
+                      count: int = 1) -> None:
+        """Fold ``count`` executions that share ``result``'s
+        by-products: sample and equal-pair counts advance by ``count``
+        while bounds and surviving pairs move as for one (a repeated
+        snapshot changes neither), so this equals ``count`` calls. The
+        first snapshot picks the candidate pairs, so the order of
+        distinct executions still matters."""
+        self.executions += count
         snapshot = {name: value
                     for name, value in result.final_globals.items()
                     if not name.startswith(self._ignore_prefix)}
         for name, value in snapshot.items():
-            self._globals[name].record(value)
+            self._globals[name].record(value, count)
         for tid, value in result.return_values.items():
-            self._returns[tid].record(value)
-        self._update_equalities(snapshot)
+            self._returns[tid].record(value, count)
+        self._update_equalities(snapshot, count)
 
-    def _update_equalities(self, snapshot: Dict[str, Optional[int]]) -> None:
+    def _update_equalities(self, snapshot: Dict[str, Optional[int]],
+                           times: int) -> None:
         names = sorted(n for n, v in snapshot.items() if v is not None)
         observed = {(a, b) for i, a in enumerate(names)
                     for b in names[i + 1:]
                     if snapshot[a] == snapshot[b]}
         if self._equal_pairs is None:
-            self._equal_pairs = {pair: 1 for pair in observed}
+            self._equal_pairs = {pair: times for pair in observed}
             return
         # An equality survives only if it held in every execution that
         # observed both variables.
@@ -108,7 +116,7 @@ class InvariantMiner:
             a, b = pair
             if a in snapshot and b in snapshot:
                 if snapshot[a] is not None and snapshot[a] == snapshot[b]:
-                    surviving[pair] = count + 1
+                    surviving[pair] = count + times
             else:
                 surviving[pair] = count
         self._equal_pairs = surviving

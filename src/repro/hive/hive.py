@@ -5,8 +5,10 @@ Fig. 2): pods ship bit-vectors, and every by-product the analyses read
 — decision path, lock and global events, final globals, return values —
 is rebuilt here by replaying the trace against the hive's program.
 :meth:`Hive.ingest_batch` replays each distinct replay source once per
-memo (one per round on the round-driven loop) and folds every entry
-through the same admit-and-fold path as :meth:`Hive.ingest_trace`.
+memo (one per round on the round-driven loop) and admits every entry
+through the same path as :meth:`Hive.ingest_trace`; with a memo it
+folds each distinct replay into the tree and the count-linear
+analyzers once per call, with its count.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.analysis.races import RaceAnalyzer
 from repro.config import BaseReport
 from repro.errors import TraceError
 from repro.obs import Instrumented
-from repro.obs.trace import get_tracer
+from repro.obs.trace import NULL_SPAN, get_tracer
 from repro.fixes.deadlock_immunity import synthesize_immunity_fix
 from repro.fixes.fix import Fix
 from repro.fixes.patches import synthesize_recovery_fixes
@@ -178,13 +180,31 @@ class Hive(Instrumented):
 
     def ingest_trace(self, trace: Trace) -> None:
         """Fold one trace into the collective state."""
-        self._ingest(trace, None)
+        replay = self._ingest(trace, None)
+        if replay is not None:
+            self._fold_replay(replay, 1)
 
-    def _ingest(self, trace: Trace, memo: Optional[Dict]) -> None:
-        with self._tracer.span("hive.ingest_trace", key=self._next_seq(),
-                               outcome=trace.outcome.value):
+    def _ingest(self, trace: Trace,
+                memo: Optional[Dict]) -> Optional[_Replay]:
+        """Admit one trace and do the work that stays per entry; return
+        its replay for :meth:`_fold_replay`, or None when the trace is
+        stale, not replayable, or does not replay.
+
+        Per entry: the fix evidence and dangerous schedules (ordered),
+        the crash bucket (``first_seen_index`` counts arrivals), the
+        race analyzer (its lockset refinement starts only once a
+        variable is seen shared, so a repeated fold refines accesses
+        the first one skipped), and the digest's path, which a
+        heartbeat later in the same call must find.
+        """
+        # The span's arguments cost about a quarter of a repeated
+        # entry's work: build them only when tracing is on.
+        span = (self._tracer.span("hive.ingest_trace", key=self._next_seq(),
+                                  outcome=trace.outcome.value)
+                if self._tracer.enabled else NULL_SPAN)
+        with span:
             if not self._admit(trace):
-                return
+                return None
             if not trace.replayable:
                 if trace.branch_bits:
                     # Privacy-truncated trace: the retained bit prefix
@@ -199,17 +219,26 @@ class Hive(Instrumented):
                                 trace.replay_source())
                     except TraceError:
                         self._replay_failed(trace)
-                        return
+                        return None
                     self.tree.insert_path(prefix, trace.outcome)
                 else:
                     self.cbi.add_trace(trace)
                 self.bucketer.add(trace)
-                return
+                return None
             replay = self._replay(trace, memo)
             if replay is None:
                 self._replay_failed(trace)
-                return
-            self._fold(trace, replay)
+                return None
+            # Replayable failure dumps carry their full decision path —
+            # feed it to the bucketer for WER-style bucket splitting.
+            self.bucketer.add(trace, path=replay.path_decisions)
+            self.races.add_execution(replay)
+            # Remember the digest -> path association so later
+            # heartbeats from deduplicating pods can bump this path's
+            # usage counts without re-shipping the trace.
+            self._digest_paths[trace_digest(trace)] = (
+                replay.path_decisions, replay.outcome)
+            return replay
 
     def _replay(self, trace: Trace,
                 memo: Optional[Dict]) -> Optional[_Replay]:
@@ -269,24 +298,25 @@ class Hive(Instrumented):
                 self._dangerous_schedules.append(trace.schedule_picks())
         return True
 
-    def _fold(self, trace: Trace, replay: _Replay) -> None:
-        """Feed an admitted trace's replay to the tree and analyzers."""
+    def _fold_replay(self, replay: _Replay, count: int) -> None:
+        """Fold ``count`` admitted entries that share ``replay`` into
+        the tree and the deadlock and invariant analyzers, in one pass.
+
+        Each is count-linear or idempotent in a repeated execution
+        (tree visits and outcomes, deadlock count and invariant samples
+        add ``count``; lock edges, bounds and candidate pairs move as
+        for one), so this equals ``count`` single folds. The invariant
+        miner's first healthy snapshot picks its candidate pairs, so
+        callers fold distinct replays in first-appearance order.
+        """
         with self._obs_phase_analysis.time():
-            # Replayable failure dumps carry their full decision path —
-            # feed it to the bucketer for WER-style bucket splitting.
-            self.bucketer.add(trace, path=replay.path_decisions)
-            self.tree.insert_path(replay.path_decisions, replay.outcome)
-            self.deadlocks.add_execution(replay)
-            self.races.add_execution(replay)
+            self.tree.insert_path(replay.path_decisions, replay.outcome,
+                                  count=count)
+            self.deadlocks.add_execution(replay, count=count)
             if replay.outcome is Outcome.OK:
                 # Invariants are mined from healthy behaviour only:
                 # "identify the correct code in P" (Sec. 2).
-                self.invariants.add_execution(replay)
-        # Remember the digest -> path association so later heartbeats
-        # from deduplicating pods can bump this path's usage counts
-        # without re-shipping the trace.
-        self._digest_paths[trace_digest(trace)] = (
-            replay.path_decisions, replay.outcome)
+                self.invariants.add_execution(replay, count=count)
 
     def ingest_batch(self, batches, memo: Optional[Dict] = None) -> int:
         """Fold shard :class:`TraceBatch` flushes: a round's worth, one
@@ -305,19 +335,27 @@ class Hive(Instrumented):
         and a distinct replay source replayed once per memo. Entries
         share that one frozen trace, which memoizes its digest; a
         decoded trace's encode prefix is the payload it came from, so
-        even its first ``trace_digest`` re-walks nothing.
+        even its first ``trace_digest`` re-walks nothing. With a memo,
+        each entry is admitted, bucketed, race-analyzed and digested on
+        arrival, and each distinct replay of the call folds into the
+        tree and the deadlock and invariant analyzers once, with its
+        entry count, at the end of the call, in first-appearance order
+        (:meth:`_fold_replay`).
         Pass one dict to every window (or chaos wire frame) of a round,
         where many entries share a replay source. Without one, payloads
-        decode once per call and every trace replays: serve's pump
-        frames repeat no source, and a memo would hold each frame's
-        replays for nothing, which costs the collector. A payload that
-        does not decode counts as an arrival whose replay failed, and
-        the rest of the batches still ingest.
+        decode once per call, every trace replays and folds at once:
+        serve's pump frames repeat no source, and a memo would hold
+        each frame's replays for nothing, which costs the collector. A
+        payload that does not decode counts as an arrival whose replay
+        failed, and the rest of the batches still ingest.
 
         Returns the number of entries consumed.
         """
         from repro.tracing.encode import decode_trace
         decoded = {} if memo is None else memo
+        # Distinct replay -> [replay, entries sharing it], in
+        # first-appearance order (with a memo only).
+        pending: Optional[Dict[int, list]] = None if memo is None else {}
         ordered = sorted(batches, key=lambda b: (b.shard_id, b.sequence))
         entries = sorted(
             (entry for batch in ordered for entry in batch.entries),
@@ -346,7 +384,22 @@ class Hive(Instrumented):
                         self._obs_replay_failures.inc()
                         continue
                     decoded[entry.payload] = trace
-                self._ingest(trace, memo)
+                replay = self._ingest(trace, memo)
+                if replay is None:
+                    continue
+                if pending is None:
+                    self._fold_replay(replay, 1)
+                    continue
+                # Keyed by identity: the memo holds one replay object
+                # per source for the whole call.
+                slot = pending.get(id(replay))
+                if slot is None:
+                    pending[id(replay)] = [replay, 1]
+                else:
+                    slot[1] += 1
+            if pending:
+                for replay, count in pending.values():
+                    self._fold_replay(replay, count)
         return len(entries)
 
     def ingest_heartbeat(self, heartbeat) -> None:

@@ -42,7 +42,9 @@ __all__ = ["LoopConfig", "ClosedLoop", "window_sink", "check_solver_cache",
 def window_sink(hive: Hive) -> WindowSink:
     """A sink that ingests each window of one round into ``hive``, its
     entries in global order, with one decode and replay memo for the
-    whole round. Build one per round."""
+    whole round, so each window's distinct replays fold once each,
+    with their counts (:meth:`Hive.ingest_batch`). Build one per
+    round."""
     memo: Dict = {}
 
     def ingest(results: List[ShardResult]) -> None:

@@ -18,13 +18,14 @@ locally. The uplink has one message: a CRC-checked
 mangled in transit fails its CRC and is rejected whole, never
 ingested; a good frame folds through :meth:`Hive.ingest_batch
 <repro.hive.hive.Hive.ingest_batch>`, the entry point the round loop,
-the chaos wire and serve's pump use.
+the chaos wire and serve's pump use, once: the hive drops a repeat of
+a pod's frame sequence (a chaos-duplicated send).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.config import (
     BaseConfig, BaseReport, check_at_least_one, check_positive,
@@ -305,8 +306,12 @@ class NetworkedPlatform(Instrumented):
             self.chaos_events = {
                 "pod_crashes": 0, "uplink_dropped": 0,
                 "uplink_duplicated": 0, "uplink_corrupted": 0,
-                "frames_rejected": 0,
+                "frames_rejected": 0, "frames_deduplicated": 0,
             }
+        # Every (pod index, frame sequence) the hive folded: a pod sends
+        # a chaos-duplicated frame as a second transport message, which
+        # the transport's own (src, sequence) dedup never sees.
+        self._frames_folded: Set[Tuple[int, int]] = set()
         self.clock = SimClock()
         self.network = Network(
             self.clock,
@@ -371,6 +376,15 @@ class NetworkedPlatform(Instrumented):
             self._obs_rejected.inc()
             self._tracer.event("net.frame_rejected", src=src)
             return
+        key = (batch.shard_id, batch.sequence)
+        if key in self._frames_folded:
+            # A repeat of a frame the hive already folded (its sender
+            # pod's index and the frame's sequence, which survive pod
+            # crashes): dropped, never folded twice.
+            self.count_chaos("frames_deduplicated")
+            self._tracer.event("net.frame_deduplicated", src=src)
+            return
+        self._frames_folded.add(key)
         delivered = self.hive.ingest_batch([batch])
         self.report.traces_delivered += delivered
         self._obs_traces_delivered.inc(delivered)

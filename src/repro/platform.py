@@ -15,8 +15,10 @@ hive into the paper's feedback cycle, executed in deterministic rounds:
    epoch-stamped ``publish()`` deltas;
 3. the hive replays and ingests the batch entries in global execution
    order, one window of the round at a time while the shards run the
-   next; at round end it analyzes and — when the evidence warrants —
-   synthesizes, validates, and deploys a fix;
+   next; the coordinator folds each window's run records as it arrives
+   and, after the first, draws the next round's runs; at round end the
+   hive analyzes and — when the evidence warrants — synthesizes,
+   validates, and deploys a fix;
 4. the fixed program rolls out to a staged fraction of pods per round;
 5. metrics record the user-visible failure rate, proof progress, and
    ground-truth bug status.
@@ -30,13 +32,14 @@ baselines E12) is a configuration of this class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import (
     BaseReport, check_at_least_one, check_positive, check_unit_interval,
 )
 from repro.exec.backends import SyncDelta, resolve_workers
-from repro.exec.batch import RunRecord
+from repro.exec.batch import RunRecord, ShardResult
 from repro.exec.plan import PlannedRun, RoundPlan
 from repro.loop import ClosedLoop, LoopConfig, solver_cache_doc, window_sink
 from repro.metrics.bugdensity import BugDensityTracker
@@ -44,6 +47,7 @@ from repro.metrics.series import Series
 from repro.proofs.proof import Proof
 from repro.rng import make_rng
 from repro.tracing.capture import CapturePolicy, FullCapture
+from repro.tracing.dedup import Heartbeat
 from repro.workloads.scenarios import Scenario
 
 __all__ = ["PlatformConfig", "RoundStats", "PlatformReport",
@@ -224,6 +228,8 @@ class SoftBorgPlatform(ClosedLoop):
         self._obs_wire_bytes = self.obs_counter("wire_bytes")
         self._obs_fixes = self.obs_counter("fixes_deployed")
         self._rng = make_rng(config.seed, "platform", scenario.program.name)
+        # The next round's runs, drawn while this round's shards run.
+        self._drawn: Optional[List[PlannedRun]] = None
         self.report = PlatformReport()
         # Chaos + invariants: both default off and cost one ``is None``
         # per round when disabled (mirroring repro.obs's no-op mode).
@@ -335,30 +341,51 @@ class SoftBorgPlatform(ClosedLoop):
         return {"schema_version": SCORECARD_SCHEMA_VERSION,
                 "families": families}
 
-    def _plan_round(self, round_index: int) -> RoundPlan:
-        """Serialize the round's randomness into a backend-free plan.
+    def _draw_runs(self) -> List[PlannedRun]:
+        """Draw one round's runs: per execution, exactly the historical
+        serial loop's draws — population sample, pod choice, loss draw
+        — so the platform RNG stream (and therefore every report) is
+        the serial loop's.
 
-        Draw order per execution is exactly the historical serial
-        loop's — population sample, pod choice, steering pop, loss
-        draw — so the platform RNG stream (and therefore every
-        report) is unchanged by the redesign.
+        Nothing else draws from these two generators, so a streamed
+        round draws the next round's runs while its shards run (see
+        :meth:`_round_sink`). That is exact: a fix deployed at the end
+        of the round changes the hive version and the steering
+        directives, which :meth:`_plan_round` attaches when the next
+        round starts, never the draws (the population keeps the
+        original program's input domains).
         """
         config = self.config
-        directives = []
-        if config.guidance:
-            directives = self.hive.plan_steering(config.guided_per_round)
+        sample = self.scenario.population.sample_execution
+        choose = self._rng.choice
+        loss = config.trace_loss_rate
         pod_indices = range(len(self.pods))
         runs = []
         for execution in range(config.executions_per_round):
-            _user, inputs = self.scenario.population.sample_execution()
-            pod_index = self._rng.choice(pod_indices)
-            directive = directives.pop() if directives else None
-            ship = not (config.trace_loss_rate
-                        and self._rng.random() < config.trace_loss_rate)
+            _user, inputs = sample()
+            pod_index = choose(pod_indices)
+            ship = not (loss and self._rng.random() < loss)
             # Positional fields, as in unpack_runs: (global_index,
             # pod_index, inputs, directive, ship).
-            runs.append(PlannedRun(execution, pod_index, inputs, directive,
+            runs.append(PlannedRun(execution, pod_index, inputs, None,
                                    ship))
+        return runs
+
+    def _plan_round(self, round_index: int) -> RoundPlan:
+        """Serialize the round's randomness into a backend-free plan:
+        the runs drawn during the round before when there are any (else
+        drawn now), each early run given a steering directive, popped
+        in the historical order, and the hive version."""
+        runs, self._drawn = self._drawn, None
+        if runs is None:
+            runs = self._draw_runs()
+        if self.config.guidance:
+            directives = self.hive.plan_steering(
+                self.config.guided_per_round)
+            for run in runs:
+                if not directives:
+                    break
+                run.directive = directives.pop()
         return RoundPlan(round_index=round_index,
                          hive_version=self.hive.program.version,
                          runs=runs)
@@ -366,21 +393,57 @@ class SoftBorgPlatform(ClosedLoop):
     def _run_round(self, round_index: int) -> None:
         with self._tracer.span("round.plan", key=round_index):
             plan = self._plan_round(round_index)
-        # Direct delivery streams: the hive ingests each window while
-        # the shards run the next. Chaos delivers over its wire after.
-        records, entries = self._execute(
-            plan, "round.execute", self.chaos,
-            sink=None if self.chaos is not None else window_sink(self.hive))
-        self._fold_round(round_index, plan, records, entries)
+        if self.chaos is not None:
+            # Chaos delivers over its wire after the round and folds
+            # the round's records then.
+            records, entries = self._execute(plan, "round.execute",
+                                             self.chaos)
+            failures, guided = self._fold_records(records)
+        else:
+            # Direct delivery streams: the hive ingests each window
+            # while the shards run the next.
+            sink, tally = self._round_sink(round_index)
+            _records, entries = self._execute(plan, "round.execute",
+                                              sink=sink)
+            failures, guided = tally
+        self._fold_round(round_index, plan, entries, failures, guided)
 
-    def _fold_round(self, round_index: int, plan: RoundPlan,
-                    records: List[RunRecord], entries) -> None:
-        """Everything after execution: density folds, wire accounting
-        (and, under chaos, delivery into the hive), proofs, fixing,
-        rollout, per-round stats, invariants, health. Pure
-        coordinator-side state — no backend traffic except the
-        fix/rollout publishes."""
-        config = self.config
+    def _round_sink(self, round_index: int):
+        """A streamed round's window sink and its ``[failures,
+        guided]`` tally. Each window is ingested into the hive, its wire
+        bytes accounted and its records folded as it arrives; once the
+        first window is in, the next round's runs are drawn while the
+        shards run the rest (the last round draws nothing ahead)."""
+        ingest = window_sink(self.hive)
+        tally = [0, 0]
+        draw_ahead = round_index + 1 < self.config.rounds
+
+        def sink(results: List[ShardResult]) -> None:
+            nonlocal draw_ahead
+            ingest(results)
+            sizes = [Heartbeat.WIRE_SIZE if entry.is_heartbeat
+                     else len(entry.payload)
+                     for result in results for batch in result.batches
+                     for entry in batch.entries]
+            self._account_wire(sum(sizes), len(sizes))
+            # Window w holds plan positions [w*size, (w+1)*size), so
+            # its records continue the global order.
+            records = [record for result in results
+                       for record in result.records]
+            if len(results) > 1:
+                records.sort(key=attrgetter("global_index"))
+            failures, guided = self._fold_records(records)
+            tally[0] += failures
+            tally[1] += guided
+            if draw_ahead:
+                draw_ahead = False
+                self._drawn = self._draw_runs()
+        return sink, tally
+
+    def _fold_records(self, records: List[RunRecord]) -> Tuple[int, int]:
+        """Fold run records, in global order, into the executions
+        counter, guided accounting and the density ledger; returns the
+        user-visible failures and the guided runs among them."""
         failures = 0
         guided = 0
         for record in records:
@@ -398,7 +461,16 @@ class SoftBorgPlatform(ClosedLoop):
                 self._obs_failures.inc(int(record.failed))
                 self.report.density.record_execution(
                     record.failed, self._attribute(record))
+        return failures, guided
 
+    def _fold_round(self, round_index: int, plan: RoundPlan, entries,
+                    failures: int, guided: int) -> None:
+        """Everything after execution and the record folds: lost
+        traces, under chaos the delivery into the hive and its wire
+        accounting, proofs, fixing, rollout, per-round stats,
+        invariants, health. Pure coordinator-side state — no backend
+        traffic except the fix/rollout publishes."""
+        config = self.config
         lost = sum(1 for run in plan.runs if not run.ship)
         if lost:
             self.report.traces_lost += lost
@@ -412,13 +484,8 @@ class SoftBorgPlatform(ClosedLoop):
                 # coordinator.
                 self.chaos.deliver(self.hive, entries, round_index,
                                    wire=self._account_wire)
-            else:
-                # The hive already ingested these, window by window.
-                from repro.tracing.dedup import Heartbeat
-                for entry in entries:
-                    self._account_wire(Heartbeat.WIRE_SIZE
-                                       if entry.is_heartbeat
-                                       else len(entry.payload))
+            # A direct round's sink ingested and accounted its entries
+            # window by window.
 
         # Snapshot the proof on this round's evidence *before* any fix
         # rewrites the program — a deployed fix invalidates the proof,
@@ -539,9 +606,11 @@ class SoftBorgPlatform(ClosedLoop):
         if dump is not None:
             self.flight_dumps.append(dump)
 
-    def _account_wire(self, size: int) -> None:
+    def _account_wire(self, size: int, messages: int = 1) -> None:
+        """Account ``messages`` shipped entries (or frames) of ``size``
+        bytes in all."""
         self.report.wire_bytes += size
-        self._obs_traces_shipped.inc()
+        self._obs_traces_shipped.inc(messages)
         self._obs_wire_bytes.inc(size)
 
     def _audit_ground_truth(self, fixed_program) -> None:

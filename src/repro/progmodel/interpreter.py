@@ -34,7 +34,7 @@ from enum import Enum
 from functools import partial
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ExecutionError, ProgramModelError, ScheduleError, TraceError
+from repro.errors import ExecutionError, ScheduleError, TraceError
 from repro.progmodel.ir import (
     COMPARISONS,
     INTEGER_OPS,

@@ -19,7 +19,7 @@ from typing import Optional
 
 from repro.progmodel.interpreter import BranchEvent, ExecutionResult
 from repro.tracing.sampling import sample_observations
-from repro.tracing.trace import Trace, schedule_rle, trace_from_result
+from repro.tracing.trace import Trace, trace_from_result
 
 __all__ = [
     "CapturePolicy", "FullCapture", "AllBranchCapture", "SampledCapture",

@@ -208,6 +208,41 @@ class TestUplinkFrame:
         assert all(payload in encoded for payload in ingested)
         assert platform.hive.stats.replay_failures == 0
 
+    # Frames that reached the hive's decoder intact under each profile
+    # at seed 4 (8 pods, 400 s), and how many of them were a pod's
+    # chaos-duplicated second send of a frame already folded.
+    DUPLICATES = {"partitioned": (317, 36), "lossy-workers": (500, 22),
+                  "wild": (387, 42)}
+
+    @pytest.mark.parametrize("profile", sorted(DUPLICATES))
+    @pytest.mark.parametrize("make_scenario", [crash_scenario,
+                                               race_scenario])
+    def test_a_duplicated_frame_folds_once(self, make_scenario, profile,
+                                           monkeypatch):
+        # A pod sends a chaos-duplicated frame as a second transport
+        # message, which the transport's (src, sequence) dedup never
+        # sees: the hive drops the repeat by (pod, frame sequence).
+        platform = NetworkedPlatform(
+            make_scenario(seed=4),
+            NetworkedConfig(n_pods=8, duration=400.0, seed=4,
+                            chaos_profile=profile))
+        folded = []
+        ingest_batch = platform.hive.ingest_batch
+
+        def record(batches, memo=None):
+            folded.extend((batch.shard_id, batch.sequence)
+                          for batch in batches)
+            return ingest_batch(batches, memo)
+        monkeypatch.setattr(platform.hive, "ingest_batch", record)
+        platform.run()
+        ingested, deduplicated = self.DUPLICATES[profile]
+        assert len(folded) == len(set(folded)) == ingested
+        assert platform.hive.stats.traces_ingested == ingested
+        assert platform.report.traces_delivered == ingested
+        assert platform.chaos_events["frames_deduplicated"] == deduplicated
+        assert (platform.chaos_events["uplink_duplicated"]
+                >= deduplicated > 0)
+
     def test_delivery_spans_nest_the_hive_ingest(self):
         tracer = Tracer(enabled=True, clock=FixedClock(1.0),
                         trace_id="net-test")

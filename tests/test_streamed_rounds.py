@@ -9,7 +9,8 @@ demos and for every registry bug. And a real worker
 crash in the middle of a round, or right after its last window, loses
 no run and ingests no trace twice: the windows already received stay
 received, and the respawned worker runs only the rest (docs/CHAOS.md,
-"Real crashes").
+"Real crashes"). A crash after the platform has drawn the next round's
+runs, mid-round, changes no later plan.
 """
 
 import os
@@ -28,10 +29,12 @@ from repro.exec import (
 from repro.hive.hive import Hive
 from repro.loop import window_sink
 from repro.obs import Registry, set_registry
+from repro.platform import PlatformConfig, SoftBorgPlatform
 from repro.pod.pod import Pod
+from repro.progmodel.bugs import BugKind, BugSpec
 from repro.progmodel.builder import ProgramBuilder
 from repro.progmodel.corpus import (
-    make_crash_demo, make_deadlock_demo, make_race_demo,
+    SeededProgram, make_crash_demo, make_deadlock_demo, make_race_demo,
 )
 from repro.progmodel.interpreter import ExecutionLimits
 from repro.progmodel.ir import Input, v
@@ -39,6 +42,8 @@ from repro.registry import RegistryRunConfig, build_registry
 from repro.registry.harness import _bug_workload
 from repro.rng import make_rng
 from repro.tracing.capture import FullCapture
+from repro.workloads.population import UserPopulation
+from repro.workloads.scenarios import Scenario
 
 DEMOS = {"crash": make_crash_demo, "race": make_race_demo,
          "deadlock": make_deadlock_demo}
@@ -247,6 +252,45 @@ def _slow_program(spins=2000):
     return builder.build()
 
 
+def _platform_run(backend, workers, after_draw=None):
+    """Three 24-run rounds of the slow program on ``backend``; calls
+    ``after_draw(platform, draws)`` after each draw of a round's runs.
+    Returns the plans the rounds executed and what the run reported."""
+    program = _slow_program()
+    bug = BugSpec(bug_id="slow_demo", kind=BugKind.CRASH,
+                  site_function="main", site_block="boom",
+                  trigger={"n": 3})
+    scenario = Scenario(
+        seeded=SeededProgram(program=program, bugs=[bug]),
+        population=UserPopulation(program, 8, volatility=0.3, seed=2))
+    platform = SoftBorgPlatform(scenario, PlatformConfig(
+        n_pods=4, rounds=3, executions_per_round=24, max_steps=20_000,
+        enable_proofs=False, seed=2, backend=backend, workers=workers))
+    draw = platform._draw_runs
+    draws = []
+
+    def drawing():
+        runs = draw()
+        draws.append(len(runs))
+        if after_draw is not None:
+            after_draw(platform, len(draws))
+        return runs
+    platform._draw_runs = drawing
+    plans = []
+    run_round = platform.backend.run_round
+
+    def recording(plan, sink=None):
+        plans.append(plan)
+        return run_round(plan, sink)
+    platform.backend.run_round = recording
+    platform.run()
+    assert draws == [24, 24, 24]
+    return plans, {"report": platform.report.as_dict(),
+                   "hive": platform.hive.stats.as_dict(),
+                   "paths": platform.hive.tree.canonical_paths(),
+                   "epoch": platform.backend.epoch}
+
+
 @pytest.fixture
 def registry():
     """A fresh enabled metrics registry, so respawns are counted."""
@@ -276,7 +320,9 @@ class TestMidRoundKill:
     coordinator drains them, sees EOF, respawns the worker at the
     current epoch and sends it only the windows not yet received. A
     worker killed after its last window has already finished the
-    round; the next round respawns it."""
+    round; the next round respawns it. A platform whose worker dies
+    right after the next round's runs were drawn plans and reports
+    exactly as a serial run does."""
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_no_run_lost_and_no_trace_ingested_twice(self, workers,
@@ -351,6 +397,34 @@ class TestMidRoundKill:
             assert backend.epoch == epoch
             for shard_id in range(workers):
                 assert backend.probe(shard_id)["epoch"] == epoch
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_a_kill_after_the_next_round_is_drawn(self, workers, registry):
+        # A streamed round draws the next round's runs once it has
+        # ingested its first window. Kill the worker right after that
+        # draw, in the round after a fix deployed: the respawned worker
+        # replays the published deploy and re-runs the windows not yet
+        # received, and every later plan and the report equal a serial
+        # run's (the slow program is single-threaded and fault-free, so
+        # a pod's restarted RNG stream changes none of its runs).
+        serial_plans, serial_outputs = _platform_run("serial", workers)
+        kills = []
+
+        def kill_after_draw(platform, draws):
+            # Draw 1 plans round 0; draw r + 2 happens during round r.
+            if draws == 3:
+                victim = platform.backend._procs[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                kills.append(victim)
+        plans, outputs = _platform_run("process", workers, kill_after_draw)
+        assert len(kills) == 1
+        kills[0].join(timeout=10)
+        assert not kills[0].is_alive()
+        assert registry.counter("exec.worker_respawns").value == 1
+        assert plans == serial_plans
+        assert outputs == serial_outputs
+        # The fix deployed at the end of round 0, before the kill.
+        assert [plan.hive_version for plan in plans] == [1, 2, 2]
 
     def test_a_torn_window_message_is_rerun(self, registry):
         # A worker that dies inside a send leaves a message cut short:
