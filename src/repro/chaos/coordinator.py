@@ -1,12 +1,14 @@
 """The chaos coordinator: injects the fault plan, drives the recovery.
 
-``ChaosCoordinator`` wraps the two platform seams a round passes
-through — *execute* (backend runs the plan) and *deliver* (entries
-reach the hive) — and makes each one hostile according to the
+``ChaosCoordinator`` is a chaos platform's round executor, with the
+backend's ``run_round(plan, sink)``, so a chaos round takes the same
+execute step and sink as every other round. It makes the round's two
+seams — *execute* (the backend runs the plan) and *deliver* (the
+sink's delivery to the hive) — hostile according to the
 :class:`~repro.chaos.plan.FaultPlan`:
 
-**Execution** (:meth:`execute_round`): after the backend runs the
-round, every run owned by a dead *virtual shard* (``pod_index %
+**Execution** (:meth:`run_round`): after the backend runs the round,
+every run owned by a dead *virtual shard* (``pod_index %
 virtual_workers`` — a backend-invariant failure domain, deliberately
 not the backend's physical shard id) loses its record and its trace,
 modeling a worker that crashed after executing but before reporting.
@@ -14,7 +16,8 @@ The victims are then re-dispatched to the surviving workers as fresh
 :class:`~repro.exec.plan.RoundPlan` waves with capped exponential
 backoff (simulated — recorded in ``retry.*`` metrics, never slept);
 a wave can itself die. Runs still pending after ``max_retries`` waves
-are lost for good and the round is *degraded*, not failed.
+are lost for good and the round is *degraded*, not failed. The sink
+then gets every surviving result at once.
 
 **Delivery** (:meth:`deliver`): instead of handing shard batches to
 the hive directly, surviving entries are re-framed in global-execution
@@ -43,13 +46,15 @@ bit-identical reports on every backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.chaos.plan import FaultPlan
 from repro.config import BaseReport
 from repro.errors import TraceError
+from repro.exec.backends import WindowSink
 from repro.exec.batch import (
-    BatchEntry, RunRecord, TraceBatch, decode_batch, encode_batch,
+    ShardResult, TraceBatch, decode_batch, encode_batch,
 )
 from repro.exec.plan import PlannedRun, RoundPlan
 from repro.floats import left_sum
@@ -100,13 +105,28 @@ class ChaosRoundStats(BaseReport):
                     or self.frames_discarded or self.frames_abandoned)
 
 
+def _drop_runs(results: List[ShardResult], lost: Set[int]) -> None:
+    """Strip the records and entries of the ``lost`` global indices
+    from ``results``, and every batch that leaves empty; cache deltas
+    stay."""
+    for result in results:
+        result.records = [record for record in result.records
+                          if record.global_index not in lost]
+        for batch in result.batches:
+            batch.entries = [entry for entry in batch.entries
+                             if entry.global_index not in lost]
+        result.batches = [batch for batch in result.batches
+                          if batch.entries]
+
+
 class ChaosCoordinator(Instrumented):
     """Per-run fault injector + recovery driver (``chaos.*`` metrics)."""
 
     obs_namespace = "chaos"
 
-    def __init__(self, plan: FaultPlan):
+    def __init__(self, plan: FaultPlan, backend):
         self.plan = plan
+        self.backend = backend
         self.profile = plan.profile
         # Injected faults become events on the active span; retry
         # waves and wire frames get spans of their own (keys are
@@ -131,50 +151,37 @@ class ChaosCoordinator(Instrumented):
 
     # -- execution: worker death + crash-tolerant retry waves -----------------
 
-    def execute_round(self, backend, plan: RoundPlan,
-                      ) -> Tuple[List[RunRecord], List[BatchEntry],
-                                 List[list]]:
-        """Run ``plan`` on ``backend`` under worker-death faults.
+    def run_round(self, plan: RoundPlan,
+                  sink: WindowSink) -> List[ShardResult]:
+        """Run ``plan`` on the backend under worker-death faults, hand
+        ``sink`` every surviving result at once, and return them.
 
-        Returns the surviving run records and batch entries (every
-        planned run except the rare permanently lost ones, each global
-        index at most once) and the cache delta of every dispatch.
-        Deltas ride the reliable coordinator channel, not the faulted
-        uplink: a dead worker or retry wave loses its records and
-        traces, never its cache export — which keeps collective
-        recycling bit-identical across backends under chaos.
+        The backend runs the plan as one window. The results are every
+        dispatch's, stripped of the runs that died: every planned run
+        except the rare permanently lost ones keeps its record and
+        entry, each global index at most once. A dead dispatch keeps
+        its cache delta: deltas ride the reliable coordinator channel,
+        not the faulted uplink, which keeps collective recycling
+        bit-identical across backends under chaos.
         """
         stats = ChaosRoundStats(round_index=plan.round_index)
         self._current = stats
-        results = backend.run_round(plan)
-        cache_deltas = [result.cache_delta for result in results]
+        results = self.backend.run_round(plan)
         dead = set(self.plan.dead_virtual_shards(plan.round_index))
-        workers = self.profile.virtual_workers
-
-        def lost(pod_index: int) -> bool:
-            return pod_index % workers in dead
-
-        pod_of = {run.global_index: run.pod_index for run in plan.runs}
-        records: List[RunRecord] = []
-        entries: List[BatchEntry] = []
-        for result in results:
-            for record in result.records:
-                if not lost(pod_of[record.global_index]):
-                    records.append(record)
-            for batch in result.batches:
-                for entry in batch.entries:
-                    if not lost(pod_of[entry.global_index]):
-                        entries.append(entry)
         if not dead:
-            return records, entries, cache_deltas
+            sink(results)
+            return results
 
         stats.worker_deaths = len(dead)
         self._obs_worker_deaths.inc(len(dead))
         self._tracer.event("chaos.worker_death",
                            round=plan.round_index,
                            virtual_shards=sorted(dead))
+        workers = self.profile.virtual_workers
         pending: List[PlannedRun] = [run for run in plan.runs
-                                     if lost(run.pod_index)]
+                                     if run.pod_index % workers in dead]
+        lost = {run.global_index for run in pending}
+        _drop_runs(results, lost)
         attempt = 0
         while pending and attempt < self.profile.max_retries:
             attempt += 1
@@ -190,22 +197,19 @@ class ChaosCoordinator(Instrumented):
                                    key=(plan.round_index, attempt),
                                    attempt=attempt,
                                    runs=len(pending)) as wave_span:
-                wave = backend.run_round(RoundPlan(
+                wave = self.backend.run_round(RoundPlan(
                     round_index=plan.round_index,
                     hive_version=plan.hive_version,
                     runs=pending))
-                cache_deltas.extend(result.cache_delta for result in wave)
+                results.extend(wave)
                 if self.plan.retry_wave_dies(plan.round_index, attempt):
                     # The replacement worker executed the runs, then
                     # died before reporting — the pods' RNG streams
                     # advanced, the results are gone. Next wave starts
                     # over.
                     wave_span.set(died=True)
+                    _drop_runs(wave, lost)
                     continue
-            for result in wave:
-                records.extend(result.records)
-                for batch in result.batches:
-                    entries.extend(batch.entries)
             stats.runs_recovered += len(pending)
             self._obs_runs_recovered.inc(len(pending))
             pending = []
@@ -216,25 +220,29 @@ class ChaosCoordinator(Instrumented):
             self._tracer.event("chaos.runs_lost",
                                round=plan.round_index,
                                runs=len(pending))
-        return records, entries, cache_deltas
+        sink(results)
+        return results
 
     # -- delivery: the hostile uplink -----------------------------------------
 
-    def deliver(self, hive, entries: List[BatchEntry], round_index: int,
-                wire: Optional[Callable[[int], None]] = None) -> int:
-        """Carry ``entries`` to the hive over the chaos wire.
+    def deliver(self, hive, results: List[ShardResult],
+                round_index: int) -> Tuple[int, int]:
+        """Carry the entries of ``results`` to the hive over the chaos
+        wire.
 
         Entries are re-framed in global order, encoded through the real
         checksummed wire format, faulted per the plan, and ingested
         frame by frame with capped retries, all sharing one decode and
-        replay memo, as the windows of a direct round do. ``wire``
-        (when given) is called with the byte size of every
-        transmission, duplicates included — dropped frames still burned
-        uplink. Returns the number of entries the hive ingested.
+        replay memo, as the windows of a direct round do. Returns the
+        bytes and the number of every transmission, duplicates
+        included — dropped frames still burned uplink.
         """
         stats = self._current
-        assert stats is not None, "deliver() before execute_round()"
-        ordered = sorted(entries, key=lambda entry: entry.global_index)
+        assert stats is not None, "deliver() before run_round()"
+        ordered = sorted((entry for result in results
+                          for batch in result.batches
+                          for entry in batch.entries),
+                         key=attrgetter("global_index"))
         size = self.profile.frame_traces or max(1, len(ordered))
         frames = [ordered[start:start + size]
                   for start in range(0, len(ordered), size)]
@@ -242,6 +250,7 @@ class ChaosCoordinator(Instrumented):
         name = hive.program.name
         version = hive.program.version
         deliveries: List[bytes] = []
+        sent: List[int] = []       # the size of every transmission
         for frame_index, chunk in enumerate(frames):
             # The frame span's context rides inside the frame (wire
             # format v3) so the receive-side ingest span parents here.
@@ -255,8 +264,7 @@ class ChaosCoordinator(Instrumented):
                     entries=list(chunk),
                     trace_context=frame_span.context))
                 frame_span.set(bytes=len(data))
-                if wire is not None:
-                    wire(len(data))
+                sent.append(len(data))
                 if self.plan.frame_dropped(round_index, frame_index):
                     stats.frames_dropped += 1
                     self._obs_frames_dropped.inc()
@@ -276,8 +284,7 @@ class ChaosCoordinator(Instrumented):
                     self._obs_frames_duplicated.inc()
                     frame_span.event("chaos.frame_duplicated",
                                      frame=frame_index)
-                    if wire is not None:
-                        wire(len(data))
+                    sent.append(len(data))
                     deliveries.append(data)
         order = self.plan.delivery_order(round_index, len(deliveries))
         if order != list(range(len(deliveries))):
@@ -310,7 +317,7 @@ class ChaosCoordinator(Instrumented):
                                            delivery_index, memo):
                     delivered += len(batch.entries)
         stats.entries_delivered = delivered
-        return delivered
+        return sum(sent), len(sent)
 
     def _ingest_with_retry(self, hive, batch: TraceBatch,
                            round_index: int, delivery_index: int,
@@ -351,7 +358,7 @@ class ChaosCoordinator(Instrumented):
         fully recovered), *degraded* (data lost past recovery, state
         still sound), or *failed* (an invariant broke)."""
         stats = self._current
-        assert stats is not None, "finish_round() before execute_round()"
+        assert stats is not None, "finish_round() before run_round()"
         stats.invariants_ok = invariants_ok
         if not invariants_ok:
             stats.verdict = VERDICT_FAILED

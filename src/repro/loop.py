@@ -7,9 +7,12 @@ both carry; :class:`ClosedLoop` builds the substrate (pods, constraint
 cache, hive, backend, fault plan, health plane) and owns the one
 execute step (cache redistribute, run, cache merge), ground-truth
 attribution and the per-family detection SLIs. Each driver keeps its
-plan source, delivery, span names and publish pattern; ``run``
-delivers through :func:`window_sink`, which ingests each window of a
-round while the shards run the next.
+plan source, delivery, span names and publish pattern. ``run`` hands
+every round to a sink: through :func:`window_sink` the hive ingests
+each window while the shards run the next, and on a chaos platform the
+chaos coordinator runs the round in the backend's place and hands the
+sink its surviving results at once, for the chaos wire. ``serve``
+passes no sink and delivers over its pump.
 
 ``NetworkedPlatform`` stays event-driven (no backend, no rounds) and
 shares only :func:`check_solver_cache` and :func:`solver_cache_doc`.
@@ -26,31 +29,37 @@ from repro.errors import ConfigError
 from repro.exec.backends import (
     SyncDelta, WindowSink, make_backend, resolve_backend_name,
 )
-from repro.exec.batch import BatchEntry, RunRecord, ShardResult
+from repro.exec.batch import RunRecord, ShardResult
 from repro.exec.plan import RoundPlan
 from repro.hive.hive import Hive
 from repro.obs import Instrumented
 from repro.obs.trace import derive_trace_id, get_tracer
 from repro.pod.pod import Pod
 from repro.progmodel.interpreter import ExecutionLimits
+from repro.tracing.dedup import Heartbeat
 from repro.workloads.scenarios import Scenario
 
 __all__ = ["LoopConfig", "ClosedLoop", "window_sink", "check_solver_cache",
            "solver_cache_doc"]
 
 
-def window_sink(hive: Hive) -> WindowSink:
+def window_sink(hive: Hive,
+                ) -> Callable[[List[ShardResult]], Tuple[int, int]]:
     """A sink that ingests each window of one round into ``hive``, its
     entries in global order, with one decode and replay memo for the
     whole round, so each window's distinct replays fold once each,
-    with their counts (:meth:`Hive.ingest_batch`). Build one per
-    round."""
+    with their counts (:meth:`Hive.ingest_batch`). Each call returns
+    the window's wire bytes and shipped entries, a heartbeat counted
+    as :attr:`Heartbeat.WIRE_SIZE`. Build one per round."""
     memo: Dict = {}
 
-    def ingest(results: List[ShardResult]) -> None:
-        hive.ingest_batch(
-            [batch for result in results for batch in result.batches],
-            memo)
+    def ingest(results: List[ShardResult]) -> Tuple[int, int]:
+        batches = [batch for result in results for batch in result.batches]
+        hive.ingest_batch(batches, memo)
+        sizes = [Heartbeat.WIRE_SIZE if entry.is_heartbeat
+                 else len(entry.payload)
+                 for batch in batches for entry in batch.entries]
+        return sum(sizes), len(sizes)
     return ingest
 
 
@@ -159,6 +168,9 @@ class ClosedLoop(Instrumented):
             dedup=config.dedup,
             workers=config.workers,
             solver_cache=config.solver_cache)
+        # What runs a plan: the backend, or a stand-in with its
+        # ``run_round(plan, sink)`` (the platform's chaos coordinator).
+        self.executor = self.backend
         # Chaos: the stateless seeded fault oracle (None for the
         # default no-op profile — one ``is None`` per use site).
         profile = config.resolved_chaos_profile()
@@ -182,15 +194,14 @@ class ClosedLoop(Instrumented):
 
     # -- the execute step -----------------------------------------------------
 
-    def _execute(self, plan: RoundPlan, span: str, chaos=None,
-                 sink: Optional[WindowSink] = None,
-                 ) -> Tuple[List[RunRecord], List[BatchEntry]]:
-        """Run ``plan`` under the driver's ``span``, through ``chaos``
-        when given, else streaming each window to ``sink`` (when
-        given) while the shards run the next. The collective cache
-        redistributes to every shard before and merges the shards'
-        deltas back after. Returns records and entries in global
-        order."""
+    def _execute(self, plan: RoundPlan, span: str,
+                 sink: Optional[WindowSink] = None) -> List[ShardResult]:
+        """Run ``plan`` on the executor under a span named ``span``,
+        handing ``sink`` (when given) the results as they arrive: each
+        window while the shards run the next, or a chaos round's all at
+        once. The collective cache redistributes to every shard before
+        and merges the shards' deltas back after. Returns the shard
+        results."""
         key = plan.round_index
         collective = self.config.solver_cache == "collective"
         if collective:
@@ -200,24 +211,13 @@ class ClosedLoop(Instrumented):
                                        entries=len(delta)):
                     self.backend.publish(SyncDelta(cache_entries=delta))
         with self._tracer.span(span, key=key, runs=len(plan.runs)):
-            if chaos is not None:
-                records, entries, cache_deltas = chaos.execute_round(
-                    self.backend, plan)
-            else:
-                results = self.backend.run_round(plan, sink)
-                records = [record for result in results
-                           for record in result.records]
-                entries = [entry for result in results
-                           for batch in result.batches
-                           for entry in batch.entries]
-                cache_deltas = [result.cache_delta for result in results]
-            records.sort(key=lambda record: record.global_index)
-            entries.sort(key=lambda entry: entry.global_index)
-        cache_deltas = [delta for delta in cache_deltas if delta]
+            results = self.executor.run_round(plan, sink)
+        cache_deltas = [result.cache_delta for result in results
+                        if result.cache_delta]
         if collective and cache_deltas:
             with self._tracer.span("cache.merge", key=key):
                 self.hive.adopt_cache_deltas(cache_deltas)
-        return records, entries
+        return results
 
     # -- ground truth (metrics only: the hive never sees it) ------------------
 

@@ -223,7 +223,7 @@ class _NetPod:
             return
         message_index = self._message_index
         self._message_index += 1
-        program = self.platform.scenario.program
+        program = self.pod.program
         frame = encode_batch(TraceBatch(
             shard_id=self.index, program_name=program.name,
             program_version=program.version, sequence=message_index,

@@ -1,6 +1,6 @@
 """repro.obs — the platform's own observability layer.
 
-Counters, gauges, histograms, and timed spans behind a process-local
+Counters, gauges, histograms, and timers behind a process-local
 :class:`Registry` with a zero-overhead no-op mode and deterministic
 snapshot export. See ``docs/API.md`` ("repro.obs — observability").
 """
@@ -30,8 +30,6 @@ from repro.obs.registry import (
     get_registry,
     reset,
     set_registry,
-    span,
-    timed,
 )
 from repro.obs.trace import (
     FixedClock,
@@ -52,7 +50,6 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "Timer", "Span", "Registry",
     "Instrumented", "NULL_REGISTRY",
     "get_registry", "set_registry", "enable", "disable", "reset",
-    "span", "timed",
     "Tracer", "TraceLog", "SpanRecord", "SpanContext", "SpanRecorder",
     "FlightRecorder", "FixedClock", "derive_trace_id",
     "get_tracer", "set_tracer", "enable_tracing", "disable_tracing",

@@ -3,7 +3,7 @@
 SoftBorg's thesis is that by-products of execution are worth
 collecting; ``repro.obs`` applies that thesis to the platform itself.
 Every layer (pods, capture, transport, hive, solvers, symbolic engine)
-registers *handles* — counters, gauges, histograms, timed spans — on a
+registers *handles* — counters, gauges, histograms, timers — on a
 process-local :class:`Registry` and bumps them on the hot path. A run
 can then answer "traces/sec ingested, p50/p95 round latency, where did
 the wall-clock go" from one deterministic snapshot.
@@ -32,7 +32,6 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "Timer", "Span",
     "Registry", "NULL_REGISTRY",
     "get_registry", "set_registry", "enable", "disable", "reset",
-    "timed", "span",
 ]
 
 Clock = Callable[[], float]
@@ -345,10 +344,6 @@ class Registry:
             metric = self._timers[name] = Timer(name, self._clock)
         return metric
 
-    def span(self, name: str) -> Span:
-        """One-off timed section against the named timer."""
-        return self.timer(name).time()
-
     # -- export -------------------------------------------------------------
 
     def counters(self) -> Dict[str, int]:
@@ -432,26 +427,3 @@ def disable() -> None:
 
 def reset() -> None:
     _default_registry.reset()
-
-
-def span(name: str) -> Span:
-    """``with obs.span("hive.phase.replay"): ...``"""
-    return _default_registry.span(name)
-
-
-def timed(name: str) -> Callable:
-    """Decorator: record the wrapped callable's wall time as a span.
-
-    The timer handle is resolved per call against the *current*
-    process-local registry, so ``disable()``/``set_registry()`` take
-    effect without re-decorating.
-    """
-    def decorate(func: Callable) -> Callable:
-        import functools
-
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            with _default_registry.span(name):
-                return func(*args, **kwargs)
-        return wrapper
-    return decorate

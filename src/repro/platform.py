@@ -15,10 +15,11 @@ hive into the paper's feedback cycle, executed in deterministic rounds:
    epoch-stamped ``publish()`` deltas;
 3. the hive replays and ingests the batch entries in global execution
    order, one window of the round at a time while the shards run the
-   next; the coordinator folds each window's run records as it arrives
-   and, after the first, draws the next round's runs; at round end the
-   hive analyzes and — when the evidence warrants — synthesizes,
-   validates, and deploys a fix;
+   next (under chaos, the whole round at once over the chaos wire);
+   the coordinator folds each window's run records as it arrives and,
+   after the first, draws the next round's runs; at round end the hive
+   analyzes and — when the evidence warrants — synthesizes, validates,
+   and deploys a fix;
 4. the fixed program rolls out to a staged fraction of pods per round;
 5. metrics record the user-visible failure rate, proof progress, and
    ground-truth bug status.
@@ -32,6 +33,7 @@ baselines E12) is a configuration of this class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -47,7 +49,6 @@ from repro.metrics.series import Series
 from repro.proofs.proof import Proof
 from repro.rng import make_rng
 from repro.tracing.capture import CapturePolicy, FullCapture
-from repro.tracing.dedup import Heartbeat
 from repro.workloads.scenarios import Scenario
 
 __all__ = ["PlatformConfig", "RoundStats", "PlatformReport",
@@ -240,7 +241,10 @@ class SoftBorgPlatform(ClosedLoop):
         self.invariant_violations: List[Tuple[int, object]] = []
         if self.fault_plan is not None:
             from repro.chaos import ChaosCoordinator
-            self.chaos = ChaosCoordinator(self.fault_plan)
+            # Chaos rounds run on the coordinator, which runs them on
+            # the backend under the plan's faults.
+            self.executor = self.chaos = ChaosCoordinator(self.fault_plan,
+                                                          self.backend)
         if self.chaos is not None or config.check_invariants:
             from repro.chaos import Invariants
             self.invariants = Invariants()
@@ -393,39 +397,28 @@ class SoftBorgPlatform(ClosedLoop):
     def _run_round(self, round_index: int) -> None:
         with self._tracer.span("round.plan", key=round_index):
             plan = self._plan_round(round_index)
-        if self.chaos is not None:
-            # Chaos delivers over its wire after the round and folds
-            # the round's records then.
-            records, entries = self._execute(plan, "round.execute",
-                                             self.chaos)
-            failures, guided = self._fold_records(records)
-        else:
-            # Direct delivery streams: the hive ingests each window
-            # while the shards run the next.
-            sink, tally = self._round_sink(round_index)
-            _records, entries = self._execute(plan, "round.execute",
-                                              sink=sink)
-            failures, guided = tally
-        self._fold_round(round_index, plan, entries, failures, guided)
+        sink, tally = self._round_sink(round_index)
+        self._execute(plan, "round.execute", sink)
+        self._fold_round(round_index, plan, *tally)
 
     def _round_sink(self, round_index: int):
-        """A streamed round's window sink and its ``[failures,
-        guided]`` tally. Each window is ingested into the hive, its wire
-        bytes accounted and its records folded as it arrives; once the
-        first window is in, the next round's runs are drawn while the
-        shards run the rest (the last round draws nothing ahead)."""
-        ingest = window_sink(self.hive)
+        """The round's sink and its ``[failures, guided]`` tally. The
+        sink delivers what arrives — each window into the hive, or
+        under chaos the whole round over the chaos wire — accounts the
+        wire bytes the delivery returns and folds the records; once
+        the first results are in, it draws the next round's runs while
+        the shards run the rest (the last round draws nothing ahead)."""
+        if self.chaos is None:
+            deliver = window_sink(self.hive)
+        else:
+            deliver = partial(self.chaos.deliver, self.hive,
+                              round_index=round_index)
         tally = [0, 0]
         draw_ahead = round_index + 1 < self.config.rounds
 
         def sink(results: List[ShardResult]) -> None:
             nonlocal draw_ahead
-            ingest(results)
-            sizes = [Heartbeat.WIRE_SIZE if entry.is_heartbeat
-                     else len(entry.payload)
-                     for result in results for batch in result.batches
-                     for entry in batch.entries]
-            self._account_wire(sum(sizes), len(sizes))
+            self._account_wire(*deliver(results))
             # Window w holds plan positions [w*size, (w+1)*size), so
             # its records continue the global order.
             records = [record for result in results
@@ -463,29 +456,17 @@ class SoftBorgPlatform(ClosedLoop):
                     record.failed, self._attribute(record))
         return failures, guided
 
-    def _fold_round(self, round_index: int, plan: RoundPlan, entries,
+    def _fold_round(self, round_index: int, plan: RoundPlan,
                     failures: int, guided: int) -> None:
-        """Everything after execution and the record folds: lost
-        traces, under chaos the delivery into the hive and its wire
-        accounting, proofs, fixing, rollout, per-round stats,
-        invariants, health. Pure coordinator-side state — no backend
-        traffic except the fix/rollout publishes."""
+        """Everything after the round's delivery and record folds: lost
+        traces, proofs, fixing, rollout, per-round stats, invariants,
+        health. Pure coordinator-side state — no backend traffic except
+        the fix/rollout publishes."""
         config = self.config
         lost = sum(1 for run in plan.runs if not run.ship)
         if lost:
             self.report.traces_lost += lost
             self._obs_traces_lost.inc(lost)
-        with self._tracer.span("round.deliver", key=round_index):
-            if self.chaos is not None:
-                # Delivery goes over the chaos wire: entries re-framed
-                # in global order, checksummed, faulted per the plan,
-                # ingested with capped retries. Wire bytes are
-                # accounted per frame transmission inside the
-                # coordinator.
-                self.chaos.deliver(self.hive, entries, round_index,
-                                   wire=self._account_wire)
-            # A direct round's sink ingested and accounted its entries
-            # window by window.
 
         # Snapshot the proof on this round's evidence *before* any fix
         # rewrites the program — a deployed fix invalidates the proof,
@@ -606,9 +587,9 @@ class SoftBorgPlatform(ClosedLoop):
         if dump is not None:
             self.flight_dumps.append(dump)
 
-    def _account_wire(self, size: int, messages: int = 1) -> None:
-        """Account ``messages`` shipped entries (or frames) of ``size``
-        bytes in all."""
+    def _account_wire(self, size: int, messages: int) -> None:
+        """Account ``messages`` shipped entries (or chaos-wire frame
+        transmissions) of ``size`` bytes in all."""
         self.report.wire_bytes += size
         self._obs_traces_shipped.inc(messages)
         self._obs_wire_bytes.inc(size)

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Set
 
 from repro.config import BaseReport, check_at_least_one, check_positive
@@ -355,11 +356,19 @@ class Service(ClosedLoop):
         failures = 0
         entries: List[BatchEntry] = []
         if admitted_runs:
-            records, entries = self._execute(
+            results = self._execute(
                 RoundPlan(round_index=tick,
                           hive_version=self.hive.program.version,
                           runs=admitted_runs),
                 "serve.execute")
+            # The records feed counts and a set, so they need no
+            # order; the pump frames the entries in global order.
+            records = [record for result in results
+                       for record in result.records]
+            entries = sorted((entry for result in results
+                              for batch in result.batches
+                              for entry in batch.entries),
+                             key=attrgetter("global_index"))
             executed = len(records)
             for record in records:
                 failures += int(record.failed)

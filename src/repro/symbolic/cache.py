@@ -364,7 +364,8 @@ class ConstraintCache(Instrumented):
         self.stats = SolverCacheStats()
         self._entries: Dict[CanonicalKey, CacheEntry] = {}
         self._known: Set[CanonicalKey] = set()       # merged-in keys
-        self._exported: Set[Tuple[str, str]] = set()  # (key, entry) reprs
+        # (key, entry) pairs logged or merged in: each exports once.
+        self._exported: Set[Tuple[CanonicalKey, CacheEntry]] = set()
         self._log: List[Tuple[CanonicalKey, CacheEntry]] = []
         self._cursor = 0
         self._obs_hits = self.obs_counter("hits")
@@ -446,7 +447,7 @@ class ConstraintCache(Instrumented):
 
     def _store(self, key: CanonicalKey, entry: CacheEntry) -> None:
         if key not in self._known:
-            pair = (repr(key), repr(entry))
+            pair = (key, entry)
             if pair not in self._exported:
                 self._exported.add(pair)
                 self._log.append((key, entry))
@@ -474,7 +475,7 @@ class ConstraintCache(Instrumented):
         added = 0
         for key, entry in delta:
             self._known.add(key)
-            self._exported.add((repr(key), repr(entry)))
+            self._exported.add((key, entry))
             if key not in self._entries:
                 self._insert(key, entry)
                 added += 1

@@ -15,6 +15,7 @@ from repro.chaos import (
 from repro.errors import ConfigError, TraceError
 from repro.exec.batch import BatchEntry, TraceBatch, decode_batch, encode_batch
 from repro.obs import Registry
+from repro.obs.trace import Tracer, set_tracer
 from repro.platform import PlatformConfig, SoftBorgPlatform
 from repro.progmodel.corpus import make_crash_demo
 from repro.progmodel.interpreter import Interpreter
@@ -246,6 +247,36 @@ class TestCrashTolerantRounds:
         assert platform.hive.stats.traces_ingested == 80
 
 
+# -- one round path ------------------------------------------------------------
+
+class TestOneRoundPath:
+    def test_chaos_delivery_nests_in_the_round(self):
+        # The chaos wire is the round sink's delivery, so its frames
+        # and their ingest happen inside the round's execute step.
+        tracer = Tracer(enabled=True)
+        previous = set_tracer(tracer)
+        try:
+            _platform("lossy-workers").run()
+        finally:
+            set_tracer(previous)
+        spans = tracer.log.spans
+        by_id = {span.span_id: span for span in spans}
+
+        def ancestors(span):
+            names = []
+            while span.parent_id in by_id:
+                span = by_id[span.parent_id]
+                names.append(span.name)
+            return names
+        assert "round.deliver" not in {span.name for span in spans}
+        delivery = [span for span in spans
+                    if span.name in ("wire.frame", "hive.ingest_frame")]
+        assert {span.name for span in delivery} == {"wire.frame",
+                                                    "hive.ingest_frame"}
+        assert all("round.execute" in ancestors(span)
+                   for span in delivery)
+
+
 # -- one replay memo per delivered round ---------------------------------------
 
 class TestDeliveryReplayMemo:
@@ -262,9 +293,9 @@ class TestDeliveryReplayMemo:
         replay_source = Hive._replay_source
         ingest_batch = Hive.ingest_batch
 
-        def tracked_deliver(self, hive, entries, round_index, wire=None):
+        def tracked_deliver(self, hive, results, round_index):
             rounds.append(round_index)
-            return deliver(self, hive, entries, round_index, wire)
+            return deliver(self, hive, results, round_index)
 
         def tracked_replay(self, trace):
             sources.append((rounds[-1], self.program.version,

@@ -1,8 +1,9 @@
 """Draw the next round during this one.
 
-A streamed round's window sink draws the next round's runs (population
-sample, pod choice, loss draw) once it has ingested the round's first
-window, while the shards run the rest; ``_plan_round`` then attaches
+A round's sink draws the next round's runs (population sample, pod
+choice, loss draw) once it has ingested the round's first window, while
+the shards run the rest (a chaos round's sink gets the whole round at
+once, after its retry waves); ``_plan_round`` then attaches
 the steering directives and the hive version. Nothing else draws from
 the platform's and the population's generators, and a fix deployed at
 a round's end changes only what is attached, so every plan equals the
@@ -75,6 +76,29 @@ def _run(platform, reference=False):
     }
 
 
+def _record_draws(platform):
+    """Record, for each of ``platform``'s draws, the round whose
+    execute step was running then (None between rounds)."""
+    executing = [None]
+    draws = []
+    execute = platform._execute
+    draw = platform._draw_runs
+
+    def recording_execute(plan, span, sink=None):
+        executing[0] = plan.round_index
+        try:
+            return execute(plan, span, sink)
+        finally:
+            executing[0] = None
+
+    def recording_draw():
+        draws.append(executing[0])
+        return draw()
+    platform._execute = recording_execute
+    platform._draw_runs = recording_draw
+    return draws
+
+
 class TestDrawAhead:
     @pytest.mark.parametrize("backend,workers", GRID)
     def test_every_plan_equals_the_single_step_planner(self, backend,
@@ -97,35 +121,31 @@ class TestDrawAhead:
 
     def test_draws_come_one_round_ahead(self):
         platform = _platform("serial", 1, rounds=4)
-        draws = []
-        draw = platform._draw_runs
-        run_round = platform.backend.run_round
-        started = []
-
-        def recording_draw():
-            draws.append(len(started))
-            return draw()
-
-        def recording_round(plan, sink=None):
-            started.append(plan.round_index)
-            return run_round(plan, sink)
-        platform._draw_runs = recording_draw
-        platform.backend.run_round = recording_round
+        draws = _record_draws(platform)
         platform.run()
         # Round 0 draws its own runs before it starts; each later
         # round's runs are drawn while the round before runs, and the
         # last round draws nothing ahead.
-        assert draws == [0, 1, 2, 3]
+        assert draws == [None, 0, 1, 2]
         assert platform._drawn is None
 
-    def test_chaos_rounds_draw_their_own_runs(self):
-        plans, outputs = _run(_platform("serial", 1,
-                                        chaos_profile="lossy-workers"))
+    @pytest.mark.parametrize("backend,workers", GRID)
+    def test_chaos_rounds_draw_ahead(self, backend, workers):
+        # A chaos round hands its sink every surviving result at once,
+        # and the sink draws the next round's runs then, inside the
+        # round's execute step.
+        platform = _platform(backend, workers,
+                             chaos_profile="lossy-workers")
+        draws = _record_draws(platform)
+        plans, outputs = _run(platform)
+        assert draws == [None, 0, 1, 2, 3, 4]
+        assert platform._drawn is None
         ref_plans, ref_outputs = _run(
-            _platform("serial", 1, chaos_profile="lossy-workers"),
+            _platform(backend, workers, chaos_profile="lossy-workers"),
             reference=True)
         assert plans == ref_plans
         assert outputs == ref_outputs
+        assert platform.chaos.summary()["worker_deaths"] > 0
 
     def test_plan_round_draws_when_nothing_was_drawn_ahead(self):
         platform = _platform("serial", 1)

@@ -96,10 +96,15 @@ class TestExecuteStep:
             retry_death_rate=1.0, max_retries=2)
         platform = _platform(solver_cache="collective",
                              chaos_profile=hopeless)
+        assert platform.executor is platform.chaos
+        delivered = []
         with platform.backend:
-            records, entries, deltas = platform.chaos.execute_round(
-                platform.backend, platform._plan_round(0))
-        assert records == [] and entries == []
+            results = platform.chaos.run_round(platform._plan_round(0),
+                                               delivered.append)
+        assert delivered == [results]
+        assert all(not result.records and not result.batches
+                   for result in results)
+        deltas = [result.cache_delta for result in results]
         assert len(deltas) == 1 + hopeless.max_retries
         assert any(deltas)
 

@@ -7,7 +7,7 @@ from repro.errors import ConfigError
 from repro.netplatform import NetworkedConfig, NetworkedPlatform
 from repro.obs.trace import FixedClock, Tracer, set_tracer
 from repro.progmodel.interpreter import Interpreter, Outcome
-from repro.tracing.encode import encode_trace
+from repro.tracing.encode import decode_trace, encode_trace
 from repro.workloads.scenarios import crash_scenario, race_scenario
 
 
@@ -103,13 +103,17 @@ class TestNetworkedLoop:
 
 # -- the uplink frame ------------------------------------------------------------
 
-def _e16(loss, batch_max_traces):
+def _e16_platform(loss, batch_max_traces):
     """E16's configuration at one loss level and frame size."""
-    platform = NetworkedPlatform(
+    return NetworkedPlatform(
         crash_scenario(n_users=40, volatility=0.5, seed=2),
         NetworkedConfig(n_pods=10, duration=400.0, mean_think_time=5.0,
                         analysis_interval=20.0, loss_rate=loss, seed=2,
                         batch_max_traces=batch_max_traces))
+
+
+def _e16(loss, batch_max_traces):
+    platform = _e16_platform(loss, batch_max_traces)
     return platform, platform.run()
 
 
@@ -157,6 +161,25 @@ class TestUplinkFrame:
         assert len(list(platform.hive.tree.iter_terminal_paths())) == 3
         if "wire_bytes" in pin:
             assert report.wire_bytes == pin["wire_bytes"]
+
+    def test_frames_carry_the_pod_program_version(self):
+        # A frame is stamped with its pod's program at flush, so once
+        # the fix reaches the pods, the frames say so.
+        platform = _e16_platform(0.0, 1)
+        frames = []
+        ingest_batch = platform.hive.ingest_batch
+
+        def record(batches, memo=None):
+            frames.extend(batches)
+            return ingest_batch(batches, memo)
+        platform.hive.ingest_batch = record
+        platform.run()
+        versions = [(batch.program_version,
+                     decode_trace(entry.payload).program_version)
+                    for batch in frames for entry in batch.entries]
+        assert len(versions) == 796
+        assert any(header == 2 for header, _trace in versions)
+        assert all(header == trace for header, trace in versions)
 
     def test_one_run_frames_pay_header_and_crc(self):
         # 796 one-entry frames, each paying the frame header and the

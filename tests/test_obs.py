@@ -92,18 +92,6 @@ class TestMetrics:
         assert entry["sum"] == pytest.approx(0.75)
         assert entry["max"] == pytest.approx(0.5)
 
-    def test_registry_span_and_timed_decorator(self, fresh_registry):
-        with fresh_registry.span("section"):
-            pass
-        assert fresh_registry.timer("section").histogram.count == 1
-
-        @obs.timed("decorated")
-        def work():
-            return 42
-
-        assert work() == 42
-        assert fresh_registry.timer("decorated").histogram.count == 1
-
     def test_instrumented_mixin_namespaces(self, fresh_registry):
         class Widget(Instrumented):
             obs_namespace = "widget"
@@ -128,7 +116,7 @@ class TestNoopMode:
         counter.inc(100)
         hist = registry.histogram("h")
         hist.observe(5.0)
-        with registry.span("t"):
+        with registry.timer("t").time():
             pass
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {}

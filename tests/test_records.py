@@ -493,7 +493,7 @@ class TestLeftToRightSums:
         from repro.chaos.plan import FaultPlan
         from repro.chaos.profiles import resolve_profile
         coordinator = ChaosCoordinator(
-            FaultPlan(resolve_profile("lossy-workers"), seed=0))
+            FaultPlan(resolve_profile("lossy-workers"), seed=0), None)
         coordinator.rounds = [
             ChaosRoundStats(round_index=index, backoff_seconds=weight)
             for index, weight in enumerate(ZIPF_60)]
