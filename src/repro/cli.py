@@ -221,9 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     portfolio = sub.add_parser(
         "portfolio", help="run the 3-solver SAT portfolio (E1, small)")
-    portfolio.add_argument("--instances", type=int, default=2,
+    portfolio.add_argument("--instances", type=_positive_int, default=2,
                            help="instances per family")
-    portfolio.add_argument("--budget", type=int, default=400_000)
+    portfolio.add_argument("--budget", type=_positive_int,
+                           default=400_000)
 
     explore = sub.add_parser(
         "explore", parents=[common_exec_flags("solver_cache")],
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fleet = sub.add_parser(
         "fleet", help="run the closed loop over a corpus of programs")
-    fleet.add_argument("--programs", type=int, default=4)
+    fleet.add_argument("--programs", type=_positive_int, default=4)
     fleet.add_argument("--rounds", type=int, default=12)
     fleet.add_argument("--seed", type=int, default=3)
 
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="background (unguided) executions shipped"
                                " per bug alongside the triggering-test"
                                " directives")
-    registry.add_argument("--pods", type=int, default=2)
+    registry.add_argument("--pods", type=_positive_int, default=2)
     registry.add_argument("--no-validate", action="store_true",
                           help="skip pushing known patches through"
                                " RepairLab (faster; repair columns"

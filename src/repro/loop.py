@@ -137,7 +137,10 @@ class ClosedLoop(Instrumented):
         if self._tracer.enabled:
             self._tracer.set_trace_id(derive_trace_id(*trace_labels))
         limits = ExecutionLimits(max_steps=config.max_steps)
-        self.pods = [
+        # The backend owns the pods: a pod changes only through
+        # ``backend.publish``, so its counters count once on every
+        # backend.
+        pods = [
             Pod(pod_id=f"pod{i:04d}", program=scenario.program,
                 capture=capture, limits=limits,
                 fault_rate=scenario.fault_rate,
@@ -162,7 +165,7 @@ class ClosedLoop(Instrumented):
         # pod's trace stream is observed by exactly one shard, in
         # order, so heartbeat semantics are backend-invariant.
         self.backend = make_backend(
-            config.resolved_backend(), self.pods, scenario.program,
+            config.resolved_backend(), pods, scenario.program,
             capture=capture, limits=limits,
             fault_rate=scenario.fault_rate,
             dedup=config.dedup,

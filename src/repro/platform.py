@@ -229,6 +229,8 @@ class SoftBorgPlatform(ClosedLoop):
         self._obs_wire_bytes = self.obs_counter("wire_bytes")
         self._obs_fixes = self.obs_counter("fixes_deployed")
         self._rng = make_rng(config.seed, "platform", scenario.program.name)
+        # The program version each pod runs, as staged by _roll_out.
+        self._pod_versions = [scenario.program.version] * config.n_pods
         # The next round's runs, drawn while this round's shards run.
         self._drawn: Optional[List[PlannedRun]] = None
         self.report = PlatformReport()
@@ -363,7 +365,7 @@ class SoftBorgPlatform(ClosedLoop):
         sample = self.scenario.population.sample_execution
         choose = self._rng.choice
         loss = config.trace_loss_rate
-        pod_indices = range(len(self.pods))
+        pod_indices = range(config.n_pods)
         runs = []
         for execution in range(config.executions_per_round):
             _user, inputs = sample()
@@ -490,8 +492,7 @@ class SoftBorgPlatform(ClosedLoop):
                     self.backend.publish(SyncDelta(hive_program=updated))
 
         self._roll_out()
-        current = sum(1 for pod in self.pods
-                      if pod.version == self.hive.program.version)
+        current = self._pod_versions.count(self.hive.program.version)
         stats = RoundStats(
             round_index=round_index,
             executions=config.executions_per_round,
@@ -643,18 +644,17 @@ class SoftBorgPlatform(ClosedLoop):
     def _roll_out(self) -> None:
         """Stage the current hive version onto outdated pods.
 
-        Coordinator pods always update (the report reads versions off
-        them); the backend forwards the update to whichever shard owns
-        each pod (a no-op for backends sharing the coordinator's pod
-        objects — ``apply_update`` is version-guarded).
+        The backend forwards the update to whichever shard owns each
+        pod; the platform records the staged version, which is what
+        the round stats read.
         """
         target = self.hive.program
-        outdated = [index for index, pod in enumerate(self.pods)
-                    if pod.version < target.version]
+        outdated = [index for index, version in enumerate(self._pod_versions)
+                    if version < target.version]
         if not outdated:
             return
-        count = max(1, int(len(self.pods) * self.config.rollout_fraction))
+        count = max(1, int(self.config.n_pods * self.config.rollout_fraction))
         chosen = outdated[:count]
         for index in chosen:
-            self.pods[index].apply_update(target)
+            self._pod_versions[index] = target.version
         self.backend.publish(SyncDelta(rollout=(target, tuple(chosen))))

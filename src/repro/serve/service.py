@@ -556,11 +556,9 @@ class Service(ClosedLoop):
             # one publish (one epoch) carries both the hive deploy and
             # the full-fleet rollout; frames already queued in the pump
             # go stale and the hive counts them instead of replaying.
-            for pod in self.pods:
-                pod.apply_update(updated)
             self.backend.publish(SyncDelta(
                 hive_program=updated,
-                rollout=(updated, tuple(range(len(self.pods))))))
+                rollout=(updated, tuple(range(self.config.max_pods)))))
 
     # -- export ----------------------------------------------------------------
 

@@ -13,6 +13,9 @@ instance generators of deliberately different character, three solvers
 with genuinely different strengths (systematic DPLL, stochastic local
 search, unit-propagation lookahead), deterministic virtual-cost
 metering, and the portfolio runner that measures speedup vs. resources.
+The two complete solvers share one systematic core, in
+:mod:`repro.solvers.dpll`; lookahead adds only failed-literal probing
+and its branching rule.
 """
 
 from repro.solvers.cnf import (
@@ -25,7 +28,6 @@ from repro.solvers.cnf import (
 )
 from repro.solvers.budget import CostMeter, SolveResult, SolveStatus
 from repro.solvers.dpll import DPLLSolver
-from repro.solvers.presolve import PresolveResult, presolve
 from repro.solvers.walksat import WalkSATSolver
 from repro.solvers.lookahead import LookaheadSolver
 from repro.solvers.portfolio import (
@@ -42,5 +44,4 @@ __all__ = [
     "DPLLSolver", "WalkSATSolver", "LookaheadSolver",
     "Portfolio", "PortfolioOutcome", "PortfolioReport",
     "run_portfolio_experiment",
-    "presolve", "PresolveResult",
 ]

@@ -5,6 +5,13 @@ UNSAT), with propagation that exploits clause structure. Deliberately
 *without* failed-literal probing (that is :class:`LookaheadSolver`'s
 niche) and without clause learning — it represents the plain systematic
 baseline the paper's portfolio argument starts from.
+
+This module is also the systematic search both complete solvers share:
+root unit assertion and exhaustive unit propagation, the decision loop
+(assign, charge one decision, propagate, recurse, undo) and the solve
+skeleton. :class:`~repro.solvers.lookahead.LookaheadSolver` subclasses
+:class:`DPLLSolver` and replaces only its two hooks: ``_prepare`` (work
+before each decision) and ``_pick`` (the branching rule).
 """
 
 from __future__ import annotations
@@ -15,15 +22,69 @@ from typing import Dict, List, Optional, Tuple
 from repro.solvers.budget import (
     BudgetExceeded, CostMeter, SolveResult, SolveStatus,
 )
-from repro.solvers.cnf import CNF
+from repro.solvers.cnf import CNF, Assignment
 
 __all__ = ["DPLLSolver"]
 
-Assignment = Dict[int, bool]
+
+def _propagate(cnf: CNF, assignment: Assignment, trail: List[int],
+               meter: CostMeter) -> bool:
+    """Exhaustive unit propagation, charging one unit per clause visited
+    per sweep (satisfied ones too). Appends every variable it assigns
+    to ``trail``; False on a conflict (a clause with every literal
+    false)."""
+    changed = True
+    while changed:
+        changed = False
+        for clause in cnf.clauses:
+            meter.charge()
+            unassigned = None
+            for lit in clause:
+                value = assignment.get(abs(lit))
+                if value is None:
+                    if unassigned is not None:
+                        break  # two open literals: not a unit
+                    unassigned = lit
+                elif value == (lit > 0):
+                    break  # satisfied
+            else:
+                if unassigned is None:
+                    return False
+                assignment[abs(unassigned)] = unassigned > 0
+                trail.append(abs(unassigned))
+                changed = True
+    return True
 
 
-class _Conflict(Exception):
-    pass
+def _assert_units(cnf: CNF, assignment: Assignment,
+                  meter: CostMeter) -> bool:
+    """The root of every search: assert each unit clause, charging one
+    unit per clause (every clause), then propagate. False on a root
+    conflict."""
+    for clause in cnf.clauses:
+        meter.charge()
+        if len(clause) == 1:
+            var, value = abs(clause[0]), clause[0] > 0
+            if assignment.setdefault(var, value) != value:
+                return False
+    return _propagate(cnf, assignment, [], meter)
+
+
+def _assume(cnf: CNF, assignment: Assignment, var: int, value: bool,
+            meter: CostMeter) -> Optional[List[int]]:
+    """Assign ``var`` and propagate. Returns the trail of everything
+    assigned, or None on a conflict, with the trail already undone."""
+    assignment[var] = value
+    trail = [var]
+    if _propagate(cnf, assignment, trail, meter):
+        return trail
+    _undo(assignment, trail)
+    return None
+
+
+def _undo(assignment: Assignment, trail: List[int]) -> None:
+    for var in trail:
+        del assignment[var]
 
 
 class DPLLSolver:
@@ -39,78 +100,51 @@ class DPLLSolver:
 
     def solve(self, cnf: CNF, budget: Optional[int] = None) -> SolveResult:
         meter = CostMeter(budget)
+        # Built afresh per solve, so repeated solves of one instance repeat.
         rng = random.Random(self.seed)
-        # watch lists: literal -> clause indices containing it
-        occurrences: Dict[int, List[int]] = {}
-        for idx, clause in enumerate(cnf.clauses):
-            for lit in clause:
-                occurrences.setdefault(lit, []).append(idx)
+        assignment: Assignment = {}
         try:
-            assignment: Assignment = {}
-            trail: List[int] = []
-            self._propagate_initial(cnf, assignment, trail, meter)
-            if self._search(cnf, occurrences, assignment, meter, rng):
-                model = dict(assignment)
-                for v in cnf.variables():
-                    model.setdefault(v, False)
-                return SolveResult(SolveStatus.SAT, meter.cost, model,
-                                   self.name, cnf.name)
-            return SolveResult(SolveStatus.UNSAT, meter.cost, None,
-                               self.name, cnf.name)
+            sat = (_assert_units(cnf, assignment, meter)
+                   and self._search(cnf, assignment, meter, rng))
         except BudgetExceeded:
-            return SolveResult(SolveStatus.TIMEOUT,
-                               budget if budget is not None else meter.cost,
-                               None, self.name, cnf.name)
-        except _Conflict:
-            # Top-level conflict during initial unit propagation.
+            return SolveResult(SolveStatus.TIMEOUT, budget, None,
+                               self.name, cnf.name)
+        if not sat:
             return SolveResult(SolveStatus.UNSAT, meter.cost, None,
                                self.name, cnf.name)
+        model = {v: assignment.get(v, False) for v in cnf.variables()}
+        return SolveResult(SolveStatus.SAT, meter.cost, model,
+                           self.name, cnf.name)
 
     # -- internals ---------------------------------------------------------------
 
-    def _propagate_initial(self, cnf, assignment, trail, meter) -> None:
-        for clause in cnf.clauses:
-            meter.charge()
-            if len(clause) == 1:
-                lit = clause[0]
-                var, value = abs(lit), lit > 0
-                if assignment.get(var, value) != value:
-                    raise _Conflict()
-                if var not in assignment:
-                    assignment[var] = value
-                    trail.append(var)
-        self._propagate(cnf, assignment, trail, meter)
+    def _search(self, cnf, assignment, meter, rng) -> bool:
+        forced = self._prepare(cnf, assignment, meter)
+        if forced is None:
+            return False
+        pick = self._pick(cnf, assignment, meter, rng)
+        if pick is None:
+            # Everything relevant assigned; remaining clauses satisfied.
+            return True
+        var, first_value = pick
+        for value in (first_value, not first_value):
+            meter.charge()  # a decision
+            trail = _assume(cnf, assignment, var, value, meter)
+            if trail is not None:
+                if self._search(cnf, assignment, meter, rng):
+                    return True
+                _undo(assignment, trail)
+        _undo(assignment, forced)
+        return False
 
-    def _propagate(self, cnf, assignment, trail, meter) -> None:
-        """Exhaustive unit propagation; raises _Conflict on empty clause."""
-        changed = True
-        while changed:
-            changed = False
-            for clause in cnf.clauses:
-                meter.charge()
-                unassigned = None
-                satisfied = False
-                count = 0
-                for lit in clause:
-                    value = assignment.get(abs(lit))
-                    if value is None:
-                        unassigned = lit
-                        count += 1
-                        if count > 1:
-                            break
-                    elif value == (lit > 0):
-                        satisfied = True
-                        break
-                if satisfied or count > 1:
-                    continue
-                if count == 0:
-                    raise _Conflict()
-                var, value = abs(unassigned), unassigned > 0
-                assignment[var] = value
-                trail.append(var)
-                changed = True
+    def _prepare(self, cnf, assignment, meter) -> Optional[List[int]]:
+        """Work before a decision. Returns the trail of everything it
+        forced, undone if the node fails, or None when it refuted the
+        node (its own trail already undone). Plain DPLL forces none."""
+        return []
 
-    def _pick(self, cnf, assignment, meter, rng) -> Optional[Tuple[int, bool]]:
+    def _pick(self, cnf, assignment, meter, rng,
+              ) -> Optional[Tuple[int, bool]]:
         if self.heuristic == "random":
             unassigned = [v for v in cnf.variables() if v not in assignment]
             meter.charge(len(unassigned) // 8 + 1)
@@ -133,23 +167,3 @@ class DPLLSolver:
             return None
         best = max(scores, key=lambda lit: (scores[lit], -abs(lit), lit > 0))
         return abs(best), best > 0
-
-    def _search(self, cnf, occurrences, assignment, meter, rng) -> bool:
-        pick = self._pick(cnf, assignment, meter, rng)
-        if pick is None:
-            # Everything relevant assigned; remaining clauses satisfied.
-            return True
-        var, first_value = pick
-        for value in (first_value, not first_value):
-            meter.charge()  # a decision
-            assignment[var] = value
-            trail: List[int] = [var]
-            try:
-                self._propagate(cnf, assignment, trail, meter)
-                if self._search(cnf, occurrences, assignment, meter, rng):
-                    return True
-            except _Conflict:
-                pass
-            for v in trail:
-                del assignment[v]
-        return False

@@ -9,30 +9,26 @@ solver slower than plain DPLL on instances where decisions are cheap —
 but it detects deeply hidden implications (masked implication chains)
 at the root, where DPLL would rediscover the conflict exponentially
 many times.
+
+The search itself is :class:`~repro.solvers.dpll.DPLLSolver`'s: this
+solver adds probing before each decision (``_prepare``) and branches on
+the first unassigned variable, true first (``_pick``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.solvers.budget import (
-    BudgetExceeded, CostMeter, SolveResult, SolveStatus,
-)
-from repro.solvers.cnf import CNF
+from repro.solvers.dpll import DPLLSolver, _assume, _undo
 
 __all__ = ["LookaheadSolver"]
 
-Assignment = Dict[int, bool]
 
-
-class _Conflict(Exception):
-    pass
-
-
-class LookaheadSolver:
+class LookaheadSolver(DPLLSolver):
     """DPLL + failed-literal probing at every node."""
 
     def __init__(self, probe_limit: int = 64):
+        super().__init__()
         # Probing every variable at every node is overkill; probe the
         # first ``probe_limit`` unassigned variables (by index) — chain
         # structures put related variables at adjacent indices, which
@@ -40,80 +36,25 @@ class LookaheadSolver:
         self.probe_limit = probe_limit
         self.name = "lookahead"
 
-    def solve(self, cnf: CNF, budget: Optional[int] = None) -> SolveResult:
-        meter = CostMeter(budget)
-        try:
-            assignment: Assignment = {}
-            trail: List[int] = []
-            try:
-                self._assert_units(cnf, assignment, trail, meter)
-                self._propagate(cnf, assignment, trail, meter)
-            except _Conflict:
-                return SolveResult(SolveStatus.UNSAT, meter.cost, None,
-                                   self.name, cnf.name)
-            if self._search(cnf, assignment, meter):
-                model = dict(assignment)
-                for v in cnf.variables():
-                    model.setdefault(v, False)
-                return SolveResult(SolveStatus.SAT, meter.cost, model,
-                                   self.name, cnf.name)
-            return SolveResult(SolveStatus.UNSAT, meter.cost, None,
-                               self.name, cnf.name)
-        except BudgetExceeded:
-            return SolveResult(SolveStatus.TIMEOUT,
-                               budget if budget is not None else meter.cost,
-                               None, self.name, cnf.name)
+    def _prepare(self, cnf, assignment, meter) -> Optional[List[int]]:
+        # Probe until quiescence: each forced literal may enable more.
+        forced: List[int] = []
+        while True:
+            trail = self._probe(cnf, assignment, meter)
+            if trail is None:
+                _undo(assignment, forced)
+                return None
+            if not trail:
+                return forced
+            forced += trail
 
-    # -- internals ---------------------------------------------------------------
+    def _probe(self, cnf, assignment, meter) -> Optional[List[int]]:
+        """Probe unassigned variables for a failed literal.
 
-    def _assert_units(self, cnf, assignment, trail, meter) -> None:
-        for clause in cnf.clauses:
-            meter.charge()
-            if len(clause) == 1:
-                lit = clause[0]
-                var, value = abs(lit), lit > 0
-                if assignment.get(var, value) != value:
-                    raise _Conflict()
-                if var not in assignment:
-                    assignment[var] = value
-                    trail.append(var)
-
-    def _propagate(self, cnf, assignment, trail, meter) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for clause in cnf.clauses:
-                meter.charge()
-                unassigned = None
-                satisfied = False
-                count = 0
-                for lit in clause:
-                    value = assignment.get(abs(lit))
-                    if value is None:
-                        unassigned = lit
-                        count += 1
-                        if count > 1:
-                            break
-                    elif value == (lit > 0):
-                        satisfied = True
-                        break
-                if satisfied or count > 1:
-                    continue
-                if count == 0:
-                    raise _Conflict()
-                assignment[abs(unassigned)] = unassigned > 0
-                trail.append(abs(unassigned))
-                changed = True
-
-    def _probe(self, cnf, assignment, meter,
-               ) -> Tuple[bool, Optional[Tuple[int, bool]], List[int]]:
-        """Probe unassigned variables for failed literals.
-
-        Returns (conflict_both_ways, forced_literal, forced_trail):
-        * conflict_both_ways: the node is refuted;
-        * forced_literal: a (var, value) whose opposite failed —
-          already applied and propagated into ``assignment`` with its
-          trail returned.
+        Returns the trail of the first forced literal (its negation
+        failed; already propagated into ``assignment``), an empty list
+        when no probe fails, or None when the node is refuted: a
+        variable failed both ways, or its forced value conflicts too.
         """
         probed = 0
         for var in cnf.variables():
@@ -125,60 +66,18 @@ class LookaheadSolver:
             failures = []
             for value in (True, False):
                 meter.charge()  # a probe
-                assignment[var] = value
-                probe_trail = [var]
-                try:
-                    self._propagate(cnf, assignment, probe_trail, meter)
-                except _Conflict:
+                trail = _assume(cnf, assignment, var, value, meter)
+                if trail is None:
                     failures.append(value)
-                for v in probe_trail:
-                    del assignment[v]
+                else:
+                    _undo(assignment, trail)
             if len(failures) == 2:
-                return True, None, []
-            if len(failures) == 1:
-                forced_value = not failures[0]
-                assignment[var] = forced_value
-                trail = [var]
-                try:
-                    self._propagate(cnf, assignment, trail, meter)
-                except _Conflict:
-                    # Forced value also conflicts -> refuted node.
-                    for v in trail:
-                        del assignment[v]
-                    return True, None, []
-                return False, (var, forced_value), trail
-        return False, None, []
+                return None
+            if failures:
+                return _assume(cnf, assignment, var, not failures[0], meter)
+        return []
 
-    def _search(self, cnf, assignment, meter) -> bool:
-        # Probe until quiescence: each forced literal may enable more.
-        forced_trails: List[List[int]] = []
-        while True:
-            refuted, forced, trail = self._probe(cnf, assignment, meter)
-            if refuted:
-                for t in forced_trails:
-                    for v in t:
-                        del assignment[v]
-                return False
-            if forced is None:
-                break
-            forced_trails.append(trail)
-
+    def _pick(self, cnf, assignment, meter, rng,
+              ) -> Optional[Tuple[int, bool]]:
         var = next((v for v in cnf.variables() if v not in assignment), None)
-        if var is None:
-            return True
-        for value in (True, False):
-            meter.charge()  # decision
-            assignment[var] = value
-            trail = [var]
-            try:
-                self._propagate(cnf, assignment, trail, meter)
-                if self._search(cnf, assignment, meter):
-                    return True
-            except _Conflict:
-                pass
-            for v in trail:
-                del assignment[v]
-        for t in forced_trails:
-            for v in t:
-                del assignment[v]
-        return False
+        return None if var is None else (var, True)

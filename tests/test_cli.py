@@ -98,6 +98,20 @@ class TestParser:
         assert "usage: repro explore" in err
         assert "--workers: must be a positive integer" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["portfolio", "--budget", "0"],
+        ["portfolio", "--instances", "0"],
+        ["fleet", "--programs", "0"],
+        ["registry", "run", "--pods", "0"],
+    ])
+    def test_counts_below_one_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        flag = next(arg for arg in argv if arg.startswith("--"))
+        assert f"{flag}: must be a positive integer" in \
+            capsys.readouterr().err
+
     def test_readme_documents_every_flag(self):
         # Every option of every subcommand appears in README.md as a
         # whole token (``--out`` does not count for ``--snapshot-out``).

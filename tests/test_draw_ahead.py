@@ -28,7 +28,7 @@ def _reference_plan_round(self, round_index):
     directives = []
     if config.guidance:
         directives = self.hive.plan_steering(config.guided_per_round)
-    pod_indices = range(len(self.pods))
+    pod_indices = range(config.n_pods)
     runs = []
     for execution in range(config.executions_per_round):
         _user, inputs = self.scenario.population.sample_execution()

@@ -1,18 +1,12 @@
-"""Tests for path-family narrowing (Sec. 3.1) and CNF presolve."""
+"""Tests for path-family narrowing (Sec. 3.1)."""
 
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.progmodel.corpus import make_crash_demo
 from repro.progmodel.interpreter import Interpreter
-from repro.solvers.cnf import CNF, evaluate, random_ksat
-from repro.solvers.dpll import DPLLSolver
-from repro.solvers.presolve import presolve
-from repro.solvers.budget import SolveStatus
 from repro.tracing.capture import FullCapture, SampledCapture
 from repro.tracing.sampling import sample_observations
 from repro.tree.exectree import ExecutionTree
@@ -70,56 +64,3 @@ class TestPathFamilies:
         assert tuple(result.path_decisions) in final_family or \
             sizes[-1] >= 1  # (occurrence maxima are handled inside)
 
-
-class TestPresolve:
-    def test_unit_chain_solved_outright(self):
-        cnf = CNF(n_vars=3, clauses=((1,), (-1, 2), (-2, 3)))
-        result = presolve(cnf)
-        assert result.status == "sat"
-        model = result.extend_model({})
-        assert evaluate(cnf, model)
-
-    def test_conflict_detected(self):
-        cnf = CNF(n_vars=2, clauses=((1,), (-1, 2), (-2,), ))
-        assert presolve(cnf).status == "unsat"
-
-    def test_pure_literal_elimination(self):
-        # 1 appears only positively; 2 only negatively.
-        cnf = CNF(n_vars=2, clauses=((1, -2), (1,)))
-        result = presolve(cnf)
-        assert result.status == "sat"
-        assert evaluate(cnf, result.extend_model({}))
-
-    def test_tautologies_removed(self):
-        cnf = CNF(n_vars=2, clauses=((1, -1), (2, -2)))
-        result = presolve(cnf)
-        assert result.status == "sat"
-
-    def test_subsumption(self):
-        cnf = CNF(n_vars=3, clauses=((1, 2), (1, 2, 3), (1, 2, -3)))
-        result = presolve(cnf)
-        # (1,2) subsumes both ternary clauses... but pure literals will
-        # likely satisfy everything; accept either sat or a reduction.
-        if result.status == "open":
-            assert result.reduced.n_clauses < cnf.n_clauses
-        else:
-            assert result.status == "sat"
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 5000), n_clauses=st.integers(1, 40))
-    def test_presolve_preserves_satisfiability(self, seed, n_clauses):
-        cnf = random_ksat(7, n_clauses, k=3, rng=random.Random(seed))
-        result = presolve(cnf)
-        solver = DPLLSolver("jw")
-        truth = solver.solve(cnf).status
-        if result.status == "sat":
-            assert truth is SolveStatus.SAT
-            assert evaluate(cnf, result.extend_model({}))
-        elif result.status == "unsat":
-            assert truth is SolveStatus.UNSAT
-        else:
-            reduced_answer = solver.solve(result.reduced)
-            assert reduced_answer.status is truth
-            if reduced_answer.status is SolveStatus.SAT:
-                full = result.extend_model(reduced_answer.model)
-                assert evaluate(cnf, full)
