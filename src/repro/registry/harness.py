@@ -31,7 +31,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.localize import localize_from_tree, rank_of_block
 from repro.chaos.invariants import Invariants
-from repro.exec.backends import make_backend
+from repro.config import BaseConfig, check_at_least_one
+from repro.errors import ConfigError
+from repro.exec.backends import BACKEND_NAMES, make_backend
 from repro.exec.plan import PlannedRun, RoundPlan
 from repro.fixes.repairlab import RepairLab
 from repro.fixes.validation import FixValidator, make_validation_suite
@@ -48,19 +50,31 @@ __all__ = ["RegistryRunConfig", "BugRunResult", "run_registry", "run_bug"]
 
 
 @dataclass
-class RegistryRunConfig:
+class RegistryRunConfig(BaseConfig):
     """Knobs for one registry evaluation pass."""
 
     seed: int = 0
+    #: A concrete backend name (the CLI resolves ``auto`` first).
     backend: str = "serial"
     workers: int = 0
     family: str = "all"
-    #: Unguided background executions shipped alongside the directives.
+    #: Unguided background executions shipped alongside the directives
+    #: (a negative count ships none).
     background_runs: int = 24
     pods: int = 2
     max_steps: int = 4000
     #: Push the known patch through RepairLab (the expensive part).
     validate_patches: bool = True
+
+    def validate(self) -> None:
+        check_at_least_one(self.pods, "need at least one pod")
+        check_at_least_one(self.max_steps, "max_steps must be at least one")
+        if self.workers < 0:
+            raise ConfigError("workers must be >= 0 (0 = auto)")
+        if self.backend not in BACKEND_NAMES:
+            raise ConfigError(
+                f"unknown backend {self.backend!r}; expected one of"
+                f" {', '.join(BACKEND_NAMES)}")
 
 
 @dataclass
@@ -138,7 +152,7 @@ def _bug_workload(bug: RegisteredBug, config: RegistryRunConfig,
     pods = [Pod(f"reg-{bug.ref.replace('/', '-')}-p{i}", bug.program,
                 capture=FullCapture(), limits=limits, fault_rate=0.0,
                 seed=config.seed + i)
-            for i in range(max(1, config.pods))]
+            for i in range(config.pods)]
     runs: List[PlannedRun] = []
     for test in bug.tests:
         runs.append(PlannedRun(
@@ -158,6 +172,7 @@ def _bug_workload(bug: RegisteredBug, config: RegistryRunConfig,
 def run_bug(bug: RegisteredBug, config: RegistryRunConfig,
             invariants: Optional[Invariants] = None) -> BugRunResult:
     """Evaluate one registered bug standalone and as a hive workload."""
+    config.validate()
     out = BugRunResult(ref=bug.ref, family=bug.family)
     limits = ExecutionLimits(max_steps=config.max_steps)
 

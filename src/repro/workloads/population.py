@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.progmodel.ir import Program
@@ -83,13 +84,13 @@ class UserPopulation:
 
 
 if sys.version_info >= (3, 10):
-    def _bisect_normalized(cumulative: List[float], point: float,
+    def _bisect_normalized(cumulative: Sequence[float], point: float,
                            total: float) -> int:
         """``bisect_left`` over ``value / total`` for each value of
         ``cumulative``, dividing only the values it probes."""
         return bisect_left(cumulative, point, key=total.__rtruediv__)
 else:  # pragma: no cover - 3.9 has no ``key`` for bisect
-    def _bisect_normalized(cumulative: List[float], point: float,
+    def _bisect_normalized(cumulative: Sequence[float], point: float,
                            total: float) -> int:
         lo, hi = 0, len(cumulative)
         while lo < hi:
@@ -99,6 +100,15 @@ else:  # pragma: no cover - 3.9 has no ``key`` for bisect
             else:
                 hi = mid
         return lo
+
+
+#: Users per stored running sum. A draw re-adds up to this many terms,
+#: so the block trades draw time for memory. For a million users, 16
+#: keeps 0.5 MB (one float per user held 31 MB) and a draw's search
+#: takes 2.2 us against 1.4 us over all n sums, small beside the
+#: ~7 us of an average ``sample_user`` call (mostly deriving users);
+#: 32 keeps 0.25 MB for 0.4 us more per draw (2-core x86, Python 3.11).
+_BLOCK = 16
 
 
 class ZipfPopulation:
@@ -111,11 +121,13 @@ class ZipfPopulation:
     * a user's habitual inputs are a pure function of
       ``make_rng(seed, "user", index)``, so user #734188 is identical
       whether it is the first or the billionth one touched;
-    * Zipf sampling inverts the cumulative weight table with
-      ``bisect`` — O(log n) per draw over a float table built once
-      (the only O(n) cost, one float per user); the table keeps the
-      running sums, and each probe divides by the total, exactly as a
-      normalized copy would hold it;
+    * Zipf sampling inverts the cumulative weights: the running sum
+      at the end of every block of ``_BLOCK`` users is kept (8 bytes
+      per block, built once, the only O(n) cost), a draw bisects those
+      with each probe divided by the total, then re-adds the chosen
+      block's terms from the previous block's sum. Those are the very
+      floats a table of all n running sums held, so each draw lands
+      on the user a bisect of that full table gives;
     * constructed users are memoized up to ``memo_cap`` entries (the
       hot head of a Zipf distribution is tiny; the cold tail is cheap
       to rebuild), so memory tracks *active* users, not population.
@@ -132,19 +144,25 @@ class ZipfPopulation:
             raise ConfigError("population needs at least one user")
         if not 0.0 <= volatility <= 1.0:
             raise ConfigError("volatility must be in [0, 1]")
+        if memo_cap < 1:
+            raise ConfigError("memo_cap must be at least one")
         self.program = program
         self.n_users = n_users
         self.volatility = volatility
+        self.zipf_s = zipf_s
         self.seed = seed
         self.memo_cap = memo_cap
         self._rng = make_rng(seed, "population", program.name)
-        # Cumulative Zipf weights; a draw normalizes the ones it probes.
-        cumulative: List[float] = []
+        # Zipf weight 1/rank**s, added left to right; the running sum
+        # after each block's last user (the last block may be short, so
+        # the last sum is the total).
+        blocks = array("d")
         total = 0.0
-        for k in range(n_users):
-            total += 1.0 / (k + 1) ** zipf_s
-            cumulative.append(total)
-        self._cumulative = cumulative
+        for start in range(1, n_users + 1, _BLOCK):
+            for rank in range(start, min(start + _BLOCK, n_users + 1)):
+                total += 1.0 / rank ** zipf_s
+            blocks.append(total)
+        self._blocks = blocks
         self._total = total
         self._memo: Dict[int, User] = {}
 
@@ -166,9 +184,25 @@ class ZipfPopulation:
         return user
 
     def sample_user(self) -> User:
+        """The first user whose normalized running sum is not below
+        one ``random()`` point (``bisect_left`` over all n sums)."""
         point = self._rng.random()
-        return self.user(_bisect_normalized(self._cumulative, point,
-                                            self._total))
+        total = self._total
+        blocks = self._blocks
+        block = _bisect_normalized(blocks, point, total)
+        # Re-add the block's terms from the previous block's sum: user
+        # k's running sum is the float a table of all n sums held.
+        running = blocks[block - 1] if block else 0.0
+        start = block * _BLOCK
+        stop = min(start + _BLOCK, self.n_users)
+        zipf_s = self.zipf_s
+        for rank in range(start + 1, stop):
+            running += 1.0 / rank ** zipf_s
+            if running / total >= point:
+                return self.user(rank - 1)
+        # The block's last sum is stored and reaches the point: the
+        # bisect chose this block for it.
+        return self.user(stop - 1)
 
     def sample_execution(self) -> Tuple[User, InputVector]:
         """One natural execution: an (active user, input vector) draw."""

@@ -9,8 +9,10 @@ held to the code it replaced.
   user, and consume the stream, of the linear ``choice_weighted`` scan.
 * ``BugDensityTracker`` keeps a deque and a running failure count; it
   must give the float the summed list gave.
-* ``ZipfPopulation`` keeps no normalized copy of its table; its search
-  must land where a search of the copy did.
+* ``ZipfPopulation`` keeps one running sum per block of users and
+  re-adds a block's terms on each draw; every draw must pick the user a
+  bisect of the full normalized table picks, with one ``random()``
+  call, and the block sums must stay a small fraction of that table.
 * Float sums that feed a draw or a snapshot add left to right on every
   Python: the 60-weight Zipf vector below sums to 3.949708309160758
   that way, and to 3.9497083091607577 with the compensated ``sum()``
@@ -21,8 +23,10 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import math
 import random
 import sys
+import tracemalloc
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import MISSING, fields, make_dataclass, replace
@@ -406,7 +410,6 @@ class TestZipfTable:
         program = make_crash_demo().program
         population = ZipfPopulation(program, 3000, seed=5)
         cumulative, total = self._table(3000, 1.1)
-        assert population._cumulative == cumulative
         assert population._total == total
         normalized = [value / total for value in cumulative]
         mirror = random.Random()
@@ -415,7 +418,43 @@ class TestZipfTable:
             user = population.sample_user()
             index = bisect_left(normalized, mirror.random())
             assert user.user_id == f"user{index:07d}"
-            mirror.setstate(population._rng.getstate())
+            # One ``random()`` per draw: the user derives from its own RNG.
+            assert population._rng.getstate() == mirror.getstate()
+
+    @pytest.mark.parametrize("n_users", [1, 15, 16, 17, 3000, 100003])
+    def test_scripted_points_pick_the_full_table_user(self, n_users):
+        cumulative, total = self._table(n_users, 1.1)
+        normalized = [value / total for value in cumulative]
+        rng = random.Random(n_users)
+        points = [rng.random() for _ in range(20_000)] + [0.0]
+        for value in normalized:
+            points += [math.nextafter(value, 0.0), value,
+                       math.nextafter(value, 2.0)]
+        # ``random()`` stays below 1.0: no point lies past the total.
+        points = [point for point in points if point <= 1.0]
+        population = ZipfPopulation(make_crash_demo().program, n_users)
+        assert population._total == total
+        population._rng = _FixedRandom(points)
+        # The index alone: deriving every drawn user is the slow part.
+        population.user = lambda index: index
+        for point in points:
+            assert population.sample_user() == bisect_left(normalized, point)
+
+    def test_block_sums_stay_small(self):
+        program = make_crash_demo().program
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            population = ZipfPopulation(program, 100_000)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # All 100,000 running sums as floats in a list held about 3.1 MB.
+        assert population.n_users == 100_000
+        assert retained < 256 * 1024
 
 
 # -- left-to-right float sums ------------------------------------------------

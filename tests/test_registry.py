@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.errors import ConfigError
 from repro.metrics.scorecard import (
     SCORECARD_SCHEMA_VERSION, build_scorecard,
 )
@@ -141,6 +142,32 @@ class TestScorecard:
         for bug in registry.bugs("prov"):
             assert bug.spec.defect_distance >= 2
             assert bug.spec.defect_function != bug.spec.site_function
+
+
+class TestRunConfigValidation:
+
+    @pytest.mark.parametrize("overrides", [
+        dict(pods=0), dict(pods=-3), dict(max_steps=0), dict(workers=-1),
+        dict(backend="bogus"),
+    ])
+    def test_bad_config_is_rejected_before_any_pod(self, registry,
+                                                   monkeypatch, overrides):
+        import repro.registry.harness as harness
+        built = []
+        monkeypatch.setattr(harness, "Pod",
+                            lambda *args, **kwargs: built.append(args))
+        config = RegistryRunConfig(seed=SEED, background_runs=0,
+                                   validate_patches=False, **overrides)
+        with pytest.raises(ConfigError):
+            run_registry(registry, config)
+        assert built == []
+
+    def test_a_negative_run_count_ships_no_background_runs(self, registry):
+        from repro.registry import run_bug
+        bug = registry.bugs("all")[0]
+        result = run_bug(bug, RegistryRunConfig(
+            seed=SEED, background_runs=-2, validate_patches=False))
+        assert result.runs_shipped == len(bug.tests)
 
 
 class TestRepairLabWiring:

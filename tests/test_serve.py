@@ -354,6 +354,24 @@ class TestZipfPopulation:
             population.user(index)
         assert len(population._memo) <= 16
 
+    @pytest.mark.parametrize("memo_cap", [0, -1])
+    def test_memo_cap_below_one_is_rejected(self, memo_cap):
+        from repro.workloads.population import ZipfPopulation
+
+        scenario = crash_scenario(seed=1)
+        with pytest.raises(ConfigError):
+            ZipfPopulation(scenario.program, 100, memo_cap=memo_cap)
+
+    def test_a_one_user_memo_still_draws(self):
+        from repro.workloads.population import ZipfPopulation
+
+        scenario = crash_scenario(seed=1)
+        population = ZipfPopulation(scenario.program, 100, seed=3,
+                                    memo_cap=1)
+        users = [population.sample_user() for _ in range(50)]
+        assert len(population._memo) == 1
+        assert len({user.user_id for user in users}) > 1
+
     def test_sample_execution_draws_inputs(self):
         from repro.workloads.population import ZipfPopulation
 
